@@ -95,17 +95,17 @@ class FourPointTensor:
             raise DomainError("four-point tensor breaks Hermiticity")
 
 
-def _annihilated_vectors(psi: StateVector) -> list[StateVector | None]:
-    """c_j |psi> for every mode j, all in the sector-lowered basis."""
+def _annihilated_vectors(psi: StateVector, n: int) -> list[StateVector | None]:
+    """c_j |psi> for the leading ``n`` modes j, in the sector-lowered basis."""
     basis = psi.basis
     if basis.sector is None:
         target = basis
     else:
         if basis.sector == 0:
-            return [None] * basis.mode_count
+            return [None] * n
         target = FockBasis(basis.mode_count, basis.sector - 1)
     out = []
-    for j in range(basis.mode_count):
+    for j in range(n):
         rows, cols, signs = ladder_map(basis, target, j, "annihilate")
         vec = np.zeros(target.dim, dtype=np.complex128)
         vec[rows] = signs * psi.amplitudes[cols]
@@ -113,9 +113,8 @@ def _annihilated_vectors(psi: StateVector) -> list[StateVector | None]:
     return out
 
 
-def _two_point_pure(psi: StateVector) -> np.ndarray:
-    lowered = _annihilated_vectors(psi)
-    n = psi.basis.mode_count
+def _two_point_pure(psi: StateVector, n: int) -> np.ndarray:
+    lowered = _annihilated_vectors(psi, n)
     c2 = np.zeros((n, n), dtype=np.complex128)
     for i in range(n):
         if lowered[i] is None:
@@ -149,7 +148,7 @@ def _trace_chain(rho: DensityMatrix, ops) -> complex:
 def measure_two_point(state: StateVector | DensityMatrix) -> TwoPointMatrix:
     """C2_ij = <c†_i c_j> of a pure state or density matrix."""
     if isinstance(state, StateVector):
-        return TwoPointMatrix(_two_point_pure(state))
+        return TwoPointMatrix(_two_point_pure(state, state.basis.mode_count))
     n = state.basis.mode_count
     c2 = np.zeros((n, n), dtype=np.complex128)
     for i in range(n):
@@ -164,14 +163,17 @@ def measure_four_point_connected(
     state: StateVector | DensityMatrix,
     two_point: TwoPointMatrix | None = None,
 ) -> FourPointTensor:
-    """Connected C4 with the Gaussian (Wick) part subtracted."""
+    """Connected C4 with the Gaussian (Wick) part subtracted.
+
+    On a pure state only the leading modes that ``two_point`` spans are lowered.
+    """
     c2 = (two_point or measure_two_point(state)).entries
     n = c2.shape[0]
     raw = np.zeros((n, n, n, n), dtype=np.complex128)
     if isinstance(state, StateVector):
         basis = state.basis
         if basis.sector is None or basis.sector >= 2:
-            lowered = _annihilated_vectors(state)
+            lowered = _annihilated_vectors(state, n)
             dim2 = FockBasis(
                 basis.mode_count,
                 None if basis.sector is None else basis.sector - 2,
@@ -182,7 +184,7 @@ def measure_four_point_connected(
                 vb = lowered[b]
                 if vb is None:
                     continue
-                inner = _annihilated_vectors(vb)
+                inner = _annihilated_vectors(vb, n)
                 for a in range(n):
                     if a == b or inner[a] is None:
                         continue
@@ -209,6 +211,18 @@ def measure_four_point_connected(
         + np.einsum("ik,jl->ijkl", c2, c2)
     )
     return FourPointTensor(connected)
+
+
+def subsystem_correlations(psi: StateVector, n_keep: int):
+    """C2 and connected C4 of a pure state on its leading ``n_keep`` modes.
+
+    Moments whose indices all lie in the subsystem equal the reduced-state
+    moments, so they come straight from ``psi`` without a density matrix.
+    """
+    if not 0 < n_keep <= psi.basis.mode_count:
+        raise DomainError(f"cannot keep {n_keep} of {psi.basis.mode_count} modes")
+    c2 = TwoPointMatrix(_two_point_pure(psi, n_keep))
+    return c2, measure_four_point_connected(psi, c2)
 
 
 @dataclass

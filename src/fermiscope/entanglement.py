@@ -202,11 +202,6 @@ class SectorBlock:
     def dim(self) -> int:
         return int(self.elements.shape[0])
 
-    @property
-    def too_small(self) -> bool:
-        # fewer than two levels can never form a gap
-        return self.dim < 2
-
 
 def sector_project(rho: DensityMatrix) -> list[SectorBlock]:
     """Split a reduced state into (n, m, s) symmetry blocks.

@@ -20,6 +20,7 @@ fixed-particle-number state equals the plain qubit partial trace.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -120,8 +121,7 @@ class FockBasis:
         self.mode_count = mode_count
         self.sector = sector
         self.sz_twice = sz_twice
-        self.states = _enumerate_states(mode_count, sector, sz_twice)
-        self._index = {int(s): k for k, s in enumerate(self.states)}
+        self.states, self._index = _basis_tables(mode_count, sector, sz_twice)
 
     @property
     def dim(self) -> int:
@@ -138,14 +138,25 @@ class FockBasis:
         return OccupationBitstring(int(self.states[k]), self.mode_count)
 
     def indices_of(self, bits_array: np.ndarray) -> np.ndarray:
-        """Vectorized index lookup; caller guarantees membership."""
+        """Vectorized index lookup; raises DomainError for non-members."""
         pos = np.searchsorted(self.states, bits_array)
+        if np.size(pos) and not (self.dim and np.array_equal(
+                self.states.take(pos, mode="clip"), bits_array)):
+            raise DomainError("bit patterns outside the basis")
         return pos
 
     def __repr__(self) -> str:
         sec = "" if self.sector is None else f", sector={self.sector}"
         sz = "" if self.sz_twice is None else f", sz_twice={self.sz_twice}"
         return f"FockBasis(mode_count={self.mode_count}{sec}{sz}, dim={self.dim})"
+
+
+@functools.lru_cache(maxsize=64)
+def _basis_tables(mode_count, sector, sz_twice):
+    """Sorted read-only states and their index map, built once per process."""
+    states = _enumerate_states(mode_count, sector, sz_twice)
+    states.flags.writeable = False
+    return states, {s: k for k, s in enumerate(states.tolist())}
 
 
 def _enumerate_states(mode_count, sector, sz_twice) -> np.ndarray:
@@ -169,11 +180,6 @@ def _enumerate_states(mode_count, sector, sz_twice) -> np.ndarray:
         for dn in combinations(range(sites), n_dn):
             states.append(up_bits + sum(1 << (2 * p + 1) for p in dn))
     return np.array(sorted(states), dtype=np.int64)
-
-
-def enumerate_basis(mode_count: int, sector: int | None = None) -> FockBasis:
-    """Build the (optionally particle-number filtered) Fock basis."""
-    return FockBasis(mode_count, sector)
 
 
 @dataclass

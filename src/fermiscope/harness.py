@@ -1,11 +1,11 @@
 """Batch drivers: quench snapshots, reconstruction, measurement, figures.
 
-Work is organized as independent (interaction, ensemble member, time)
-tuples so sweeps parallelize trivially; every file is written atomically
-and every stage ends with a manifest of content hashes, which makes
-"rerun produces identical bytes" a checkable property rather than a
-hope.  All randomness flows from the config's master seed through named
-derivation paths, never from the clock.
+Work is organized as independent tasks (one per interaction for the
+quench, one per snapshot after it) so sweeps parallelize trivially; every
+file is written atomically and every stage ends with a manifest of content
+hashes, which makes "rerun produces identical bytes" a checkable property
+rather than a hope.  All randomness flows from the config's master seed
+through named derivation paths, never from the clock.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ import numpy as np
 from . import serialize
 from .config import RunConfig
 from .correlations import (
-    FourPointTensor,
-    TwoPointMatrix,
     load_correlations,
     measure_four_point_connected,
     measure_two_point,
     save_correlations,
+    subsystem_correlations,
 )
 from .entanglement import (
     DEFAULT_ERROR_INDICES,
@@ -102,20 +101,6 @@ def initial_specs(config: RunConfig):
     ]
 
 
-def subsystem_correlations(psi, n_keep: int):
-    """C2 and connected C4 restricted to the leading ``n_keep`` modes.
-
-    Moments whose indices all lie in the subsystem equal the reduced-state
-    moments, so slicing the full-state tensors is exact and avoids the
-    density-matrix trace walk.
-    """
-    c2 = measure_two_point(psi).entries[:n_keep, :n_keep]
-    c4 = measure_four_point_connected(psi).entries[
-        :n_keep, :n_keep, :n_keep, :n_keep
-    ]
-    return TwoPointMatrix(c2.copy()), FourPointTensor(c4.copy())
-
-
 def _run_tasks(fn, tasks, workers: int):
     if workers <= 1:
         return [fn(task) for task in tasks]
@@ -132,10 +117,17 @@ def _recon_dir(out_root: str) -> str:
 
 
 def _quench_task(task):
+    """All snapshots of one interaction; its members share one Hamiltonian."""
+    config, out_dir, iu, specs = task
+    ham = build_hamiltonian(config.model.with_interaction(config.u_values[iu]),
+                            particles=config.particles)
+    return [name for member, spec in enumerate(specs)
+            for name in _member_snapshots(config, out_dir, iu, member, spec, ham)]
+
+
+def _member_snapshots(config, out_dir, iu, member, spec, ham):
     """All snapshots of one (interaction, member) pair."""
-    config, out_dir, iu, member, spec = task
     u = config.u_values[iu]
-    params = config.model.with_interaction(u)
     if spec.kind == "position":
         psi = prepare_position_quench(
             config.model, spec, config.subsystem_sites,
@@ -143,7 +135,6 @@ def _quench_task(task):
         )
     else:
         psi = initial_state(config.model, spec)
-    ham = build_hamiltonian(params, particles=spec.occupation.particle_count)
     keep = config.subsystem_modes
     names = []
     t_prev = 0.0
@@ -202,11 +193,8 @@ def cmd_quench(config: RunConfig, out_root: str | None = None) -> str:
     }
     serialize.dump_json(os.path.join(out_dir, "initial_states.json"),
                         members_doc)
-    tasks = [
-        (config, out_dir, iu, m, specs[m])
-        for iu in range(len(config.u_values))
-        for m in range(config.ensemble_size)
-    ]
+    tasks = [(config, out_dir, iu, specs)
+             for iu in range(len(config.u_values))]
     names = ["initial_states.json"]
     for result in _run_tasks(_quench_task, tasks, config.workers):
         names.extend(result)
@@ -244,10 +232,10 @@ def _recon_task(task):
     warned = any(issubclass(w.category, AnsatzValidityWarning)
                  for w in caught)
 
-    residual_c2 = float(np.abs(
-        measure_two_point(recon.assembled).entries - c2.entries).max())
+    c2_assembled = measure_two_point(recon.assembled)
+    residual_c2 = float(np.abs(c2_assembled.entries - c2.entries).max())
     residual_c4 = float(np.abs(
-        measure_four_point_connected(recon.assembled).entries
+        measure_four_point_connected(recon.assembled, c2_assembled).entries
         - c4.entries).max())
 
     spec_exact = entanglement_spectrum(rho_exact, cutoff=config.rank_cutoff)

@@ -118,12 +118,6 @@ class Hamiltonian:
     matrix: scipy.sparse.csr_matrix
     _eig: tuple | None = field(default=None, repr=False, compare=False)
 
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        return self.matrix @ amplitudes
-
-    def expectation(self, psi: StateVector) -> float:
-        return float(np.real(np.vdot(psi.amplitudes, self.matrix @ psi.amplitudes)))
-
     def dense_eig(self):
         if self._eig is None:
             w, v = np.linalg.eigh(self.matrix.toarray())

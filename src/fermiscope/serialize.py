@@ -74,7 +74,9 @@ def atomic_write_text(path: str, text: str):
 
 
 def dump_json(path: str, document: dict):
-    atomic_write_text(path, json.dumps(document, sort_keys=True, indent=1) + "\n")
+    """Compact sorted JSON; without ``indent`` the C encoder does the work."""
+    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    atomic_write_text(path, text + "\n")
 
 
 def load_json(path: str) -> dict:

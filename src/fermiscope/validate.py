@@ -18,6 +18,7 @@ from .correlations import (
     diagonalize_two_point,
     measure_four_point_connected,
     measure_two_point,
+    subsystem_correlations,
 )
 from .entanglement import gaussian_companion, non_gaussianity, reference_distribution
 from .fock import FockBasis, StateVector, ladder_matrix, partial_trace
@@ -140,11 +141,7 @@ def _check_reconstruction() -> tuple[float, str]:
     psi = initial_state(params, spec)
     ham = build_hamiltonian(params, particles=spec.occupation.particle_count)
     psi = evolve(psi, ham, 5.0)
-    keep = 4
-    c2 = TwoPointMatrix(measure_two_point(psi).entries[:keep, :keep].copy())
-    c4 = FourPointTensor(
-        measure_four_point_connected(psi)
-        .entries[:keep, :keep, :keep, :keep].copy())
+    c2, c4 = subsystem_correlations(psi, 4)
     recon = reconstruct_state(c2, c4)
     worst = float(np.abs(
         measure_two_point(recon.assembled).entries - c2.entries).max())

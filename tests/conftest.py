@@ -1,6 +1,13 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import os
+
+# One BLAS/OpenMP thread: the small dense kernels here lose to thread
+# start-up, and results stay the same.  Set before numpy is first imported.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -151,11 +151,15 @@ def test_pipeline_end_to_end(tmp_path):
 
 
 def test_parallel_run_matches_serial(tmp_path):
-    serial = mini_config(str(tmp_path / "a"))
-    parallel = mini_config(str(tmp_path / "b")).override(workers=2)
+    # two interactions, so the two workers each run one per-U task
+    serial = mini_config(str(tmp_path / "a")).override(u_values=(0.05, 0.2))
+    parallel = serial.override(out_dir=str(tmp_path / "b"), workers=2)
     harness.cmd_quench(serial)
     harness.cmd_quench(parallel)
-    for name in ("u0_m0_t0_corr.json", "u0_m1_t1_corr.json", "manifest.json"):
+    names = sorted(os.listdir(tmp_path / "a" / "quench"))
+    assert names == sorted(os.listdir(tmp_path / "b" / "quench"))
+    assert "u1_m1_t1_corr.json" in names
+    for name in names:
         a = sha256_of_file(os.path.join(str(tmp_path / "a"), "quench", name))
         b = sha256_of_file(os.path.join(str(tmp_path / "b"), "quench", name))
         assert a == b

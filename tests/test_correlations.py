@@ -10,12 +10,21 @@ from fermiscope.correlations import (
     measure_two_point,
     rotate_four_point,
     save_correlations,
+    subsystem_correlations,
 )
 from fermiscope.fock import DomainError, FockBasis, StateVector
-from fermiscope.model import HubbardParams, OccupationBitstring, plane_wave_state
+from fermiscope.model import (
+    HubbardParams,
+    OccupationBitstring,
+    build_hamiltonian,
+    evolve,
+    initial_state,
+    plane_wave_state,
+    select_initial_state,
+)
 from fermiscope.validate import random_frame, random_valid_tensor
 
-from conftest import bell_pair, pure_density
+from conftest import bell_pair, pure_density, quench_snapshot
 
 
 def test_two_point_of_vacuum_and_single_mode():
@@ -135,6 +144,34 @@ def test_save_load_round_trip(tmp_path, rng):
     assert np.array_equal(c2.entries, c2b.entries)
     assert np.array_equal(c4.entries, c4b.entries)
     assert header["provenance"]["label"] == "round-trip"
+
+
+def test_snapshot_correlations_round_trip_exactly(tmp_path):
+    _, c2, c4 = quench_snapshot(4, 0.02, 2.0, 4, seed=8)
+    path = str(tmp_path / "corr.json")
+    save_correlations(path, c2, c4, provenance={"t": 2.0})
+    c2b, c4b, header = load_correlations(path)
+    assert np.array_equal(c2b.entries, c2.entries)
+    assert np.array_equal(c4b.entries, c4.entries)
+    assert header["provenance"]["t"] == 2.0
+    with open(path) as fh:
+        assert fh.read().count("\n") == 1  # compact: one line per document
+
+
+@pytest.mark.parametrize("sites, keep_sites, seed", [(5, 2, 3), (6, 3, 4)])
+def test_subsystem_correlations_equal_sliced_full_tensors(sites, keep_sites, seed):
+    params = HubbardParams(sites=sites)
+    spec = select_initial_state(params, sites - 1, seed)
+    ham = build_hamiltonian(params.with_interaction(0.05), particles=sites - 1)
+    psi = evolve(initial_state(params, spec), ham, 3.0)
+    k = 2 * keep_sites
+    c2, c4 = subsystem_correlations(psi, k)
+    assert np.array_equal(c2.entries, measure_two_point(psi).entries[:k, :k])
+    assert np.array_equal(
+        c4.entries,
+        measure_four_point_connected(psi).entries[:k, :k, :k, :k])
+    with pytest.raises(DomainError):
+        subsystem_correlations(psi, 2 * sites + 1)
 
 
 def test_save_rejects_mismatched_sizes(tmp_path, rng):

@@ -76,6 +76,25 @@ def test_basis_magnetization_filter():
     assert FockBasis(4, 2, sz_twice=-2).dim == 1
 
 
+def test_indices_of_rejects_non_members():
+    basis = FockBasis(4, 2, sz_twice=0)
+    assert list(basis.indices_of(np.array([0b0011, 0b1100]))) == [0, 3]
+    with pytest.raises(DomainError):
+        basis.indices_of(np.array([0b1111]))  # sorts past the end
+    with pytest.raises(DomainError):
+        basis.indices_of(np.array([0b1010]))  # sorts between members
+    assert FockBasis(4, 2).indices_of(np.array([], dtype=np.int64)).size == 0
+
+
+def test_basis_tables_are_shared_and_read_only():
+    a, b = FockBasis(6, 3, sz_twice=1), FockBasis(6, 3, sz_twice=1)
+    assert a.states is b.states
+    assert not a.states.flags.writeable
+    with pytest.raises(ValueError):
+        a.states[0] = 0
+    assert FockBasis(6, 3).states is not a.states
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         FockBasis(29)

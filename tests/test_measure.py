@@ -51,6 +51,13 @@ def test_rotation_matrix_matches_exponential(rng):
             assert np.abs(fast.conj().T @ fast - np.eye(basis.dim)).max() < 1e-12
 
 
+def test_rotation_rejects_partners_outside_the_basis():
+    # the pair-(0, 1) partner of |1001> is |1010>, which has 2 Sz = 2
+    basis = FockBasis(4, 2, sz_twice=0)
+    with pytest.raises(DomainError, match="outside the basis"):
+        rotation_matrix(basis, TunnelingRotation((0, 1), "x", 0.3))
+
+
 def test_rotation_validation():
     with pytest.raises(DomainError):
         TunnelingRotation((1, 1), "x", 0.3)
