@@ -17,6 +17,7 @@ factor of the rotation per index (conjugated on the creation slots).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,20 @@ def _two_point_pure(psi: StateVector, n: int) -> np.ndarray:
 def _trace_chain(rho: DensityMatrix, ops) -> complex:
     """Tr[rho * O_1 O_2 ... O_k] with ops written left to right."""
     basis = rho.basis
+    cols, rows, signs = _chain_table(
+        basis.mode_count, basis.sector, basis.sz_twice, tuple(ops))
+    if cols.size == 0:
+        return 0.0
+    return complex((signs * rho.elements[cols, rows]).sum())
+
+
+@functools.lru_cache(maxsize=4096)  # holds all 1604 C2/C4 chains of 8 modes
+def _chain_table(mode_count, sector, sz_twice, ops):
+    """Signed (cols, rows, signs) of one ladder chain on one basis, built once.
+
+    The chain sends basis state ``cols[t]`` to ``rows[t]`` with ``signs[t]``.
+    """
+    basis = FockBasis(mode_count, sector, sz_twice)
     bits = basis.states.copy()
     signs = np.ones(basis.dim)
     alive = np.ones(basis.dim, dtype=bool)
@@ -139,10 +154,10 @@ def _trace_chain(rho: DensityMatrix, ops) -> complex:
         signs = np.where(parity == 1, -signs, signs)
         bits = bits | (1 << mode) if kind == "create" else bits & ~(1 << mode)
     cols = np.nonzero(alive)[0]
-    if cols.size == 0:
-        return 0.0
-    rows = basis.indices_of(bits[cols])
-    return complex(np.sum(signs[cols] * rho.elements[cols, rows]))
+    table = (cols, basis.indices_of(bits[cols]), signs[cols])
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def measure_two_point(state: StateVector | DensityMatrix) -> TwoPointMatrix:
@@ -153,7 +168,7 @@ def measure_two_point(state: StateVector | DensityMatrix) -> TwoPointMatrix:
     c2 = np.zeros((n, n), dtype=np.complex128)
     for i in range(n):
         for j in range(i, n):
-            val = _trace_chain(state, [(i, "create"), (j, "annihilate")])
+            val = _trace_chain(state, ((i, "create"), (j, "annihilate")))
             c2[i, j] = val
             c2[j, i] = np.conj(val)
     return TwoPointMatrix(c2)
@@ -200,8 +215,8 @@ def measure_four_point_connected(
                     for l in range(k + 1, n):
                         val = _trace_chain(
                             state,
-                            [(i, "create"), (j, "create"),
-                             (k, "annihilate"), (l, "annihilate")],
+                            ((i, "create"), (j, "create"),
+                             (k, "annihilate"), (l, "annihilate")),
                         )
                         raw[i, j, k, l] = val
                         raw[i, j, l, k] = -val

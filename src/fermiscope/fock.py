@@ -9,8 +9,8 @@ indices *descending* from left to right,
 
 so a ladder operator acting on mode ``i`` picks up the parity of all
 *higher* occupied modes.  Every module builds its operators through
-:func:`apply_ladder` (or the vectorized :func:`ladder_map`) so this sign
-convention is globally consistent.
+:func:`ladder_map` or the cached hop tables of :func:`quadratic_operator`,
+so this sign convention is globally consistent.
 
 The spinful lattice layout is mode = 2*site + spin (spin up = 0, down = 1);
 a subsystem of the first ``n`` sites is therefore the contiguous prefix of
@@ -73,30 +73,6 @@ class OccupationBitstring:
 
     def __str__(self) -> str:
         return "".join(str((self.bits >> i) & 1) for i in range(self.mode_count))
-
-
-def hamming_distance(m: OccupationBitstring, n: OccupationBitstring) -> int:
-    """Number of modes on which the two occupation patterns differ."""
-    if m.mode_count != n.mode_count:
-        raise DomainError("bitstring lengths differ")
-    return popcount(m.bits ^ n.bits)
-
-
-def occupation_phase(i: int, j: int, excluded, n: OccupationBitstring | int) -> int:
-    """Count occupied modes strictly between ``i`` and ``j``, skipping ``excluded``.
-
-    Symmetric in i <-> j.  Feeds the fermionic reordering phases of the
-    non-Gaussian matrix elements.
-    """
-    if i == j:
-        raise DomainError("occupation phase needs two distinct modes")
-    bits = n.bits if isinstance(n, OccupationBitstring) else n
-    lo, hi = (i, j) if i < j else (j, i)
-    total = 0
-    for s in range(lo + 1, hi):
-        if s not in excluded:
-            total += (bits >> s) & 1
-    return total
 
 
 class FockBasis:
@@ -247,28 +223,10 @@ def ladder_map(basis: FockBasis, target: FockBasis, mode: int, kind: str):
     old = bits[src]
     # parity of occupations at modes strictly above the acted mode
     prefix = old >> (mode + 1)
-    signs = 1.0 - 2.0 * (np.bitwise_count(prefix.astype(np.uint64)) & 1).astype(float)
+    signs = _parity_sign(prefix)
     new = old | (1 << mode) if kind == "create" else old & ~(1 << mode)
     rows = target.indices_of(new)
     return rows, src, signs
-
-
-def apply_ladder(state: StateVector, mode: int, kind: str) -> StateVector:
-    """Apply c†_mode (``create``) or c_mode (``annihilate``) to a state.
-
-    The result lives in the particle-number sector shifted by +/-1 when the
-    input basis is sector-filtered, otherwise in the same unfiltered basis.
-    """
-    basis = state.basis
-    if basis.sector is None:
-        target = basis
-    else:
-        shift = 1 if kind == "create" else -1
-        target = FockBasis(basis.mode_count, basis.sector + shift)
-    rows, cols, signs = ladder_map(basis, target, mode, kind)
-    out = np.zeros(target.dim, dtype=np.complex128)
-    np.add.at(out, rows, signs * state.amplitudes[cols])
-    return StateVector(target, out)
 
 
 def ladder_matrix(basis: FockBasis, mode: int, kind: str) -> np.ndarray:
@@ -285,53 +243,48 @@ def quadratic_operator(basis: FockBasis, h: np.ndarray) -> np.ndarray:
     """Dense Fock-space matrix of  sum_ij h_ij c†_i c_j.
 
     Works on sector-filtered bases too (the operator conserves particle
-    number term by term).
+    number term by term); a nonzero h_ij whose hop leaves the basis raises.
     """
     n = basis.mode_count
     h = np.asarray(h)
     if h.shape != (n, n):
         raise DomainError("single-particle matrix has wrong shape")
-    dim = basis.dim
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    bits = basis.states
-    # diagonal part: h_ii n_i
-    occ = ((bits[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-    out[np.arange(dim), np.arange(dim)] = occ @ np.diag(h).astype(complex)
-    for j in range(n):
-        ann = np.nonzero((bits >> j) & 1)[0]
-        if ann.size == 0:
-            continue
-        removed = bits[ann] & ~(1 << j)
-        sign_j = 1.0 - 2.0 * (
-            np.bitwise_count((bits[ann] >> (j + 1)).astype(np.uint64)) & 1
-        ).astype(float)
-        for i in range(n):
-            if i == j or h[i, j] == 0:
-                continue
-            ok = ((removed >> i) & 1) == 0
-            if not ok.any():
-                continue
-            mid = removed[ok]
-            sign_i = 1.0 - 2.0 * (
-                np.bitwise_count((mid >> (i + 1)).astype(np.uint64)) & 1
-            ).astype(float)
-            rows = basis.indices_of(mid | (1 << i))
-            cols = ann[ok]
-            out[rows, cols] += h[i, j] * sign_j[ok] * sign_i
+    occ, i, j, rows, cols, signs, leaks = _hop_tables(n, basis.sector, basis.sz_twice)
+    if np.any(h[leaks] != 0):
+        raise DomainError("single-particle matrix hops out of the basis")
+    out = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    np.fill_diagonal(out, occ @ np.diag(h).astype(complex))
+    # each off-diagonal entry takes exactly one hop; += turns a -0 into +0
+    out[rows, cols] += h[i, j] * signs
     return out
 
 
-def expectation_chain(state: StateVector, ops) -> complex:
-    """<psi| O_1 O_2 ... O_k |psi> for a chain of (mode, kind) ladder ops.
+@functools.lru_cache(maxsize=64)
+def _hop_tables(mode_count, sector, sz_twice):
+    """Occupations and signed hops c†_i c_j (i != j) of one basis, built once.
 
-    Ops are listed left to right as written, i.e. the last one acts first.
+    Hops from a member state onto a non-member only mark ``leaks[i, j]``.
     """
-    ket = state
-    for mode, kind in reversed(ops):
-        ket = apply_ladder(ket, mode, kind)
-    if ket.basis is state.basis or ket.basis.sector == state.basis.sector:
-        return complex(np.vdot(state.amplitudes, ket.amplitudes))
-    return 0.0
+    basis = FockBasis(mode_count, sector, sz_twice)
+    bits = basis.states
+    occ = ((bits[:, None] >> np.arange(mode_count)[None, :]) & 1).astype(float)
+    cols, i, j = np.nonzero((occ[:, :, None] == 0) & (occ[:, None, :] == 1))
+    removed = bits[cols] & ~(1 << j)
+    new = removed | (1 << i)
+    signs = _parity_sign(bits[cols] >> (j + 1)) * _parity_sign(removed >> (i + 1))
+    inside = np.isin(new, bits)
+    leaks = np.zeros((mode_count, mode_count), dtype=bool)
+    leaks[i[~inside], j[~inside]] = True
+    table = (occ, i[inside], j[inside], basis.indices_of(new[inside]),
+             cols[inside], signs[inside], leaks)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _parity_sign(bits: np.ndarray) -> np.ndarray:
+    """+1 / -1 for an even / odd number of set bits."""
+    return 1.0 - 2.0 * (np.bitwise_count(bits.astype(np.uint64)) & 1).astype(float)
 
 
 def partial_trace(psi: StateVector, keep_modes: int) -> DensityMatrix:

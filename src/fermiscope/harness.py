@@ -390,7 +390,7 @@ def _early_slope(taus: np.ndarray, thetas: np.ndarray) -> float | None:
     return float(np.dot(x, y) / np.dot(x, x))
 
 
-def theta_table(config: RunConfig, out_root: str):
+def _theta_table(config: RunConfig, out_root: str):
     """Rows (u, t, tau, member, thetas, 1-F) for every snapshot."""
     rows = []
     for iu in range(len(config.u_values)):
@@ -402,7 +402,7 @@ def theta_table(config: RunConfig, out_root: str):
 
 
 def _figures_fig2(config: RunConfig, out_root: str, fdir: str) -> dict:
-    entries = theta_table(config, out_root)
+    entries = _theta_table(config, out_root)
     n_t = len(config.times)
     slope_cols = {}
     for iu, u in enumerate(config.u_values):

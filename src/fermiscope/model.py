@@ -204,9 +204,12 @@ class InitialStateSpec:
     t_free: float | None = None
 
 
-def commutator_norm_with_spin(basis: FockBasis, bits: int) -> float:
-    """Frobenius norm of [|n><n|, S^2] via the variance of S^2."""
-    s2 = spin_squared(basis)
+def commutator_norm_with_spin(s2: scipy.sparse.csr_matrix, basis: FockBasis,
+                              bits: int) -> float:
+    """Frobenius norm of [|n><n|, S^2] via the variance of S^2.
+
+    ``s2`` is :func:`spin_squared` of ``basis``, built once by the caller.
+    """
     psi = np.zeros(basis.dim, dtype=np.complex128)
     psi[basis.index_of(bits)] = 1.0
     y = s2 @ psi
@@ -242,10 +245,11 @@ def select_initial_state(
         )
     rng = np.random.default_rng(seed)
     basis = FockBasis(n_modes, target_n)
+    s2 = spin_squared(basis)
     for trial in range(1, SEARCH_TRIALS + 1):
         modes = rng.choice(n_modes, size=target_n, replace=False)
         bits = int(sum(1 << int(p) for p in modes))
-        if commutator_norm_with_spin(basis, bits) > min_commutator:
+        if commutator_norm_with_spin(s2, basis, bits) > min_commutator:
             return InitialStateSpec(
                 kind=kind,
                 occupation=OccupationBitstring(bits, n_modes),

@@ -377,14 +377,13 @@ def mode_rotation_unitary(frame: DiagonalFrame) -> np.ndarray:
     h = 0.5 * (h - h.conj().T)
     if np.abs(scipy.linalg.expm(h) - v).max() > 1e-10:
         raise DomainError("matrix logarithm failed to invert the rotation")
-    basis = FockBasis(n)
-    u = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    dim = 1 << n
+    u = np.zeros((dim, dim), dtype=np.complex128)
     for sector in range(n + 1):
         sec = FockBasis(n, sector)
-        block = scipy.linalg.expm(quadratic_operator(sec, h))
-        idx = basis.indices_of(sec.states)
-        u[np.ix_(idx, idx)] = block
-    defect = np.abs(u.conj().T @ u - np.eye(basis.dim)).max()
+        # the unfiltered basis indexes each state by its own bits
+        u[np.ix_(sec.states, sec.states)] = scipy.linalg.expm(quadratic_operator(sec, h))
+    defect = np.abs(u.conj().T @ u - np.eye(dim)).max()
     if defect > 1e-10:
         raise DomainError(f"frame unitary defect {defect:.2e}")
     return u

@@ -1,0 +1,128 @@
+"""Slow, obviously-correct Fock-space helpers that the fast kernels are checked against."""
+from __future__ import annotations
+
+import numpy as np
+
+from fermiscope.fock import (
+    DomainError,
+    FockBasis,
+    OccupationBitstring,
+    StateVector,
+    ladder_map,
+    ladder_matrix,
+    popcount,
+)
+
+
+def hamming_distance(m: OccupationBitstring, n: OccupationBitstring) -> int:
+    """Number of modes on which the two occupation patterns differ."""
+    if m.mode_count != n.mode_count:
+        raise DomainError("bitstring lengths differ")
+    return popcount(m.bits ^ n.bits)
+
+
+def occupation_phase(i: int, j: int, excluded, n: OccupationBitstring | int) -> int:
+    """Count occupied modes strictly between ``i`` and ``j``, skipping ``excluded``.
+
+    Symmetric in i <-> j.  A mode-by-mode count of the string phases that
+    ``reconstruct.delta_rho`` takes from ``_between_mask`` bit masks.
+    """
+    if i == j:
+        raise DomainError("occupation phase needs two distinct modes")
+    bits = n.bits if isinstance(n, OccupationBitstring) else n
+    lo, hi = (i, j) if i < j else (j, i)
+    total = 0
+    for s in range(lo + 1, hi):
+        if s not in excluded:
+            total += (bits >> s) & 1
+    return total
+
+
+def apply_ladder(state: StateVector, mode: int, kind: str) -> StateVector:
+    """Apply c†_mode (``create``) or c_mode (``annihilate``) to a state.
+
+    The result lives in the particle-number sector shifted by +/-1 when the
+    input basis is sector-filtered, otherwise in the same unfiltered basis.
+    """
+    basis = state.basis
+    if basis.sector is None:
+        target = basis
+    else:
+        shift = 1 if kind == "create" else -1
+        target = FockBasis(basis.mode_count, basis.sector + shift)
+    rows, cols, signs = ladder_map(basis, target, mode, kind)
+    out = np.zeros(target.dim, dtype=np.complex128)
+    np.add.at(out, rows, signs * state.amplitudes[cols])
+    return StateVector(target, out)
+
+
+def expectation_chain(state: StateVector, ops) -> complex:
+    """<psi| O_1 O_2 ... O_k |psi> for a chain of (mode, kind) ladder ops.
+
+    Ops are listed left to right as written, i.e. the last one acts first.
+    """
+    ket = state
+    for mode, kind in reversed(ops):
+        ket = apply_ladder(ket, mode, kind)
+    if ket.basis is state.basis or ket.basis.sector == state.basis.sector:
+        return complex(np.vdot(state.amplitudes, ket.amplitudes))
+    return 0.0
+
+
+def trace_chain_dense(rho, ops) -> complex:
+    """Tr[rho O_1 ... O_k] from dense ladder matrices on the unfiltered basis."""
+    prod = np.eye(rho.basis.dim, dtype=np.complex128)
+    for mode, kind in ops:
+        prod = prod @ ladder_matrix(rho.basis, mode, kind)
+    return complex(np.trace(rho.elements @ prod))
+
+
+def _parity(bits: np.ndarray) -> np.ndarray:
+    return 1.0 - 2.0 * (np.bitwise_count(bits.astype(np.uint64)) & 1).astype(float)
+
+
+def quadratic_operator_loop(basis: FockBasis, h: np.ndarray) -> np.ndarray:
+    """sum_ij h_ij c†_i c_j by a loop over (j, i) hops, skipping h_ij == 0."""
+    n = basis.mode_count
+    dim = basis.dim
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    bits = basis.states
+    occ = ((bits[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
+    out[np.arange(dim), np.arange(dim)] = occ @ np.diag(h).astype(complex)
+    for j in range(n):
+        ann = np.nonzero((bits >> j) & 1)[0]
+        removed = bits[ann] & ~(1 << j)
+        sign_j = _parity(bits[ann] >> (j + 1))
+        for i in range(n):
+            if i == j or h[i, j] == 0:
+                continue
+            ok = ((removed >> i) & 1) == 0
+            mid = removed[ok]
+            rows = basis.indices_of(mid | (1 << i))
+            out[rows, ann[ok]] += h[i, j] * sign_j[ok] * _parity(mid >> (i + 1))
+    return out
+
+
+def trace_chain_walk(rho, ops) -> complex:
+    """Tr[rho O_1 ... O_k] by walking the chain over the basis bit patterns."""
+    basis = rho.basis
+    bits = basis.states.copy()
+    signs = np.ones(basis.dim)
+    alive = np.ones(basis.dim, dtype=bool)
+    for mode, kind in reversed(ops):
+        occ = (bits >> mode) & 1
+        alive &= (occ == 0) if kind == "create" else (occ == 1)
+        signs = np.where(_parity(bits >> (mode + 1)) < 0, -signs, signs)
+        bits = bits | (1 << mode) if kind == "create" else bits & ~(1 << mode)
+    cols = np.nonzero(alive)[0]
+    if cols.size == 0:
+        return 0.0
+    rows = basis.indices_of(bits[cols])
+    return complex(np.sum(signs[cols] * rho.elements[cols, rows]))
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays down to the sign of every zero."""
+    a = np.atleast_1d(np.asarray(a, dtype=complex))
+    b = np.atleast_1d(np.asarray(b, dtype=complex))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))

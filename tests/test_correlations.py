@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+from fermiscope import correlations
 from fermiscope.correlations import (
     FourPointTensor,
     TwoPointMatrix,
@@ -12,7 +15,7 @@ from fermiscope.correlations import (
     save_correlations,
     subsystem_correlations,
 )
-from fermiscope.fock import DomainError, FockBasis, StateVector
+from fermiscope.fock import DensityMatrix, DomainError, FockBasis, StateVector
 from fermiscope.model import (
     HubbardParams,
     OccupationBitstring,
@@ -22,9 +25,10 @@ from fermiscope.model import (
     plane_wave_state,
     select_initial_state,
 )
-from fermiscope.validate import random_frame, random_valid_tensor
+from fermiscope.validate import random_frame, random_mixed_state, random_valid_tensor
 
 from conftest import bell_pair, pure_density, quench_snapshot
+from oracles import expectation_chain, same_bits, trace_chain_dense, trace_chain_walk
 
 
 def test_two_point_of_vacuum_and_single_mode():
@@ -181,3 +185,85 @@ def test_save_rejects_mismatched_sizes(tmp_path, rng):
     )
     with pytest.raises(DomainError):
         save_correlations(str(tmp_path / "bad.json"), c2, random_valid_tensor(rng, 4))
+
+
+def _dense_moments(rho):
+    """C2 and connected C4 of ``rho`` from dense ladder-matrix traces."""
+    n = rho.basis.mode_count
+    c2 = np.array([[trace_chain_dense(rho, [(i, "create"), (j, "annihilate")])
+                    for j in range(n)] for i in range(n)])
+    raw = np.zeros((n,) * 4, complex)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    raw[i, j, k, l] = trace_chain_dense(
+                        rho, [(i, "create"), (j, "create"),
+                              (k, "annihilate"), (l, "annihilate")])
+    connected = (raw - np.einsum("il,jk->ijkl", c2, c2)
+                 + np.einsum("ik,jl->ijkl", c2, c2))
+    return c2, connected
+
+
+@pytest.mark.parametrize("n_modes", [4, 6])
+def test_density_matrix_moments_match_dense_oracle(n_modes):
+    rho = random_mixed_state(np.random.default_rng(n_modes), n_modes)
+    c2 = measure_two_point(rho)
+    c4 = measure_four_point_connected(rho, c2)
+    want_c2, want_c4 = _dense_moments(rho)
+    assert np.abs(c2.entries - want_c2).max() < 1e-13
+    assert np.abs(c4.entries - want_c4).max() < 1e-13
+
+
+@pytest.mark.parametrize("key", [(4, None, None), (6, 3, None)])
+def test_chain_tables_match_the_walk_bit_for_bit(rng, key):
+    basis = FockBasis(*key)
+    a = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim,) * 2)
+    rho = DensityMatrix(basis, a @ a.conj().T)
+    n = basis.mode_count
+    chains = [((i, "create"), (j, "annihilate")) for i in range(n) for j in range(n)]
+    chains += [((i, "create"), (j, "create"), (k, "annihilate"), (l, "annihilate"))
+               for i in range(n) for j in range(n) for k in range(n) for l in range(n)]
+    for ops in chains:
+        assert same_bits(correlations._trace_chain(rho, ops), trace_chain_walk(rho, ops))
+
+
+def test_dense_oracle_matches_expectation_chain(rng):
+    basis = FockBasis(4)
+    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    psi = StateVector(basis, amps).normalized()
+    for ops in ([(0, "create"), (3, "annihilate")],
+                [(2, "create"), (0, "create"), (1, "annihilate"), (3, "annihilate")]):
+        got = trace_chain_dense(pure_density(psi), ops)
+        assert abs(got - expectation_chain(psi, ops)) < 1e-14
+
+
+def test_chain_tables_are_shared_and_read_only():
+    ops = ((1, "create"), (0, "create"), (2, "annihilate"), (3, "annihilate"))
+    a = correlations._chain_table(4, None, None, ops)
+    assert correlations._chain_table(4, None, None, ops) is a
+    for arr in a:
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        a[2][0] = 0.0
+    # the cache holds every C2 and C4 chain of an 8-mode subsystem at once
+    n = 8
+    chains = n * (n + 1) // 2 + n * (n - 1) * n * (n - 1) // 2
+    assert chains == 1604
+    assert correlations._chain_table.cache_info().maxsize >= chains
+
+
+def test_evicting_chain_tables_keeps_values(monkeypatch):
+    rhos = [random_mixed_state(np.random.default_rng(s), 4) for s in (1, 2)]
+    want = []
+    for rho in rhos:
+        c2 = measure_two_point(rho)
+        want.append((c2.entries, measure_four_point_connected(rho, c2).entries))
+    tiny = functools.lru_cache(maxsize=2)(correlations._chain_table.__wrapped__)
+    monkeypatch.setattr(correlations, "_chain_table", tiny)
+    for rho, (w2, w4) in zip(rhos, want):
+        c2 = measure_two_point(rho)
+        assert same_bits(c2.entries, w2)
+        assert same_bits(measure_four_point_connected(rho, c2).entries, w4)
+    assert tiny.cache_info().currsize == 2
+    assert tiny.cache_info().misses == 2 * (10 + 72)  # every table rebuilt

@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from fermiscope import fock
 from fermiscope.fock import (
     CapacityError,
     DensityMatrix,
@@ -10,18 +12,23 @@ from fermiscope.fock import (
     FockBasis,
     OccupationBitstring,
     StateVector,
-    apply_ladder,
-    expectation_chain,
-    hamming_distance,
     ladder_matrix,
     max_reduced_rank,
-    occupation_phase,
     partial_trace,
     quadratic_operator,
     sector_dimension,
 )
+from fermiscope.reconstruct import _between_mask
 
 from conftest import paired_state
+from oracles import (
+    apply_ladder,
+    expectation_chain,
+    hamming_distance,
+    occupation_phase,
+    quadratic_operator_loop,
+    same_bits,
+)
 
 
 def test_bitstring_round_trip():
@@ -180,6 +187,86 @@ def test_quadratic_operator_on_sector_basis(rng):
     dense = quadratic_operator(full, h)
     rows = [full.index_of(int(b)) for b in sec.states]
     assert np.abs(quadratic_operator(sec, h) - dense[np.ix_(rows, rows)]).max() < 1e-13
+
+
+def _ladder_sum(basis, h):
+    """sum_ij h_ij c†_i c_j from dense ladder matrices, on the rows of ``basis``."""
+    full = FockBasis(basis.mode_count)
+    n = basis.mode_count
+    want = np.zeros((full.dim, full.dim), complex)
+    for i in range(n):
+        for j in range(n):
+            want += h[i, j] * (
+                ladder_matrix(full, i, "create") @ ladder_matrix(full, j, "annihilate")
+            )
+    rows = full.indices_of(basis.states)
+    return want[np.ix_(rows, rows)]
+
+
+def _random_h(rng, basis, zeros=0.3):
+    """Complex h with exact zeros; no up <-> down hops when ``basis`` fixes 2*Sz."""
+    n = basis.mode_count
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = 0.5 * (h + h.conj().T)
+    h[rng.random((n, n)) < zeros] = 0.0
+    h[0, 1] = h[1, 0] = 0.0
+    if basis.sz_twice is not None:
+        spin = np.arange(n) % 2
+        h[spin[:, None] != spin[None, :]] = 0.0
+    return h
+
+
+@pytest.mark.parametrize("key", [(4, None, None), (6, None, None), (6, 3, None),
+                                 (6, 3, 1), (6, 2, 0), (4, 0, None)])
+def test_quadratic_operator_matches_ladder_sum_with_zeros(rng, key):
+    basis = FockBasis(*key)
+    h = _random_h(rng, basis)
+    got = quadratic_operator(basis, h)
+    assert np.abs(got - _ladder_sum(basis, h)).max() < 1e-13
+    # the loop that skips h_ij == 0 gives the same bits, signed zeros included
+    assert same_bits(got, quadratic_operator_loop(basis, h))
+    assert same_bits(quadratic_operator(basis, h.real), quadratic_operator_loop(basis, h.real))
+
+
+def test_quadratic_operator_rejects_hops_out_of_the_basis():
+    basis = FockBasis(4, 2, sz_twice=0)
+    h = np.zeros((4, 4))
+    h[0, 2] = h[2, 0] = 1.0  # spin-up hop: stays in the basis
+    assert np.abs(quadratic_operator(basis, h) - _ladder_sum(basis, h)).max() < 1e-15
+    h[0, 1] = 1.0  # up <- down flips 2*Sz
+    with pytest.raises(DomainError):
+        quadratic_operator(basis, h)
+
+
+def test_hop_tables_are_shared_and_read_only():
+    a = fock._hop_tables(6, 3, 1)
+    assert fock._hop_tables(6, 3, 1) is a
+    for arr in a:
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        a[5][0] = 0.0
+    assert fock._hop_tables(6, 3, None) is not a
+
+
+def test_evicting_hop_tables_keeps_values(rng, monkeypatch):
+    keys = [(4, None, None), (4, 2, None), (6, 3, 1), (4, 1, None)]
+    hs = [_random_h(rng, FockBasis(*k)) for k in keys]
+    want = [quadratic_operator(FockBasis(*k), h) for k, h in zip(keys, hs)]
+    tiny = functools.lru_cache(maxsize=1)(fock._hop_tables.__wrapped__)
+    monkeypatch.setattr(fock, "_hop_tables", tiny)
+    for _ in range(2):
+        for k, h, w in zip(keys, hs, want):
+            assert same_bits(quadratic_operator(FockBasis(*k), h), w)
+    assert tiny.cache_info().currsize == 1
+    assert tiny.cache_info().misses == 2 * len(keys)
+
+
+def test_between_mask_counts_like_occupation_phase():
+    for bits in range(1 << 6):
+        for lo in range(6):
+            for hi in range(lo + 1, 6):
+                want = occupation_phase(lo, hi, set(), bits)
+                assert bin(bits & _between_mask(lo, hi)).count("1") == want
 
 
 def test_expectation_chain_orders_left_to_right():
