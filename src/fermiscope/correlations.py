@@ -99,15 +99,17 @@ class FourPointTensor:
 def _annihilated_vectors(psi: StateVector, n: int) -> list[StateVector | None]:
     """c_j |psi> for the leading ``n`` modes j, in the sector-lowered basis."""
     basis = psi.basis
-    if basis.sector is None:
-        target = basis
-    else:
-        if basis.sector == 0:
-            return [None] * n
-        target = FockBasis(basis.mode_count, basis.sector - 1)
+    if basis.sector == 0:
+        return [None] * n
+    if basis.sz_twice is not None:
+        # lower within fixed N, so every c_j |psi> lands in one basis
+        fixed_n = FockBasis(basis.mode_count, basis.sector)
+        amps = np.zeros(fixed_n.dim, dtype=np.complex128)
+        amps[fixed_n.indices_of(basis.states)] = psi.amplitudes
+        psi, basis = StateVector(fixed_n, amps), fixed_n
     out = []
     for j in range(n):
-        rows, cols, signs = ladder_map(basis, target, j, "annihilate")
+        target, cols, rows, signs = ladder_map(basis, ((j, "annihilate"),))
         vec = np.zeros(target.dim, dtype=np.complex128)
         vec[rows] = signs * psi.amplitudes[cols]
         out.append(StateVector(target, vec))
@@ -139,25 +141,14 @@ def _trace_chain(rho: DensityMatrix, ops) -> complex:
 
 @functools.lru_cache(maxsize=4096)  # holds all 1604 C2/C4 chains of 8 modes
 def _chain_table(mode_count, sector, sz_twice, ops):
-    """Signed (cols, rows, signs) of one ladder chain on one basis, built once.
-
-    The chain sends basis state ``cols[t]`` to ``rows[t]`` with ``signs[t]``.
-    """
+    """Read-only (cols, rows, signs) of :func:`ladder_map` for one chain, built once."""
     basis = FockBasis(mode_count, sector, sz_twice)
-    bits = basis.states.copy()
-    signs = np.ones(basis.dim)
-    alive = np.ones(basis.dim, dtype=bool)
-    for mode, kind in reversed(ops):
-        occ = (bits >> mode) & 1
-        alive &= (occ == 0) if kind == "create" else (occ == 1)
-        parity = np.bitwise_count((bits >> (mode + 1)).astype(np.uint64)) & 1
-        signs = np.where(parity == 1, -signs, signs)
-        bits = bits | (1 << mode) if kind == "create" else bits & ~(1 << mode)
-    cols = np.nonzero(alive)[0]
-    table = (cols, basis.indices_of(bits[cols]), signs[cols])
+    target, *table = ladder_map(basis, ops)
+    if target is not basis and table[0].size:
+        raise DomainError("ladder chain leaves the basis")
     for arr in table:
         arr.flags.writeable = False
-    return table
+    return tuple(table)
 
 
 def measure_two_point(state: StateVector | DensityMatrix) -> TwoPointMatrix:
@@ -186,24 +177,17 @@ def measure_four_point_connected(
     n = c2.shape[0]
     raw = np.zeros((n, n, n, n), dtype=np.complex128)
     if isinstance(state, StateVector):
-        basis = state.basis
-        if basis.sector is None or basis.sector >= 2:
-            lowered = _annihilated_vectors(state, n)
-            dim2 = FockBasis(
-                basis.mode_count,
-                None if basis.sector is None else basis.sector - 2,
-            ).dim
-            # d[a, b] = c_a c_b |psi>
-            d = np.zeros((n, n, dim2), dtype=np.complex128)
-            for b in range(n):
-                vb = lowered[b]
-                if vb is None:
-                    continue
+        sector = state.basis.sector
+        if sector is None or sector >= 2:
+            # d[a, b] = c_a c_b |psi>, sized by the first doubly lowered vector
+            d = None
+            for b, vb in enumerate(_annihilated_vectors(state, n)):
                 inner = _annihilated_vectors(vb, n)
+                if d is None:
+                    d = np.zeros((n, n, inner[0].basis.dim), dtype=np.complex128)
                 for a in range(n):
-                    if a == b or inner[a] is None:
-                        continue
-                    d[a, b] = inner[a].amplitudes
+                    if a != b:
+                        d[a, b] = inner[a].amplitudes
             # <c†_i c†_j c_k c_l> = <(c_j c_i) psi | (c_k c_l) psi>
             raw = np.einsum("jix,klx->ijkl", d.conj(), d)
     else:

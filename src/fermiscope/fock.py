@@ -8,9 +8,9 @@ indices *descending* from left to right,
     |n> = c†_{M-1}^{n_{M-1}} ... c†_1^{n_1} c†_0^{n_0} |0>,
 
 so a ladder operator acting on mode ``i`` picks up the parity of all
-*higher* occupied modes.  Every module builds its operators through
-:func:`ladder_map` or the cached hop tables of :func:`quadratic_operator`,
-so this sign convention is globally consistent.
+*higher* occupied modes.  :func:`ladder_map` is the one place that sign
+convention is written down: every ladder, hop, pair rotation and C2/C4
+chain in the package takes its signed index table from it.
 
 The spinful lattice layout is mode = 2*site + spin (spin up = 0, down = 1);
 a subsystem of the first ``n`` sites is therefore the contiguous prefix of
@@ -205,35 +205,56 @@ class DensityMatrix:
         return np.linalg.eigvalsh(self.elements)
 
 
-def ladder_map(basis: FockBasis, target: FockBasis, mode: int, kind: str):
-    """Vectorized action of c†_mode / c_mode from ``basis`` into ``target``.
+def ladder_map(basis: FockBasis, ops):
+    """Signed table of a ladder chain; the one place the string signs live.
 
-    Returns (rows, cols, signs): for each source state ``cols[t]`` in
-    ``basis``, the operator sends it to ``rows[t]`` in ``target`` with
-    amplitude ``signs[t]``; states killed by the operator are omitted.
+    ``ops`` is a sequence of (mode, kind) pairs, kind "create" or
+    "annihilate", written left to right so the last one acts first.
+    Returns (target, cols, rows, signs): the chain sends source state
+    ``cols[t]`` of ``basis`` to ``rows[t]`` of ``target`` with amplitude
+    ``signs[t]``; states it kills are omitted.  ``target`` is ``basis``
+    shifted by the chain's change in N and in 2*Sz (even modes are spin
+    up), and is ``basis`` itself when the chain changes neither.
     """
-    if not 0 <= mode < basis.mode_count:
-        raise DomainError(f"mode {mode} out of range")
-    if kind not in ("create", "annihilate"):
-        raise DomainError(f"unknown ladder kind {kind!r}")
-    bits = basis.states
-    occ = (bits >> mode) & 1
-    keep = occ == 0 if kind == "create" else occ == 1
-    src = np.nonzero(keep)[0]
-    old = bits[src]
-    # parity of occupations at modes strictly above the acted mode
-    prefix = old >> (mode + 1)
-    signs = _parity_sign(prefix)
-    new = old | (1 << mode) if kind == "create" else old & ~(1 << mode)
-    rows = target.indices_of(new)
-    return rows, src, signs
+    target = _chain_target(basis, ops)
+    bits, cols, signs = basis.states, None, None
+    for mode, kind in reversed(ops):
+        create = kind == "create"
+        # filter first: the walk only signs states that survive
+        alive = np.nonzero(((bits >> mode) & 1) != create)[0]
+        bits = bits[alive]
+        cols = alive if cols is None else cols[alive]
+        # each ladder passes the occupied modes strictly above its own
+        above = np.bitwise_count((bits >> (mode + 1)).astype(np.uint64))
+        sign = 1.0 - 2.0 * (above & 1)
+        signs = sign if signs is None else signs[alive] * sign
+        bits = bits | (1 << mode) if create else bits & ~(1 << mode)
+    return target, cols, target.indices_of(bits), signs
+
+
+def _chain_target(basis: FockBasis, ops) -> FockBasis:
+    if not ops:
+        raise DomainError("empty ladder chain")
+    dn = dsz = 0
+    for mode, kind in ops:
+        if not 0 <= mode < basis.mode_count:
+            raise DomainError(f"mode {mode} out of range")
+        if kind not in ("create", "annihilate"):
+            raise DomainError(f"unknown ladder kind {kind!r}")
+        step = 1 if kind == "create" else -1
+        dn += step
+        dsz += step if mode % 2 == 0 else -step
+    if basis.sector is None or (dn == 0 and (dsz == 0 or basis.sz_twice is None)):
+        return basis
+    sz = None if basis.sz_twice is None else basis.sz_twice + dsz
+    return FockBasis(basis.mode_count, basis.sector + dn, sz)
 
 
 def ladder_matrix(basis: FockBasis, mode: int, kind: str) -> np.ndarray:
     """Dense matrix of a single ladder operator within an unfiltered basis."""
     if basis.sector is not None:
         raise DomainError("ladder matrices need the unfiltered basis")
-    rows, cols, signs = ladder_map(basis, basis, mode, kind)
+    _, cols, rows, signs = ladder_map(basis, ((mode, kind),))
     out = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
     out[rows, cols] = signs
     return out
@@ -261,30 +282,29 @@ def quadratic_operator(basis: FockBasis, h: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _hop_tables(mode_count, sector, sz_twice):
-    """Occupations and signed hops c†_i c_j (i != j) of one basis, built once.
+    """Occupations and the ladder tables of every hop c†_i c_j (i != j), built once.
 
-    Hops from a member state onto a non-member only mark ``leaks[i, j]``.
+    A hop that moves a member state out of the basis only marks ``leaks[i, j]``.
     """
     basis = FockBasis(mode_count, sector, sz_twice)
-    bits = basis.states
-    occ = ((bits[:, None] >> np.arange(mode_count)[None, :]) & 1).astype(float)
-    cols, i, j = np.nonzero((occ[:, :, None] == 0) & (occ[:, None, :] == 1))
-    removed = bits[cols] & ~(1 << j)
-    new = removed | (1 << i)
-    signs = _parity_sign(bits[cols] >> (j + 1)) * _parity_sign(removed >> (i + 1))
-    inside = np.isin(new, bits)
+    occ = ((basis.states[:, None] >> np.arange(mode_count)[None, :]) & 1).astype(float)
     leaks = np.zeros((mode_count, mode_count), dtype=bool)
-    leaks[i[~inside], j[~inside]] = True
-    table = (occ, i[inside], j[inside], basis.indices_of(new[inside]),
-             cols[inside], signs[inside], leaks)
+    # an empty first part keeps a basis without in-basis hops valid
+    parts = [(np.zeros(0, dtype=np.int64),) * 4 + (np.zeros(0),)]
+    for i in range(mode_count):
+        for j in range(mode_count):
+            if i != j:
+                target, cols, rows, signs = ladder_map(
+                    basis, ((i, "create"), (j, "annihilate")))
+                if target is not basis:
+                    leaks[i, j] = cols.size > 0
+                    continue
+                parts.append((np.full(cols.size, i), np.full(cols.size, j),
+                              rows, cols, signs))
+    table = (occ, *(np.concatenate(arr) for arr in zip(*parts)), leaks)
     for arr in table:
         arr.flags.writeable = False
     return table
-
-
-def _parity_sign(bits: np.ndarray) -> np.ndarray:
-    """+1 / -1 for an even / odd number of set bits."""
-    return 1.0 - 2.0 * (np.bitwise_count(bits.astype(np.uint64)) & 1).astype(float)
 
 
 def partial_trace(psi: StateVector, keep_modes: int) -> DensityMatrix:

@@ -43,7 +43,7 @@ from .fock import (
     DomainError,
     FockBasis,
     StateVector,
-    popcount,
+    ladder_map,
     quadratic_operator,
 )
 
@@ -94,27 +94,17 @@ def pair_operator(basis: FockBasis, pair: tuple[int, int], axis: str) -> np.ndar
 def _pair_block_arrays(basis: FockBasis, pair: tuple[int, int]):
     """Partner-state indices and string signs for one mode pair.
 
-    Returns (idx_i_occ, idx_j_occ, sign) where the two index arrays list
-    basis positions with exactly one of the pair occupied (mode i
-    respectively mode j) and sign is the string parity between them.
+    Returns (idx_i_occ, idx_j_occ, sign): the table of c†_j c_i, which
+    pairs each basis state with mode i occupied and mode j empty with its
+    partner and the string sign between them.
     """
     i, j = pair
-    states = basis.states
-    ni = (states >> i) & 1
-    nj = (states >> j) & 1
-    sel = np.nonzero((ni == 1) & (nj == 0))[0]
-    partner_bits = states[sel] ^ ((1 << i) | (1 << j))
-    try:
-        partner = basis.indices_of(partner_bits)
-    except DomainError as exc:
+    target, sel, partner, sign = ladder_map(basis, ((j, "create"), (i, "annihilate")))
+    if target is not basis and sel.size:
         raise DomainError(
             "rotation partner states fall outside the basis; use a full or "
             "fixed-N basis"
-        ) from exc
-    lo, hi = (i, j) if i < j else (j, i)
-    mask = ((1 << hi) - 1) & ~((1 << (lo + 1)) - 1)
-    inner = np.bitwise_count((states[sel] & mask).astype(np.uint64))
-    sign = 1.0 - 2.0 * (inner & 1).astype(float)
+        )
     return sel, partner, sign
 
 
@@ -315,19 +305,22 @@ def basis_seed(master_seed: int, basis_id: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(basis_id,))
 
 
+def _born_weights(state, mbasis: MeasurementBasis) -> np.ndarray:
+    """Occupation weights after the basis's rotations, clipped at zero."""
+    rotated = state
+    for rot in mbasis.rotations:
+        rotated = apply_rotation(rotated, rot)
+    if isinstance(rotated, StateVector):
+        return np.abs(rotated.amplitudes) ** 2
+    return np.clip(np.real(np.diag(rotated.elements)), 0.0, None)
+
+
 def sample_occupations(state, mbasis: MeasurementBasis, shots: int,
                        seed) -> ShotRecord:
     """Rotate, then draw occupation bitstrings from the Born weights."""
     if shots < 1:
         raise DomainError("need at least one shot")
-    rotated = state
-    for rot in mbasis.rotations:
-        rotated = apply_rotation(rotated, rot)
-    if isinstance(rotated, StateVector):
-        probs = np.abs(rotated.amplitudes) ** 2
-    else:
-        probs = np.real(np.diag(rotated.elements)).copy()
-        probs[probs < 0.0] = 0.0
+    probs = _born_weights(state, mbasis)
     total = probs.sum()
     if abs(total - 1.0) > 1e-8:
         raise DomainError(f"sampling weights sum to {total:.6g}, not 1")
@@ -359,13 +352,7 @@ def exact_records(state, plan: MeasurementPlan) -> list[ShotRecord]:
     """
     out = []
     for mbasis in plan.bases:
-        rotated = state
-        for rot in mbasis.rotations:
-            rotated = apply_rotation(rotated, rot)
-        if isinstance(rotated, StateVector):
-            probs = np.abs(rotated.amplitudes) ** 2
-        else:
-            probs = np.clip(np.real(np.diag(rotated.elements)), 0.0, None)
+        probs = _born_weights(state, mbasis)
         probs = probs / probs.sum()
         counts = {int(b): float(p)
                   for b, p in zip(state.basis.states, probs) if p > 0.0}

@@ -93,22 +93,13 @@ def hopping_bonds(params: HubbardParams):
     return bonds
 
 
-def hop_matrix(basis: FockBasis, target: FockBasis, i: int, j: int):
-    """Sparse c†_i c_j between two bases (i != j)."""
+def hop_matrix(basis: FockBasis, i: int, j: int):
+    """Sparse c†_i c_j from ``basis`` into the basis it lands in (i != j)."""
     if i == j:
         raise DomainError("use diagonal occupations for i == j")
-    bits = basis.states
-    ok = ((bits >> j) & 1 == 1) & ((bits >> i) & 1 == 0)
-    cols = np.nonzero(ok)[0]
-    src = bits[cols]
-    sign_j = 1.0 - 2.0 * (np.bitwise_count((src >> (j + 1)).astype(np.uint64)) & 1)
-    mid = src & ~(1 << j)
-    sign_i = 1.0 - 2.0 * (np.bitwise_count((mid >> (i + 1)).astype(np.uint64)) & 1)
-    rows = target.indices_of(mid | (1 << i))
-    vals = (sign_j * sign_i).astype(np.complex128)
+    target, cols, rows, signs = ladder_map(basis, ((i, "create"), (j, "annihilate")))
     return scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(target.dim, basis.dim)
-    )
+        (signs.astype(np.complex128), (rows, cols)), shape=(target.dim, basis.dim))
 
 
 @dataclass
@@ -138,7 +129,7 @@ def build_hamiltonian(
             continue
         for spin in (0, 1):
             i, j = mode_index(to_site, spin), mode_index(from_site, spin)
-            term = hop_matrix(basis, basis, i, j)
+            term = hop_matrix(basis, i, j)
             total = total + amp * term + np.conj(amp) * term.conj().T
     bits = basis.states
     double_occ = np.zeros(dim)
@@ -162,26 +153,18 @@ def number_diagonal(basis: FockBasis) -> np.ndarray:
     return np.bitwise_count(basis.states.astype(np.uint64)).astype(np.int64)
 
 
-def spin_raising(basis: FockBasis, target: FockBasis | None = None):
-    """Sparse S+ = sum_l c†_{l,up} c_{l,down}."""
+def spin_raising(basis: FockBasis):
+    """Sparse S+ = sum_l c†_{l,up} c_{l,down}; lands in 2*Sz + 2 on a fixed-Sz basis."""
     sites = basis.mode_count // 2
-    if target is None:
-        target = basis
-        if basis.sz_twice is not None:
-            raise DomainError("S+ leaves a fixed-Sz basis; pass the target")
-    op = scipy.sparse.coo_matrix((target.dim, basis.dim), dtype=np.complex128)
-    for l in range(sites):
-        op = op + hop_matrix(basis, target, mode_index(l, 0), mode_index(l, 1))
+    op = hop_matrix(basis, mode_index(0, 0), mode_index(0, 1))
+    for l in range(1, sites):
+        op = op + hop_matrix(basis, mode_index(l, 0), mode_index(l, 1))
     return op.tocsr()
 
 
 def spin_squared(basis: FockBasis) -> scipy.sparse.csr_matrix:
     """Total S^2 = S- S+ + Sz (Sz + 1) on the given basis."""
-    if basis.sz_twice is None:
-        splus = spin_raising(basis)
-    else:
-        up = FockBasis(basis.mode_count, basis.sector, basis.sz_twice + 2)
-        splus = spin_raising(basis, up)
+    splus = spin_raising(basis)
     sz = sz_twice_diagonal(basis) / 2.0
     return (splus.conj().T @ splus
             + scipy.sparse.diags(sz * (sz + 1.0))).tocsr()
@@ -275,21 +258,20 @@ def plane_wave_state(params: HubbardParams, occupation: OccupationBitstring) -> 
         raise DomainError("occupation does not match the lattice")
     ks = momentum_values(sites)
     vec = np.ones(1, dtype=np.complex128)
-    count = 0
     basis = FockBasis(params.n_modes, 0)
     for mode in reversed(range(params.n_modes)):
         if not occupation.occupation(mode):
             continue
         m, spin = divmod(mode, 2)
         coeffs = np.exp(1j * ks[m] * np.arange(sites)) / math.sqrt(sites)
-        target = FockBasis(params.n_modes, count + 1)
-        new = np.zeros(target.dim, dtype=np.complex128)
+        new = None
         for l in range(sites):
-            rows, cols, signs = ladder_map(
-                basis, target, mode_index(l, spin), "create"
-            )
+            target, cols, rows, signs = ladder_map(
+                basis, ((mode_index(l, spin), "create"),))
+            if new is None:
+                new = np.zeros(target.dim, dtype=np.complex128)
             np.add.at(new, rows, coeffs[l] * signs * vec[cols])
-        vec, basis, count = new, target, count + 1
+        vec, basis = new, target
     return StateVector(basis, vec)
 
 

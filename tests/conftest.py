@@ -2,14 +2,25 @@
 from __future__ import annotations
 
 import os
+import tempfile
 
 # One BLAS/OpenMP thread: the small dense kernels here lose to thread
 # start-up, and results stay the same.  Set before numpy is first imported.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+# Hypothesis caches the constants it finds in local source; keep that
+# cache out of the working tree.
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "fermiscope-hypothesis"))
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, keep no example
+# database in the tree and assert nothing about their timing.
+settings.register_profile("fermiscope", derandomize=True, database=None, deadline=None)
+settings.load_profile("fermiscope")
 
 from fermiscope.correlations import measure_four_point_connected, measure_two_point
 from fermiscope.fock import DensityMatrix, FockBasis, StateVector, partial_trace

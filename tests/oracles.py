@@ -8,7 +8,6 @@ from fermiscope.fock import (
     FockBasis,
     OccupationBitstring,
     StateVector,
-    ladder_map,
     ladder_matrix,
     popcount,
 )
@@ -41,18 +40,26 @@ def occupation_phase(i: int, j: int, excluded, n: OccupationBitstring | int) -> 
 def apply_ladder(state: StateVector, mode: int, kind: str) -> StateVector:
     """Apply c†_mode (``create``) or c_mode (``annihilate``) to a state.
 
-    The result lives in the particle-number sector shifted by +/-1 when the
-    input basis is sector-filtered, otherwise in the same unfiltered basis.
+    One basis state at a time: the ladder passes every occupied mode above
+    ``mode``.  The result lives in the particle-number sector shifted by
+    +/-1 when the input basis is sector-filtered, otherwise in the same
+    unfiltered basis.
     """
     basis = state.basis
+    if kind not in ("create", "annihilate") or not 0 <= mode < basis.mode_count:
+        raise DomainError(f"no ladder {kind!r} on mode {mode}")
     if basis.sector is None:
         target = basis
     else:
         shift = 1 if kind == "create" else -1
         target = FockBasis(basis.mode_count, basis.sector + shift)
-    rows, cols, signs = ladder_map(basis, target, mode, kind)
     out = np.zeros(target.dim, dtype=np.complex128)
-    np.add.at(out, rows, signs * state.amplitudes[cols])
+    for k, amp in enumerate(state.amplitudes):
+        n = basis.state(k)
+        if n.occupation(mode) == (kind == "create"):
+            continue  # the ladder kills this state
+        sign = -1 if popcount(n.bits >> (mode + 1)) % 2 else 1
+        out[target.index_of(n.bits ^ (1 << mode))] += sign * amp
     return StateVector(target, out)
 
 

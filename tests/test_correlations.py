@@ -15,7 +15,7 @@ from fermiscope.correlations import (
     save_correlations,
     subsystem_correlations,
 )
-from fermiscope.fock import DensityMatrix, DomainError, FockBasis, StateVector
+from fermiscope.fock import DensityMatrix, DomainError, FockBasis, StateVector, partial_trace
 from fermiscope.model import (
     HubbardParams,
     OccupationBitstring,
@@ -178,6 +178,19 @@ def test_subsystem_correlations_equal_sliced_full_tensors(sites, keep_sites, see
         subsystem_correlations(psi, 2 * sites + 1)
 
 
+def test_fixed_sz_pure_state_moments_match_its_reduced_state(rng):
+    # c_up and c_down lower a fixed-Sz state into different 2*Sz bases
+    basis = FockBasis(6, 3, sz_twice=1)
+    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    psi = StateVector(basis, amps).normalized()
+    c2, c4 = subsystem_correlations(psi, 4)
+    rho = partial_trace(psi, 4)
+    want_c2 = measure_two_point(rho)
+    assert np.abs(c2.entries - want_c2.entries).max() < 1e-14
+    want_c4 = measure_four_point_connected(rho, want_c2)
+    assert np.abs(c4.entries - want_c4.entries).max() < 1e-14
+
+
 def test_save_rejects_mismatched_sizes(tmp_path, rng):
     frame = random_frame(rng, 3)
     c2 = TwoPointMatrix(
@@ -226,6 +239,14 @@ def test_chain_tables_match_the_walk_bit_for_bit(rng, key):
                for i in range(n) for j in range(n) for k in range(n) for l in range(n)]
     for ops in chains:
         assert same_bits(correlations._trace_chain(rho, ops), trace_chain_walk(rho, ops))
+
+
+def test_chain_tables_reject_chains_that_leave_the_basis():
+    basis = FockBasis(4, 2, sz_twice=0)
+    rho = DensityMatrix(basis, np.eye(basis.dim) / basis.dim)
+    assert correlations._trace_chain(rho, ((0, "create"), (2, "annihilate"))) == 0.0
+    with pytest.raises(DomainError, match="leaves the basis"):
+        correlations._trace_chain(rho, ((0, "create"), (1, "annihilate")))
 
 
 def test_dense_oracle_matches_expectation_chain(rng):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fermiscope import fock
 from fermiscope.fock import (
@@ -12,9 +13,11 @@ from fermiscope.fock import (
     FockBasis,
     OccupationBitstring,
     StateVector,
+    ladder_map,
     ladder_matrix,
     max_reduced_rank,
     partial_trace,
+    popcount,
     quadratic_operator,
     sector_dimension,
 )
@@ -157,6 +160,66 @@ def test_apply_ladder_shifts_sector():
     assert up.basis.sector == 3
     down = apply_ladder(StateVector(basis, amps), 0, "annihilate")
     assert down.basis.sector == 1
+
+
+def test_ladder_map_lands_in_the_shifted_sz_basis():
+    basis = FockBasis(6, 3, sz_twice=1)
+    # c_up (even mode) lowers 2*Sz by one, c_down (odd mode) raises it
+    for mode, sz_twice in ((2, 0), (3, 2)):
+        target, cols, rows, signs = ladder_map(basis, ((mode, "annihilate"),))
+        assert (target.mode_count, target.sector, target.sz_twice) == (6, 2, sz_twice)
+        src = basis.states[cols]
+        assert cols.size and np.all((src >> mode) & 1)
+        assert np.array_equal(target.states[rows], src & ~(1 << mode))
+        want = [(-1) ** popcount(int(b) >> (mode + 1)) for b in src]
+        assert np.array_equal(signs, want)
+
+
+def test_ladder_map_keeps_the_source_basis_when_n_and_sz_are_conserved():
+    for basis in (FockBasis(4), FockBasis(4, 2), FockBasis(4, 2, sz_twice=0)):
+        assert ladder_map(basis, ((0, "create"), (2, "annihilate")))[0] is basis
+    full = FockBasis(4)
+    assert ladder_map(full, ((1, "create"),))[0] is full
+    with pytest.raises(DomainError):
+        ladder_map(FockBasis(4), ((4, "create"),))
+    for ops in (((0, "hop"),), ()):
+        with pytest.raises(DomainError):
+            ladder_map(FockBasis(4), ops)
+
+
+@st.composite
+def _bases_and_chains(draw):
+    kind = draw(st.sampled_from(["full", "fixed_n", "fixed_sz"]))
+    if kind == "fixed_sz":
+        m = draw(st.sampled_from([2, 4, 6]))
+        n = draw(st.integers(0, m))
+        basis = FockBasis(m, n, draw(st.sampled_from(range(-n, n + 1, 2))))
+    else:
+        m = draw(st.integers(1, 6))
+        basis = FockBasis(m, draw(st.integers(0, m)) if kind == "fixed_n" else None)
+    op = st.tuples(st.integers(0, m - 1), st.sampled_from(["create", "annihilate"]))
+    return basis, tuple(draw(st.lists(op, min_size=1, max_size=4)))
+
+
+@given(_bases_and_chains())
+def test_ladder_map_equals_the_dense_ladder_product(case):
+    basis, ops = case
+    m = basis.mode_count
+    dn = sum(1 if kind == "create" else -1 for _, kind in ops)
+    if basis.sector is not None and not 0 <= basis.sector + dn <= m:
+        with pytest.raises(DomainError):
+            ladder_map(basis, ops)
+        return
+    target, cols, rows, signs = ladder_map(basis, ops)
+    full = FockBasis(m)
+    prod = functools.reduce(np.matmul, [ladder_matrix(full, *op) for op in ops])
+    prod = prod[:, full.indices_of(basis.states)]
+    want = prod[full.indices_of(target.states)]
+    got = np.zeros((target.dim, basis.dim))
+    got[rows, cols] = signs
+    assert np.array_equal(got, want)
+    # the target basis holds every state the chain reaches
+    assert np.count_nonzero(want) == np.count_nonzero(prod)
 
 
 def test_ladder_matrix_requires_unfiltered_basis():

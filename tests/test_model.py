@@ -9,6 +9,7 @@ from fermiscope.model import (
     dispersion,
     effective_rank,
     evolve,
+    hop_matrix,
     initial_state,
     momentum_values,
     plane_wave_state,
@@ -16,6 +17,8 @@ from fermiscope.model import (
     select_initial_state,
     spin_squared,
 )
+
+from oracles import quadratic_operator_loop, same_bits
 
 
 def test_momentum_grid_folds_into_first_zone():
@@ -142,6 +145,30 @@ def test_spin_squared_eigenvalues_two_particles():
     # two fermions combine to singlet or triplet: s(s+1) in {0, 2}
     assert set(np.round(w).astype(int)) == {0, 2}
     assert np.abs(w - np.round(w)).max() < 1e-12
+
+
+def test_spin_squared_on_a_fixed_sz_basis_is_a_block_of_fixed_n():
+    # S+ leaves 2*Sz = 1 for 2*Sz = 3; the fixed-Sz S^2 must still match
+    fixed_n = FockBasis(6, 3)
+    fixed_sz = FockBasis(6, 3, sz_twice=1)
+    idx = fixed_n.indices_of(fixed_sz.states)
+    want = spin_squared(fixed_n).toarray()[np.ix_(idx, idx)]
+    assert np.array_equal(spin_squared(fixed_sz).toarray(), want)
+
+
+def test_hop_matrix_matches_the_loop_oracle():
+    basis = FockBasis(6, 3)
+    for i in range(6):
+        for j in range(6):
+            if i == j:
+                continue
+            h = np.zeros((6, 6))
+            h[i, j] = 1.0
+            hop = hop_matrix(basis, i, j)
+            assert hop.shape == (basis.dim, basis.dim)
+            assert same_bits(hop.toarray(), quadratic_operator_loop(basis, h))
+    with pytest.raises(DomainError):
+        hop_matrix(basis, 2, 2)
 
 
 def test_evolution_is_incremental(rng):
