@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figures", help="assemble analysis CSVs from "
                        "reconstruction outputs")
     _add_common(p)
-    p.add_argument("which", choices=("fig2", "fig3", "fig4", "all"),
+    p.add_argument("which", choices=(*harness.FIGURE_COLUMNS, "all"),
                    help="which figure's data to build")
 
     p = sub.add_parser("validate", help="run the built-in correctness "
@@ -95,13 +95,7 @@ def main(argv=None) -> int:
                                        member=args.member,
                                        it=args.time_index)
     else:
-        targets = ("fig2", "fig3", "fig4") if args.which == "all" \
-            else (args.which,)
-        manifest = None
-        for which in targets:
-            manifest = harness.cmd_figures(config, which)
-            print(manifest)
-        return 0
+        manifest = "\n".join(harness.cmd_figures(config, args.which))
     print(manifest)
     return 0
 

@@ -75,6 +75,10 @@ class RunConfig:
             raise DomainError("measure_order must be 1 or 2")
         if self.workers < 0:
             raise DomainError("workers must be >= 0")
+        for name in ("histogram_bins", "bootstrap_resamples",
+                     "shots_per_basis"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1")
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "u_values",
                            tuple(float(u) for u in self.u_values))

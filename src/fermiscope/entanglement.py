@@ -297,6 +297,9 @@ def _pooled_statistics(
     dropped: int,
     sectors_used: int,
 ) -> GapStatistics:
+    if bins < 1 or bootstrap < 1:
+        raise DomainError("need at least one histogram bin and one "
+                          "bootstrap resample")
     if ratios.size == 0:
         raise StatisticsUnavailableError(
             "no sector with >= 3 distinct levels; nothing to pool"

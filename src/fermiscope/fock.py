@@ -94,6 +94,9 @@ class FockBasis:
             raise DomainError(f"sector {sector} out of range for {mode_count} modes")
         if sz_twice is not None and sector is None:
             raise DomainError("sz filter requires a particle-number sector")
+        if sz_twice is not None and mode_count % 2:
+            raise DomainError(f"sz filter needs the spinful layout, an even "
+                              f"mode count, not {mode_count}")
         self.mode_count = mode_count
         self.sector = sector
         self.sz_twice = sz_twice

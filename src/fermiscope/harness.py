@@ -369,12 +369,44 @@ def _write_csv(path: str, header: list[str], rows: list):
     serialize.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _load_recon(out_root: str, iu: int, member: int, it: int) -> dict:
-    path = os.path.join(_recon_dir(out_root),
-                        f"{snapshot_tag(iu, member, it)}_recon.json")
-    if not os.path.isfile(path):
-        raise FileNotFoundError(f"missing reconstruction output {path}")
-    return serialize.load_json(path)
+KINDS = ("exact", "recon")
+_STAT_COLUMNS = ("mean_r", "ci_lo", "ci_hi", "n_ratios", "dropped")
+# Each figure's CSV files and their columns.
+FIGURE_COLUMNS = {
+    "fig2": {
+        "fig2_theta.csv": ["u", "t", "tau", "member", "theta_exact",
+                           "theta_recon", "one_minus_f_exact",
+                           "one_minus_f_recon", "theta_slope_exact",
+                           "theta_slope_recon"],
+        "fig2_delta.csv": ["u", "t_star", "delta0_gaussian_mean",
+                           "delta0_gaussian_se", "delta0_projected_mean",
+                           "delta0_projected_se"],
+    },
+    "fig3": {
+        "fig3_meanr.csv": ["u", "t"] + [f"{col}_{kind}" for kind in KINDS
+                                        for col in _STAT_COLUMNS],
+        "fig3_hist.csv": ["window", "t", "kind", "bin_center", "density"],
+        "fig3_spectra.csv": ["u", "t", "member", "kind", "n", "m", "s",
+                             "level_index", "epsilon"],
+    },
+    "fig4": {
+        "fig4_grid.csv": ["u", "t"] + [f"{col}_{kind}" for kind in KINDS
+                                       for col in _STAT_COLUMNS[:4]],
+    },
+}
+
+
+def _load_cell(config: RunConfig, out_root: str, iu: int,
+               it: int) -> list[dict]:
+    """The reconstruction documents of one (u, t) cell, in member order."""
+    docs = []
+    for m in range(config.ensemble_size):
+        path = os.path.join(_recon_dir(out_root),
+                            f"{snapshot_tag(iu, m, it)}_recon.json")
+        if not os.path.isfile(path):
+            raise FileNotFoundError(f"missing reconstruction output {path}")
+        docs.append(serialize.load_json(path))
+    return docs
 
 
 def _early_slope(taus: np.ndarray, thetas: np.ndarray) -> float | None:
@@ -390,93 +422,34 @@ def _early_slope(taus: np.ndarray, thetas: np.ndarray) -> float | None:
     return float(np.dot(x, y) / np.dot(x, x))
 
 
-def _theta_table(config: RunConfig, out_root: str):
-    """Rows (u, t, tau, member, thetas, 1-F) for every snapshot."""
-    rows = []
-    for iu in range(len(config.u_values)):
-        for m in range(config.ensemble_size):
-            for it in range(len(config.times)):
-                doc = _load_recon(out_root, iu, m, it)
-                rows.append((iu, m, it, doc))
-    return rows
+def _fig2_rows(config: RunConfig, iu: int, cells: list, it_star: int):
+    """The fig2_theta rows (member-major) and fig2_delta row of one u."""
+    u = config.u_values[iu]
+    taus = np.array([u * t for t in config.times])
+    slopes = [
+        _early_slope(taus, np.array([np.mean([d[key] for d in docs])
+                                     for docs in cells]))
+        for key in ("theta_exact", "theta_recon")
+    ]
+    theta_rows = [
+        (d["u"], d["t"], d["tau"], m, d["theta_exact"], d["theta_recon"],
+         d["one_minus_f_exact"], d["one_minus_f_recon"], *slopes)
+        for m in range(config.ensemble_size)
+        for d in (docs[m] for docs in cells)
+    ]
+    delta_row = [u, config.times[it_star]]
+    for key in ("delta_gaussian", "delta_projected"):
+        vals = [d[key][0] for d in cells[it_star] if d[key][0] is not None]
+        delta_row += ([np.mean(vals), np.std(vals) / math.sqrt(len(vals))]
+                      if vals else [None, None])
+    return theta_rows, tuple(delta_row)
 
 
-def _figures_fig2(config: RunConfig, out_root: str, fdir: str) -> dict:
-    entries = _theta_table(config, out_root)
-    n_t = len(config.times)
-    slope_cols = {}
-    for iu, u in enumerate(config.u_values):
-        taus = np.array([u * t for t in config.times])
-        mean_exact = np.zeros(n_t)
-        mean_recon = np.zeros(n_t)
-        for it in range(n_t):
-            vals = [d["theta_exact"] for ju, m, jt, d in entries
-                    if ju == iu and jt == it]
-            mean_exact[it] = float(np.mean(vals))
-            vals = [d["theta_recon"] for ju, m, jt, d in entries
-                    if ju == iu and jt == it]
-            mean_recon[it] = float(np.mean(vals))
-        slope_cols[iu] = (_early_slope(taus, mean_exact),
-                          _early_slope(taus, mean_recon))
-
-    rows = []
-    for iu, m, it, doc in entries:
-        s_ex, s_re = slope_cols[iu]
-        rows.append((
-            doc["u"], doc["t"], doc["tau"], m,
-            doc["theta_exact"], doc["theta_recon"],
-            doc["one_minus_f_exact"], doc["one_minus_f_recon"],
-            s_ex, s_re,
-        ))
-    theta_path = os.path.join(fdir, "fig2_theta.csv")
-    _write_csv(theta_path, [
-        "u", "t", "tau", "member", "theta_exact", "theta_recon",
-        "one_minus_f_exact", "one_minus_f_recon",
-        "theta_slope_exact", "theta_slope_recon",
-    ], rows)
-
-    it_star = int(np.argmin(np.abs(np.array(config.times)
-                                   - FIG2_TIME_ANCHOR)))
-    delta_rows = []
-    for iu, u in enumerate(config.u_values):
-        d0_gauss, d0_proj = [], []
-        for m in range(config.ensemble_size):
-            doc = _load_recon(out_root, iu, m, it_star)
-            if doc["delta_gaussian"][0] is not None:
-                d0_gauss.append(doc["delta_gaussian"][0])
-            if doc["delta_projected"][0] is not None:
-                d0_proj.append(doc["delta_projected"][0])
-        delta_rows.append((
-            u, config.times[it_star],
-            np.mean(d0_gauss) if d0_gauss else None,
-            np.std(d0_gauss) / math.sqrt(len(d0_gauss)) if d0_gauss else None,
-            np.mean(d0_proj) if d0_proj else None,
-            np.std(d0_proj) / math.sqrt(len(d0_proj)) if d0_proj else None,
-        ))
-    delta_path = os.path.join(fdir, "fig2_delta.csv")
-    _write_csv(delta_path, [
-        "u", "t_star", "delta0_gaussian_mean", "delta0_gaussian_se",
-        "delta0_projected_mean", "delta0_projected_se",
-    ], delta_rows)
-    return {"fig2_theta.csv": theta_path, "fig2_delta.csv": delta_path}
-
-
-def _pool_sector_spectra(config: RunConfig, out_root: str, iu: int, it: int,
-                         kind: str):
-    """All sector spectra of one (u, t) cell across the ensemble."""
-    key = "spectrum_exact" if kind == "exact" else "spectrum_recon"
-    pool = []
-    for m in range(config.ensemble_size):
-        doc = _load_recon(out_root, iu, m, it)
-        for sec in doc[key]:
-            pool.append(EntanglementSpectrum(
-                levels=np.array(sec["levels"], dtype=float)))
-    return pool
-
-
-def _cell_statistics(config: RunConfig, out_root: str, iu: int, it: int,
+def _cell_statistics(config: RunConfig, docs: list, iu: int, it: int,
                      kind: str):
-    spectra = _pool_sector_spectra(config, out_root, iu, it, kind)
+    """Gap statistics of one cell's sector spectra, pooled over members."""
+    spectra = [EntanglementSpectrum(levels=np.array(sec["levels"], dtype=float))
+               for doc in docs for sec in doc[f"spectrum_{kind}"]]
     try:
         return gap_statistics(
             spectra,
@@ -489,111 +462,86 @@ def _cell_statistics(config: RunConfig, out_root: str, iu: int, it: int,
         return None
 
 
-def _figures_fig3(config: RunConfig, out_root: str, fdir: str) -> dict:
-    iu = int(np.argmin(np.abs(np.array(config.u_values) - FIG3_U_ANCHOR)))
-    n_t = len(config.times)
-    it_early = 1 if n_t > 1 else 0
-    it_late = n_t - 1
-
-    meanr_rows = []
-    for it in range(n_t):
-        row = [config.u_values[iu], config.times[it]]
-        for kind in ("exact", "recon"):
-            stats = _cell_statistics(config, out_root, iu, it, kind)
-            if stats is None:
-                warnings.warn(
-                    f"no gap ratios for {kind} at t = {config.times[it]}; "
-                    "emitting empty cells",
-                    stacklevel=2,
-                )
-                row.extend([None, None, None, None, None])
-            else:
-                row.extend([stats.mean_r, stats.ci_low, stats.ci_high,
-                            stats.ratios.size, stats.dropped_degenerate])
-        meanr_rows.append(tuple(row))
-    meanr_path = os.path.join(fdir, "fig3_meanr.csv")
-    _write_csv(meanr_path, [
-        "u", "t",
-        "mean_r_exact", "ci_lo_exact", "ci_hi_exact", "n_ratios_exact",
-        "dropped_exact",
-        "mean_r_recon", "ci_lo_recon", "ci_hi_recon", "n_ratios_recon",
-        "dropped_recon",
-    ], meanr_rows)
-
-    hist_rows = []
-    for label, it in (("early", it_early), ("late", it_late)):
-        for kind in ("exact", "recon"):
-            stats = _cell_statistics(config, out_root, iu, it, kind)
-            if stats is None:
-                continue
-            for center, dens in zip(stats.bin_centers, stats.density):
-                hist_rows.append((label, config.times[it], kind,
-                                  center, dens))
-    hist_path = os.path.join(fdir, "fig3_hist.csv")
-    _write_csv(hist_path, ["window", "t", "kind", "bin_center", "density"],
-               hist_rows)
-
-    spectra_rows = []
-    for it in range(n_t):
-        for m in range(config.ensemble_size):
-            doc = _load_recon(out_root, iu, m, it)
-            for kind, key in (("exact", "spectrum_exact"),
-                              ("recon", "spectrum_recon")):
-                for sec in doc[key]:
-                    for li, eps in enumerate(sec["levels"]):
-                        spectra_rows.append((
-                            config.u_values[iu], config.times[it], m, kind,
-                            sec["n"], sec["m"], sec["s"], li, eps,
-                        ))
-    spectra_path = os.path.join(fdir, "fig3_spectra.csv")
-    _write_csv(spectra_path, [
-        "u", "t", "member", "kind", "n", "m", "s", "level_index", "epsilon",
-    ], spectra_rows)
-    return {
-        "fig3_meanr.csv": meanr_path,
-        "fig3_hist.csv": hist_path,
-        "fig3_spectra.csv": spectra_path,
-    }
-
-
-def _figures_fig4(config: RunConfig, out_root: str, fdir: str) -> dict:
-    rows = []
-    for iu, u in enumerate(config.u_values):
-        for it, t in enumerate(config.times):
-            row = [u, t]
-            for kind in ("exact", "recon"):
-                stats = _cell_statistics(config, out_root, iu, it, kind)
-                if stats is None:
-                    row.extend([None, None, None, None])
-                else:
-                    row.extend([stats.mean_r, stats.ci_low, stats.ci_high,
-                                stats.ratios.size])
-            rows.append(tuple(row))
-    path = os.path.join(fdir, "fig4_grid.csv")
-    _write_csv(path, [
-        "u", "t",
-        "mean_r_exact", "ci_lo_exact", "ci_hi_exact", "n_ratios_exact",
-        "mean_r_recon", "ci_lo_recon", "ci_hi_recon", "n_ratios_recon",
-    ], rows)
-    return {"fig4_grid.csv": path}
+def _stat_cells(stats: dict, width: int) -> list:
+    """Per kind, the first ``width`` of (mean r, CI, ratios, dropped)."""
+    cells = []
+    for kind in KINDS:
+        s = stats[kind]
+        cells += [None] * width if s is None else [
+            s.mean_r, s.ci_low, s.ci_high, s.ratios.size,
+            s.dropped_degenerate][:width]
+    return cells
 
 
 def cmd_figures(config: RunConfig, which: str,
-                out_root: str | None = None) -> str:
-    """Assemble analysis CSVs from reconstruction outputs."""
+                out_root: str | None = None) -> list[str]:
+    """Assemble analysis CSVs from reconstruction outputs in one pass.
+
+    ``which`` is one figure name or "all"; the manifest paths of the
+    figures written are returned.  Each (u, t) cell reads its members'
+    reconstruction documents once, and its gap statistics are computed
+    once per kind, only for the cells fig3 or fig4 report.
+    """
+    if which != "all" and which not in FIGURE_COLUMNS:
+        raise ValueError(f"unknown figure {which!r}; pick from "
+                         f"{sorted(FIGURE_COLUMNS)} or 'all'")
+    targets = list(FIGURE_COLUMNS) if which == "all" else [which]
     out_root = config.out_dir if out_root is None else out_root
     fdir = os.path.join(out_root, "figures")
     os.makedirs(fdir, exist_ok=True)
-    builders = {
-        "fig2": _figures_fig2,
-        "fig3": _figures_fig3,
-        "fig4": _figures_fig4,
-    }
-    if which not in builders:
-        raise ValueError(f"unknown figure {which!r}; pick from "
-                         f"{sorted(builders)}")
-    files = builders[which](config, out_root, fdir)
-    manifest = os.path.join(fdir, f"manifest_{which}.json")
-    serialize.write_manifest(manifest, files,
-                             config_summary=run_summary(config))
-    return manifest
+    times = config.times
+    n_t = len(times)
+    iu_fig3 = int(np.argmin(np.abs(np.array(config.u_values)
+                                   - FIG3_U_ANCHOR)))
+    it_star = int(np.argmin(np.abs(np.array(times) - FIG2_TIME_ANCHOR)))
+    windows = (("early", 1 if n_t > 1 else 0), ("late", n_t - 1))
+
+    rows = {name: [] for fig in targets for name in FIGURE_COLUMNS[fig]}
+    ius = [iu_fig3] if targets == ["fig3"] else range(len(config.u_values))
+    for iu in ius:
+        u = config.u_values[iu]
+        cells = [_load_cell(config, out_root, iu, it) for it in range(n_t)]
+        if "fig2" in targets:
+            theta_rows, delta_row = _fig2_rows(config, iu, cells, it_star)
+            rows["fig2_theta.csv"] += theta_rows
+            rows["fig2_delta.csv"].append(delta_row)
+        fig3 = "fig3" in targets and iu == iu_fig3
+        if not (fig3 or "fig4" in targets):
+            continue
+        for it, (t, docs) in enumerate(zip(times, cells)):
+            stats = {kind: _cell_statistics(config, docs, iu, it, kind)
+                     for kind in KINDS}
+            if "fig4" in targets:
+                rows["fig4_grid.csv"].append((u, t, *_stat_cells(stats, 4)))
+            if not fig3:
+                continue
+            for kind in KINDS:
+                if stats[kind] is None:
+                    warnings.warn(f"no gap ratios for {kind} at t = {t}; "
+                                  "emitting empty cells", stacklevel=2)
+            rows["fig3_meanr.csv"].append((u, t, *_stat_cells(stats, 5)))
+            rows["fig3_hist.csv"] += [
+                (label, t, kind, center, dens)
+                for label, jt in windows if jt == it
+                for kind in KINDS if stats[kind] is not None
+                for center, dens in zip(stats[kind].bin_centers,
+                                        stats[kind].density)
+            ]
+            rows["fig3_spectra.csv"] += [
+                (u, t, m, kind, sec["n"], sec["m"], sec["s"], li, eps)
+                for m, doc in enumerate(docs) for kind in KINDS
+                for sec in doc[f"spectrum_{kind}"]
+                for li, eps in enumerate(sec["levels"])
+            ]
+
+    manifests = []
+    for fig in targets:
+        files = {}
+        for name, header in FIGURE_COLUMNS[fig].items():
+            files[name] = os.path.join(fdir, name)
+            _write_csv(files[name], header, rows[name])
+        manifest = os.path.join(fdir, f"manifest_{fig}.json")
+        serialize.write_manifest(manifest, files,
+                                 config_summary=run_summary(config))
+        manifests.append(manifest)
+    return manifests

@@ -42,7 +42,6 @@ from .fock import (
     DensityMatrix,
     DomainError,
     FockBasis,
-    StateVector,
     ladder_map,
     quadratic_operator,
 )
@@ -139,14 +138,13 @@ def rotation_matrix(basis: FockBasis, rot: TunnelingRotation) -> scipy.sparse.cs
     return mat.tocsr()
 
 
-def apply_rotation(state, rot: TunnelingRotation):
-    """Rotate a StateVector or DensityMatrix by one tunneling pulse."""
+def apply_rotation(state: DensityMatrix,
+                   rot: TunnelingRotation) -> DensityMatrix:
+    """Rotate a DensityMatrix by one tunneling pulse."""
+    if not isinstance(state, DensityMatrix):
+        raise DomainError(f"cannot rotate {type(state).__name__}")
     u = rotation_matrix(state.basis, rot)
-    if isinstance(state, StateVector):
-        return StateVector(state.basis, u @ state.amplitudes)
-    if isinstance(state, DensityMatrix):
-        return DensityMatrix(state.basis, u @ state.elements @ u.conj().T)
-    raise DomainError(f"cannot rotate {type(state).__name__}")
+    return DensityMatrix(state.basis, u @ state.elements @ u.conj().T)
 
 
 @lru_cache(maxsize=1)
@@ -307,11 +305,11 @@ def basis_seed(master_seed: int, basis_id: int) -> np.random.SeedSequence:
 
 def _born_weights(state, mbasis: MeasurementBasis) -> np.ndarray:
     """Occupation weights after the basis's rotations, clipped at zero."""
+    if not isinstance(state, DensityMatrix):
+        raise DomainError(f"cannot measure {type(state).__name__}")
     rotated = state
     for rot in mbasis.rotations:
         rotated = apply_rotation(rotated, rot)
-    if isinstance(rotated, StateVector):
-        return np.abs(rotated.amplitudes) ** 2
     return np.clip(np.real(np.diag(rotated.elements)), 0.0, None)
 
 

@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from fermiscope import cli, harness
+from fermiscope import cli, harness, serialize
 from fermiscope.config import (
     ConfigWarning,
     RunConfig,
@@ -68,6 +70,9 @@ def test_config_guards(tmp_path):
         mini_config(str(tmp_path)).override(measure_order=3)
     with pytest.raises(DomainError):
         mini_config(str(tmp_path)).override(initial_kind="position")
+    for name in ("bootstrap_resamples", "histogram_bins", "shots_per_basis"):
+        with pytest.raises(DomainError, match=name):
+            mini_config(str(tmp_path)).override(**{name: 0})
     with pytest.warns(ConfigWarning):
         mini_config(str(tmp_path)).override(subsystem_sites=3)
 
@@ -133,9 +138,10 @@ def test_pipeline_end_to_end(tmp_path):
     assert est["max_dev_c2"] < 0.2
     assert os.path.isfile(os.path.join(mdir, "shots_u0_m0_t1.jsonl"))
 
-    for which in ("fig2", "fig3", "fig4"):
-        fman = harness.cmd_figures(config, which)
-        assert os.path.isfile(fman)
+    fmans = harness.cmd_figures(config, "all")
+    assert [os.path.basename(f) for f in fmans] == [
+        "manifest_fig2.json", "manifest_fig3.json", "manifest_fig4.json"]
+    assert all(os.path.isfile(f) for f in fmans)
     fdir = os.path.join(str(tmp_path), "figures")
     with open(os.path.join(fdir, "fig2_theta.csv")) as fh:
         rows = list(csv.DictReader(fh))
@@ -154,15 +160,57 @@ def test_parallel_run_matches_serial(tmp_path):
     # two interactions, so the two workers each run one per-U task
     serial = mini_config(str(tmp_path / "a")).override(u_values=(0.05, 0.2))
     parallel = serial.override(out_dir=str(tmp_path / "b"), workers=2)
-    harness.cmd_quench(serial)
-    harness.cmd_quench(parallel)
-    names = sorted(os.listdir(tmp_path / "a" / "quench"))
-    assert names == sorted(os.listdir(tmp_path / "b" / "quench"))
-    assert "u1_m1_t1_corr.json" in names
-    for name in names:
-        a = sha256_of_file(os.path.join(str(tmp_path / "a"), "quench", name))
-        b = sha256_of_file(os.path.join(str(tmp_path / "b"), "quench", name))
-        assert a == b
+    for config in (serial, parallel):
+        harness.cmd_quench(config)
+        harness.cmd_reconstruct(config)
+    for stage, sample in (("quench", "u1_m1_t1_corr.json"),
+                          ("recon", "u1_m1_t1_recon.json")):
+        names = sorted(os.listdir(tmp_path / "a" / stage))
+        assert names == sorted(os.listdir(tmp_path / "b" / stage))
+        assert sample in names and "manifest.json" in names
+        for name in names:
+            a = sha256_of_file(str(tmp_path / "a" / stage / name))
+            b = sha256_of_file(str(tmp_path / "b" / stage / name))
+            assert a == b, f"{stage}/{name}"
+
+
+def test_figures_all_reads_and_computes_each_cell_once(tmp_path,
+                                                       monkeypatch):
+    config = mini_config(str(tmp_path))
+    harness.cmd_quench(config)
+    harness.cmd_reconstruct(config)
+    fdir = tmp_path / "figures"
+    for which in ("fig2", "fig3", "fig4"):
+        harness.cmd_figures(config, which)
+    singles = {name: sha256_of_file(str(fdir / name))
+               for name in os.listdir(fdir)}
+    shutil.rmtree(fdir)
+
+    loads, gap_seeds = Counter(), Counter()
+    real_load, real_gaps = serialize.load_json, harness.gap_statistics
+
+    def counting_load(path):
+        loads[os.path.basename(path)] += 1
+        return real_load(path)
+
+    def counting_gaps(spectra, **kwargs):
+        gap_seeds[kwargs["seed"]] += 1
+        return real_gaps(spectra, **kwargs)
+
+    monkeypatch.setattr(serialize, "load_json", counting_load)
+    monkeypatch.setattr(harness, "gap_statistics", counting_gaps)
+    harness.cmd_figures(config, "all")
+    monkeypatch.undo()
+
+    assert {name: sha256_of_file(str(fdir / name))
+            for name in os.listdir(fdir)} == singles
+    assert len(singles) == 9  # six CSVs and three manifests
+    recon = [f"{harness.snapshot_tag(0, m, it)}_recon.json"
+             for m in range(2) for it in range(2)]
+    assert loads == Counter(recon)
+    cells = [harness.stat_seed(config, "gaps", kind, 0, it)
+             for kind in ("exact", "recon") for it in range(2)]
+    assert gap_seeds == Counter(cells)
 
 
 def test_cli_parses_and_runs(tmp_path, capsys):

@@ -142,6 +142,14 @@ def test_gap_statistics_need_three_levels():
     assert stats.sectors_used == 1
 
 
+def test_gap_statistics_reject_empty_bootstrap_and_histogram():
+    spec = EntanglementSpectrum(levels=np.array([0.0, 1.0, 3.0]))
+    for kwargs in ({"bootstrap": 0}, {"bootstrap": -5}, {"bins": 0}):
+        with pytest.raises(DomainError):
+            gap_statistics([spec], **kwargs)
+    assert gap_statistics([spec], bootstrap=1, bins=1).ratios.size == 1
+
+
 def test_reference_distributions_quick():
     poisson = reference_distribution("poisson", samples=20_000, seed=4, bootstrap=50)
     gue = reference_distribution("gue", samples=20_000, seed=4, bootstrap=50)

@@ -84,6 +84,9 @@ def test_basis_magnetization_filter():
     assert FockBasis(4, 2, sz_twice=0).dim == 4
     assert FockBasis(4, 2, sz_twice=2).dim == 1
     assert FockBasis(4, 2, sz_twice=-2).dim == 1
+    # a fifth mode has no spin partner; it must not be dropped silently
+    with pytest.raises(DomainError, match="even mode count"):
+        FockBasis(5, 1, sz_twice=1)
 
 
 def test_indices_of_rejects_non_members():

@@ -13,6 +13,7 @@ from fermiscope.measure import (
     PlanError,
     ShotRecord,
     TunnelingRotation,
+    apply_rotation,
     basis_seed,
     estimate_correlations,
     exact_records,
@@ -122,6 +123,21 @@ def test_exact_records_reproduce_four_point(rng):
     assert np.abs(c2.entries - measure_two_point(rho).entries).max() < 1e-12
     want = measure_four_point_connected(rho)
     assert np.abs(c4.entries - want.entries).max() < 1e-12
+
+
+def test_pure_states_are_not_measured():
+    # the protocol rotates and samples density matrices only
+    psi = paired_state()
+    plan = plan_bases(4, 1, shots_per_basis=10)
+    rot = TunnelingRotation((0, 1), "x", 0.3)
+    with pytest.raises(DomainError, match="StateVector"):
+        apply_rotation(psi, rot)
+    with pytest.raises(DomainError, match="StateVector"):
+        exact_records(psi, plan)
+    with pytest.raises(DomainError, match="StateVector"):
+        run_plan(psi, plan, 3)
+    rho = apply_rotation(pure_density(psi), rot)
+    assert np.trace(rho.elements).real == pytest.approx(1.0)
 
 
 def test_sampling_is_seed_deterministic():
