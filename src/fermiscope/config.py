@@ -79,6 +79,13 @@ class RunConfig:
                      "shots_per_basis"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1")
+        if not 0.0 < self.clamp < 0.5:
+            raise DomainError("clamp must lie in (0, 0.5)")
+        if not self.evolve_tol > 0.0:
+            raise DomainError("evolve_tol must be > 0")
+        for name in ("rank_cutoff", "degeneracy_tol"):
+            if not getattr(self, name) >= 0.0:
+                raise DomainError(f"{name} must be >= 0")
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         object.__setattr__(self, "u_values",
                            tuple(float(u) for u in self.u_values))

@@ -54,6 +54,9 @@ class TwoPointMatrix:
         return float(max(0.0, -w.min(), w.max() - 1.0))
 
     def validate(self, tol: float = HERMITICITY_TOL):
+        # a NaN defect compares False with tol, so test finiteness first
+        if not np.isfinite(self.entries).all():
+            raise DomainError("two-point matrix has non-finite entries")
         if self.hermiticity_defect() > tol:
             raise DomainError("two-point matrix is not Hermitian")
         if self.occupation_bound_defect() > tol:
@@ -90,6 +93,8 @@ class FourPointTensor:
         return float(np.abs(self.entries).max())
 
     def validate(self, tol: float = HERMITICITY_TOL):
+        if not np.isfinite(self.entries).all():
+            raise DomainError("four-point tensor has non-finite entries")
         if self.antisymmetry_defect() > tol:
             raise DomainError("four-point tensor breaks antisymmetry")
         if self.hermiticity_defect() > tol:
@@ -265,6 +270,8 @@ def diagonalize_two_point(
     fixed by making its largest-magnitude entry real positive, so repeated
     runs produce bit-identical frames.
     """
+    if not 0.0 < clamp < 0.5:
+        raise DomainError(f"occupation clamp {clamp} outside (0, 0.5)")
     c2.validate()
     herm = 0.5 * (c2.entries + c2.entries.conj().T)
     w, v = np.linalg.eigh(herm)

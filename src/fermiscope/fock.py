@@ -9,8 +9,9 @@ indices *descending* from left to right,
 
 so a ladder operator acting on mode ``i`` picks up the parity of all
 *higher* occupied modes.  :func:`ladder_map` is the one place that sign
-convention is written down: every ladder, hop, pair rotation and C2/C4
-chain in the package takes its signed index table from it.
+convention is written down: every ladder, hop, pair rotation, C2/C4
+chain and correction move takes its signed index table from it, except
+``reconstruct.delta_rho_decomposed``, the slow oracle that recounts them.
 
 The spinful lattice layout is mode = 2*site + spin (spin up = 0, down = 1);
 a subsystem of the first ``n`` sites is therefore the contiguous prefix of
@@ -304,7 +305,30 @@ def _hop_tables(mode_count, sector, sz_twice):
                     continue
                 parts.append((np.full(cols.size, i), np.full(cols.size, j),
                               rows, cols, signs))
-    table = (occ, *(np.concatenate(arr) for arr in zip(*parts)), leaks)
+    return _frozen((occ, *(np.concatenate(arr) for arr in zip(*parts)), leaks))
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_tables(mode_count):
+    """Ladder tables of every pair move c†_b1 c†_b2 c_a2 c_a1, built once.
+
+    Runs over disjoint pairs a1 < a2 (vacated) and b1 < b2 (filled) on the
+    unfiltered basis; with fewer than four modes every array is empty.
+    """
+    basis = FockBasis(mode_count)
+    parts = [(np.zeros(0, dtype=np.int64),) * 6 + (np.zeros(0),)]
+    for a1, a2 in combinations(range(mode_count), 2):
+        for b1, b2 in combinations(range(mode_count), 2):
+            if len({a1, a2, b1, b2}) == 4:
+                _, cols, rows, signs = ladder_map(basis, (
+                    (b1, "create"), (b2, "create"),
+                    (a2, "annihilate"), (a1, "annihilate")))
+                parts.append((*(np.full(cols.size, m) for m in (a1, a2, b1, b2)),
+                              rows, cols, signs))
+    return _frozen(tuple(np.concatenate(arr) for arr in zip(*parts)))
+
+
+def _frozen(table):
     for arr in table:
         arr.flags.writeable = False
     return table

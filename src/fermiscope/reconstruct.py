@@ -26,11 +26,13 @@ assembled state must return the inputs exactly under the descending-order
 string convention.  By construction rho_g + delta_rho is then Hermitian,
 has unit trace, and reproduces both C2 and C~4.
 
-The same correction decomposes into elementary terms I1 (diagonal), I2
-(single moves) and I3 (pair moves) with delta_rho = 2*sum I1 + 4*sum I2 +
-sum I3; :func:`delta_rho_decomposed` builds the three partial sums by
-looping over tensor indices instead of matrix elements, which gives an
-independent cross-check of all combinatorial phases.
+:func:`delta_rho` reads these signs from cached ``fock.ladder_map``
+tables: that of the hop c†_k c_j for single moves and of c†_k c†_l c_j c_i
+for pair moves.  The same correction decomposes into elementary terms I1
+(diagonal), I2 (single moves) and I3 (pair moves) with delta_rho =
+2*sum I1 + 4*sum I2 + sum I3; :func:`delta_rho_decomposed` builds the three
+partial sums by looping over tensor indices and counting phi from bit
+masks, an independent cross-check of all combinatorial phases.
 
 Because the ansatz is linear in C~4 it can leave small negative
 eigenvalues; :func:`project_positive` maps the spectrum to the closest
@@ -42,13 +44,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 import scipy.linalg
 
-from . import serialize
+from . import fock, serialize
 from .correlations import (
+    OCCUPATION_CLAMP,
     DiagonalFrame,
     FourPointTensor,
     TwoPointMatrix,
@@ -64,14 +66,9 @@ class AnsatzValidityWarning(UserWarning):
     """The four-point tensor is large enough to strain the linear ansatz."""
 
 
-def _occupation_table(basis: FockBasis) -> np.ndarray:
-    n = basis.mode_count
-    return ((basis.states[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-
-
-def _f_table(basis: FockBasis, g: np.ndarray) -> np.ndarray:
-    """f_p = n_p g_p + (1 - n_p)(1 - g_p) for every basis state (rows)."""
-    occ = _occupation_table(basis)
+def _f_table(n_modes: int, g: np.ndarray) -> np.ndarray:
+    """f_p = n_p g_p + (1 - n_p)(1 - g_p) for every unfiltered basis state (rows)."""
+    occ = fock._hop_tables(n_modes, None, None)[0]
     return occ * g[None, :] + (1.0 - occ) * (1.0 - g[None, :])
 
 
@@ -95,8 +92,7 @@ class GaussianState:
 
 
 def gaussian_state(frame: DiagonalFrame) -> GaussianState:
-    basis = FockBasis(frame.n_modes)
-    weights = _f_table(basis, frame.occupations).prod(axis=1)
+    weights = _f_table(frame.n_modes, frame.occupations).prod(axis=1)
     return GaussianState(frame=frame, weights=weights)
 
 
@@ -166,12 +162,10 @@ def delta_rho(
             AnsatzValidityWarning,
             stacklevel=2,
         )
-    basis = FockBasis(n_modes)
-    g = frame.occupations
-    f = _f_table(basis, g)
+    occ, k, j, rows, cols, signs, _ = fock._hop_tables(n_modes, None, None)
+    f = _f_table(n_modes, frame.occupations)
     w = f.prod(axis=1)
-    occ = _occupation_table(basis)
-    delta = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    delta = np.zeros((w.size, w.size), dtype=np.complex128)
 
     # dH = 0: quadratic form in (-1)^{n_p} / f_p with kernel C~4_ijji.
     # Coincident-index entries vanish by antisymmetry but carry float
@@ -182,51 +176,21 @@ def delta_rho(
     x = (1.0 - 2.0 * occ) / f
     np.fill_diagonal(delta, 0.5 * w * np.einsum("np,pq,nq->n", x, kernel, x))
 
-    # single-move tensor C~4_ijik and inside-interval lookup
+    # single moves j -> k: the hop c†_k c_j, weighted by sum_i x_i C~4_ijik
     t2 = np.einsum("ijik->ijk", t).copy()
-    for p in range(n_modes):
-        t2[p, p, :] = 0.0
-        t2[p, :, p] = 0.0
     modes = np.arange(n_modes)
-    states = basis.states
-    for col in range(basis.dim):
-        bits = int(states[col])
-        f_col = f[col]
-        inv_f = 1.0 / f_col
-        x_col = x[col]
-        w_col = w[col]
-        occupied = [p for p in range(n_modes) if (bits >> p) & 1]
-        empty = [p for p in range(n_modes) if not (bits >> p) & 1]
+    t2[modes, modes, :] = t2[modes, :, modes] = 0.0
+    inv_f = 1.0 / f
+    move = (x @ t2.reshape(n_modes, n_modes * n_modes))[cols, j * n_modes + k]
+    # each element takes exactly one move, so += and -= write into zeros
+    delta[rows, cols] += w[cols] * signs * move * inv_f[cols, j] * inv_f[cols, k]
 
-        for j in occupied:
-            for k in empty:
-                lo, hi = (j, k) if j < k else (k, j)
-                mask = _between_mask(lo, hi)
-                base = 1.0 - 2.0 * (popcount(bits & mask) & 1)
-                move_sum = x_col @ t2[:, j, k]
-                row = basis.index_of(bits ^ ((1 << j) | (1 << k)))
-                delta[row, col] += w_col * base * move_sum * inv_f[j] * inv_f[k]
-
-        # pair moves; the leading minus is fixed by requiring that the
-        # assembled state reproduce the disjoint-index moments under the
-        # descending-order string convention
-        for a1, a2 in combinations(occupied, 2):
-            vac = (1 << a1) | (1 << a2)
-            for b1, b2 in combinations(empty, 2):
-                fill = (1 << b1) | (1 << b2)
-                phi = popcount(bits & _between_mask(a1, a2) & ~fill)
-                phi += popcount(bits & _between_mask(b1, b2) & ~vac)
-                phase = 1.0 - 2.0 * (phi & 1)
-                row = basis.index_of(bits ^ vac ^ fill)
-                delta[row, col] -= (
-                    w_col
-                    * phase
-                    * t[a1, a2, b1, b2]
-                    * inv_f[a1]
-                    * inv_f[a2]
-                    * inv_f[b1]
-                    * inv_f[b2]
-                )
+    # pair moves {a1 < a2} -> {b1 < b2}; the leading minus is fixed by
+    # requiring that the assembled state reproduce the disjoint-index
+    # moments under the descending-order string convention
+    a1, a2, b1, b2, rows, cols, signs = fock._pair_tables(n_modes)
+    delta[rows, cols] -= (w[cols] * signs * t[a1, a2, b1, b2] * inv_f[cols, a1]
+                          * inv_f[cols, a2] * inv_f[cols, b1] * inv_f[cols, b2])
 
     correction = NonGaussianCorrection(frame=frame, elements=delta)
     if correction.hermiticity_defect() > 1e-12:
@@ -254,7 +218,7 @@ def delta_rho_decomposed(c4_frame: FourPointTensor, frame: DiagonalFrame):
     t = c4_frame.entries
     n_modes = frame.n_modes
     basis = FockBasis(n_modes)
-    f = _f_table(basis, frame.occupations)
+    f = _f_table(n_modes, frame.occupations)
     states = basis.states
     dim = basis.dim
 
@@ -409,15 +373,12 @@ class ReconstructedState:
 def reconstruct_state(
     c2: TwoPointMatrix,
     c4: FourPointTensor,
-    clamp: float | None = None,
+    clamp: float = OCCUPATION_CLAMP,
     warn_threshold: float = ANSATZ_WARN_THRESHOLD,
 ) -> ReconstructedState:
     """Full pipeline: frame, Gaussian reference, correction, projection."""
     c4.validate()
-    if clamp is None:
-        frame = diagonalize_two_point(c2)
-    else:
-        frame = diagonalize_two_point(c2, clamp=clamp)
+    frame = diagonalize_two_point(c2, clamp=clamp)
     c4_frame = rotate_four_point(c4, frame)
     gauss = gaussian_state(frame)
     correction = delta_rho(c4_frame, frame, warn_threshold=warn_threshold)

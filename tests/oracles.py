@@ -1,6 +1,8 @@
 """Slow, obviously-correct Fock-space helpers that the fast kernels are checked against."""
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from fermiscope.fock import (
@@ -11,6 +13,7 @@ from fermiscope.fock import (
     ladder_matrix,
     popcount,
 )
+from fermiscope.reconstruct import _between_mask
 
 
 def hamming_distance(m: OccupationBitstring, n: OccupationBitstring) -> int:
@@ -24,7 +27,8 @@ def occupation_phase(i: int, j: int, excluded, n: OccupationBitstring | int) -> 
     """Count occupied modes strictly between ``i`` and ``j``, skipping ``excluded``.
 
     Symmetric in i <-> j.  A mode-by-mode count of the string phases that
-    ``reconstruct.delta_rho`` takes from ``_between_mask`` bit masks.
+    ``reconstruct.delta_rho_decomposed`` takes from ``_between_mask`` bit
+    masks.
     """
     if i == j:
         raise DomainError("occupation phase needs two distinct modes")
@@ -133,3 +137,59 @@ def same_bits(a, b) -> bool:
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     b = np.atleast_1d(np.asarray(b, dtype=complex))
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def delta_rho_loop(c4_frame, frame) -> np.ndarray:
+    """Elements of ``reconstruct.delta_rho`` by a loop over column states.
+
+    Every single move j -> k and pair move {a1 < a2} -> {b1 < b2} of each
+    column pattern is visited in turn, and its string phase is counted
+    from ``_between_mask`` bit masks rather than read from a ladder table.
+    """
+    t = c4_frame.entries
+    n_modes = frame.n_modes
+    basis = FockBasis(n_modes)
+    g = frame.occupations
+    occ = ((basis.states[:, None] >> np.arange(n_modes)[None, :]) & 1).astype(float)
+    f = occ * g[None, :] + (1.0 - occ) * (1.0 - g[None, :])
+    w = f.prod(axis=1)
+    delta = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+
+    kernel = np.einsum("ijji->ij", t).copy()
+    np.fill_diagonal(kernel, 0.0)
+    x = (1.0 - 2.0 * occ) / f
+    np.fill_diagonal(delta, 0.5 * w * np.einsum("np,pq,nq->n", x, kernel, x))
+
+    t2 = np.einsum("ijik->ijk", t).copy()
+    for p in range(n_modes):
+        t2[p, p, :] = 0.0
+        t2[p, :, p] = 0.0
+    for col in range(basis.dim):
+        bits = int(basis.states[col])
+        inv_f = 1.0 / f[col]
+        x_col = x[col]
+        w_col = w[col]
+        occupied = [p for p in range(n_modes) if (bits >> p) & 1]
+        empty = [p for p in range(n_modes) if not (bits >> p) & 1]
+
+        for j in occupied:
+            for k in empty:
+                lo, hi = (j, k) if j < k else (k, j)
+                base = 1.0 - 2.0 * (popcount(bits & _between_mask(lo, hi)) & 1)
+                move_sum = x_col @ t2[:, j, k]
+                row = basis.index_of(bits ^ ((1 << j) | (1 << k)))
+                delta[row, col] += w_col * base * move_sum * inv_f[j] * inv_f[k]
+
+        for a1, a2 in combinations(occupied, 2):
+            vac = (1 << a1) | (1 << a2)
+            for b1, b2 in combinations(empty, 2):
+                fill = (1 << b1) | (1 << b2)
+                phi = popcount(bits & _between_mask(a1, a2) & ~fill)
+                phi += popcount(bits & _between_mask(b1, b2) & ~vac)
+                phase = 1.0 - 2.0 * (phi & 1)
+                row = basis.index_of(bits ^ vac ^ fill)
+                delta[row, col] -= (
+                    w_col * phase * t[a1, a2, b1, b2]
+                    * inv_f[a1] * inv_f[a2] * inv_f[b1] * inv_f[b2]
+                )
+    return delta

@@ -73,8 +73,20 @@ def test_config_guards(tmp_path):
     for name in ("bootstrap_resamples", "histogram_bins", "shots_per_basis"):
         with pytest.raises(DomainError, match=name):
             mini_config(str(tmp_path)).override(**{name: 0})
+    bad_values = {"clamp": (-1.0, 0.0, 0.5, 0.6), "evolve_tol": (0.0, -1e-10),
+                  "rank_cutoff": (-1e-12,), "degeneracy_tol": (-1e-10,)}
+    for name, values in bad_values.items():
+        for value in values:
+            with pytest.raises(DomainError, match=name):
+                mini_config(str(tmp_path)).override(**{name: value})
     with pytest.warns(ConfigWarning):
         mini_config(str(tmp_path)).override(subsystem_sites=3)
+
+
+def test_validate_battery_passes(capsys):
+    assert cli.main(["validate"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len([line for line in lines if line.startswith("[ ok ]")]) == 12
 
 
 def test_run_summary_drops_execution_details(tmp_path):

@@ -77,6 +77,9 @@ def test_two_point_validation():
         TwoPointMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])).validate()
     with pytest.raises(DomainError):
         TwoPointMatrix(np.diag([1.5, 0.0])).validate()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            TwoPointMatrix(np.diag([0.3, bad])).validate()
     TwoPointMatrix(np.diag([0.3, 0.7])).validate()
 
 
@@ -85,6 +88,11 @@ def test_four_point_validation(rng):
     good.validate()
     with pytest.raises(DomainError):
         FourPointTensor(np.ones((3, 3, 3, 3))).validate()
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        t = good.entries.copy()
+        t[0, 1, 2, 0] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            FourPointTensor(t).validate()
 
 
 def test_diagonalize_orders_descending():
@@ -99,6 +107,9 @@ def test_diagonalize_clamps_pure_occupations():
     frame = diagonalize_two_point(TwoPointMatrix(c2))
     assert frame.occupations[0] == pytest.approx(1.0 - 1e-10, abs=1e-16)
     assert frame.occupations[1] == pytest.approx(1e-10, abs=1e-16)
+    for clamp in (0.0, -1.0, 0.5, 0.6, np.nan):
+        with pytest.raises(DomainError, match="clamp"):
+            diagonalize_two_point(TwoPointMatrix(c2), clamp=clamp)
 
 
 def test_diagonalize_recovers_frame(rng):

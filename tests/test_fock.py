@@ -21,7 +21,8 @@ from fermiscope.fock import (
     quadratic_operator,
     sector_dimension,
 )
-from fermiscope.reconstruct import _between_mask
+from fermiscope.reconstruct import _between_mask, delta_rho
+from fermiscope.validate import random_frame, random_valid_tensor
 
 from conftest import paired_state
 from oracles import (
@@ -325,6 +326,46 @@ def test_evicting_hop_tables_keeps_values(rng, monkeypatch):
             assert same_bits(quadratic_operator(FockBasis(*k), h), w)
     assert tiny.cache_info().currsize == 1
     assert tiny.cache_info().misses == 2 * len(keys)
+
+
+def test_pair_tables_are_shared_and_read_only():
+    a = fock._pair_tables(6)
+    assert fock._pair_tables(6) is a
+    for arr in a:
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        a[6][0] = 0.0
+    assert fock._pair_tables(5) is not a
+    # fewer than four modes hold no disjoint pairs
+    for n in (2, 3):
+        assert all(arr.size == 0 for arr in fock._pair_tables(n))
+
+
+def test_pair_table_signs_count_like_occupation_phase():
+    basis = FockBasis(6)
+    a1, a2, b1, b2, rows, cols, signs = fock._pair_tables(6)
+    assert len({*zip(rows.tolist(), cols.tolist())}) == cols.size
+    for m in range(cols.size):
+        bits = int(basis.states[cols[m]])
+        vac, fill = {int(a1[m]), int(a2[m])}, {int(b1[m]), int(b2[m])}
+        assert a1[m] < a2[m] and b1[m] < b2[m] and not vac & fill
+        assert int(basis.states[rows[m]]) == bits ^ sum(1 << p for p in vac | fill)
+        phi = (occupation_phase(a1[m], a2[m], fill, bits)
+               + occupation_phase(b1[m], b2[m], vac, bits))
+        assert signs[m] == (-1.0) ** phi
+
+
+def test_evicting_pair_tables_keeps_values(rng, monkeypatch):
+    sizes = (2, 4, 3, 6)
+    cases = [(random_valid_tensor(rng, n), random_frame(rng, n)) for n in sizes]
+    want = [delta_rho(t, frame).elements for t, frame in cases]
+    tiny = functools.lru_cache(maxsize=1)(fock._pair_tables.__wrapped__)
+    monkeypatch.setattr(fock, "_pair_tables", tiny)
+    for _ in range(2):
+        for (t, frame), w in zip(cases, want):
+            assert same_bits(delta_rho(t, frame).elements, w)
+    assert tiny.cache_info().currsize == 1
+    assert tiny.cache_info().misses == 2 * len(sizes)
 
 
 def test_between_mask_counts_like_occupation_phase():

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from fermiscope.correlations import (
+    FourPointTensor,
     TwoPointMatrix,
     diagonalize_two_point,
     measure_four_point_connected,
@@ -28,6 +29,7 @@ from fermiscope.reconstruct import (
 from fermiscope.validate import random_frame, random_valid_tensor
 
 from conftest import quench_snapshot
+from oracles import delta_rho_loop, same_bits
 
 
 def simplex_projection_oracle(v: np.ndarray) -> np.ndarray:
@@ -88,8 +90,30 @@ def test_correction_survives_near_pure_modes(rng):
     assert np.abs(corr.elements - corr.elements.conj().T).max() < 1e-12
 
 
+def test_correction_matches_loop_oracle_bit_for_bit(rng):
+    for n_modes in (2, 3, 4, 6, 8):
+        for _ in range(2):
+            t = random_valid_tensor(rng, n_modes)
+            frame = random_frame(rng, n_modes)
+            assert same_bits(delta_rho(t, frame).elements, delta_rho_loop(t, frame))
+    # a t = 0 quench snapshot is exactly Gaussian: C4 sits at the ulp level
+    # and a clamped occupation puts 1/f ~ 1e10 on it
+    _, c2, c4 = quench_snapshot(4, 0.05, 0.0, 4, seed=31)
+    assert np.abs(c4.entries).max() < 1e-15
+    frame = diagonalize_two_point(c2)
+    c4_frame = rotate_four_point(c4, frame)
+    assert same_bits(delta_rho(c4_frame, frame).elements, delta_rho_loop(c4_frame, frame))
+    # every move through a mode the tensor never touches is an exact zero,
+    # negative under a negative string sign until it lands in delta as +0
+    t = random_valid_tensor(rng, 5).entries.copy()
+    t[4], t[:, 4], t[:, :, 4], t[:, :, :, 4] = 0.0, 0.0, 0.0, 0.0
+    t = FourPointTensor(t)
+    frame = random_frame(rng, 5)
+    assert same_bits(delta_rho(t, frame).elements, delta_rho_loop(t, frame))
+
+
 def test_term_decomposition_matches_construction(rng):
-    for n_modes in (3, 4):
+    for n_modes in (2, 3, 4, 6, 8):
         t = random_valid_tensor(rng, n_modes)
         frame = random_frame(rng, n_modes)
         i1, i2, i3 = delta_rho_decomposed(t, frame)
