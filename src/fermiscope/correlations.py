@@ -252,6 +252,9 @@ class DiagonalFrame:
         eye = self.rotation.conj().T @ self.rotation
         if np.abs(eye - np.eye(n)).max() > 1e-12:
             raise DomainError("frame rotation is not unitary")
+        # a pure occupation makes the 1/f factors of delta_rho infinite
+        if not np.all((self.occupations > 0.0) & (self.occupations < 1.0)):
+            raise DomainError("frame occupations must lie strictly inside (0, 1)")
         if np.any(np.diff(self.occupations) > 1e-12):
             raise DomainError("frame occupations must be sorted descending")
 

@@ -8,9 +8,11 @@ but the pair bilinears
     Sz_ij = 1/2 (n_i - n_j)
 
 close an su(2) algebra, so a half-turn tunneling pulse about one axis
-rotates another onto Sz, which *is* an occupation difference.  The exact
-pulse (axis, angle) used for each readout is derived numerically at
-import time by conjugating Sz through candidate rotations on a dedicated
+rotates another onto Sz, which *is* an occupation difference.  Every
+pulse acts through one kernel, :func:`apply_rotation`, which mixes the
+partner doublets of the density matrix in place of a unitary matrix.  The
+exact pulse (axis, angle) used for each readout is derived numerically on
+first use by conjugating Sz through candidate rotations on a dedicated
 two-mode system, not hard-coded; see :func:`readout_rules`.
 
 Everything reduces to occupation statistics in a planned set of bases:
@@ -34,7 +36,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse
 
 from . import serialize
 from .correlations import FourPointTensor, TwoPointMatrix
@@ -90,61 +91,43 @@ def pair_operator(basis: FockBasis, pair: tuple[int, int], axis: str) -> np.ndar
     return quadratic_operator(basis, h)
 
 
-def _pair_block_arrays(basis: FockBasis, pair: tuple[int, int]):
-    """Partner-state indices and string signs for one mode pair.
+def apply_rotation(state: DensityMatrix, rot: TunnelingRotation) -> DensityMatrix:
+    """Rotate a DensityMatrix by one tunneling pulse, U rho U+.
 
-    Returns (idx_i_occ, idx_j_occ, sign): the table of c†_j c_i, which
-    pairs each basis state with mode i occupied and mode j empty with its
-    partner and the string sign between them.
+    The generator squares to 1/4 on each partner doublet of c+_j c_i, so
+    U = cos(t/2) - i sin(t/2) (2S) mixes the rows, then the columns, of
+    each doublet and leaves every other state alone.
     """
-    i, j = pair
-    target, sel, partner, sign = ladder_map(basis, ((j, "create"), (i, "annihilate")))
-    if target is not basis and sel.size:
+    if not isinstance(state, DensityMatrix):
+        raise DomainError(f"cannot rotate {type(state).__name__}")
+    i, j = rot.pair
+    target, sel, partner, sign = ladder_map(
+        state.basis, ((j, "create"), (i, "annihilate")))
+    if target is not state.basis and sel.size:
         raise DomainError(
             "rotation partner states fall outside the basis; use a full or "
             "fixed-N basis"
         )
-    return sel, partner, sign
-
-
-def rotation_matrix(basis: FockBasis, rot: TunnelingRotation) -> scipy.sparse.csr_matrix:
-    """Sparse unitary of one tunneling rotation with exact string signs.
-
-    The generator squares to 1/4 on each partner doublet, so the block
-    closed form exp(-i t S) = cos(t/2) - i sin(t/2) (2S) is exact.
-    """
-    i, j = rot.pair
-    if max(i, j) >= basis.mode_count:
-        raise DomainError("rotation pair exceeds the mode count")
-    sel, partner, sign = _pair_block_arrays(basis, (i, j))
     c = math.cos(0.5 * rot.angle)
     s = math.sin(0.5 * rot.angle)
-    diag = np.ones(basis.dim, dtype=np.complex128)
-    diag[sel] = c
-    diag[partner] = c
-    rows = [np.arange(basis.dim), partner, sel]
-    cols = [np.arange(basis.dim), sel, partner]
     if rot.axis == "x":
         # 2S^x doublet element is the string sign on both corners
-        data = [diag, -1j * s * sign, -1j * s * sign]
+        u_ps = u_sp = -1j * s * sign
     else:
         # 2S^y doublet is [[0, -i sgn], [+i sgn, 0]] with row/col order
         # (i occupied, j occupied); multiplying by -i makes it real
-        data = [diag, s * sign, -s * sign]
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.dim, basis.dim),
-    )
-    return mat.tocsr()
-
-
-def apply_rotation(state: DensityMatrix,
-                   rot: TunnelingRotation) -> DensityMatrix:
-    """Rotate a DensityMatrix by one tunneling pulse."""
-    if not isinstance(state, DensityMatrix):
-        raise DomainError(f"cannot rotate {type(state).__name__}")
-    u = rotation_matrix(state.basis, rot)
-    return DensityMatrix(state.basis, u @ state.elements @ u.conj().T)
+        u_ps, u_sp = s * sign, -s * sign
+    # u_ps = U[partner, sel] and u_sp = U[sel, partner]
+    rho = state.elements.copy()
+    top, bottom = rho[sel], rho[partner]
+    rho[sel] = c * top + u_sp[:, None] * bottom
+    rho[partner] = c * bottom + u_ps[:, None] * top
+    left, right = rho[:, sel], rho[:, partner]
+    rho[:, sel] = left * c + right * u_sp.conj()
+    rho[:, partner] = right * c + left * u_ps.conj()
+    # a sparse product sums from +0, so no element of it is -0; keep that
+    rho += 0.0
+    return DensityMatrix(state.basis, rho)
 
 
 @lru_cache(maxsize=1)
@@ -162,9 +145,9 @@ def readout_rules() -> dict:
     for target, partner_axis in (("x", "y"), ("y", "x")):
         want = pair_operator(basis, (0, 1), target)
         for angle in (HALF_TURN, -HALF_TURN):
-            rot = TunnelingRotation(pair=(0, 1), axis=partner_axis, angle=angle)
-            u = rotation_matrix(basis, rot).toarray()
-            got = u.conj().T @ sz @ u
+            # U+ Sz U is Sz turned by the same pulse with the angle reversed
+            back = TunnelingRotation(pair=(0, 1), axis=partner_axis, angle=-angle)
+            got = apply_rotation(DensityMatrix(basis, sz), back).elements
             if np.abs(got - want).max() < 1e-12:
                 rules[target] = (partner_axis, angle)
                 break
@@ -293,8 +276,16 @@ class ShotRecord:
     counts: dict
 
     def __post_init__(self):
-        total = sum(self.counts.values())
+        # records are also read back from files, so every field is checked
+        if not self.shots >= 1:
+            raise DomainError(f"a shot record needs at least one shot, not {self.shots}")
+        if self.counts and not 0 <= min(self.counts) <= max(self.counts) < 1 << self.mode_count:
+            raise DomainError(f"bit patterns outside {self.mode_count} modes")
         # float counts are allowed so exact Born weights can pose as records
+        counts = np.fromiter(self.counts.values(), dtype=float, count=len(self.counts))
+        if not np.all((counts >= 0.0) & (counts < math.inf)):
+            raise DomainError("shot counts must be finite and non-negative")
+        total = sum(self.counts.values())
         if abs(total - self.shots) > 1e-9 * max(1.0, self.shots):
             raise DomainError("shot counts do not sum to the shot number")
 
@@ -320,7 +311,7 @@ def sample_occupations(state, mbasis: MeasurementBasis, shots: int,
         raise DomainError("need at least one shot")
     probs = _born_weights(state, mbasis)
     total = probs.sum()
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= 1e-8:
         raise DomainError(f"sampling weights sum to {total:.6g}, not 1")
     probs /= total
     rng = np.random.default_rng(seed)

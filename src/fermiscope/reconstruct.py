@@ -193,9 +193,10 @@ def delta_rho(
                           * inv_f[cols, a2] * inv_f[cols, b1] * inv_f[cols, b2])
 
     correction = NonGaussianCorrection(frame=frame, elements=delta)
-    if correction.hermiticity_defect() > 1e-12:
+    # written as "not <=" so that a NaN element fails both checks
+    if not correction.hermiticity_defect() <= 1e-12:
         raise DomainError("constructed correction is not Hermitian")
-    if abs(correction.trace) > 1e-12:
+    if not abs(correction.trace) <= 1e-12:
         raise DomainError("constructed correction is not traceless")
     return correction
 

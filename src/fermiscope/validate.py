@@ -24,11 +24,11 @@ from .entanglement import gaussian_companion, non_gaussianity, reference_distrib
 from .fock import FockBasis, StateVector, ladder_matrix, partial_trace
 from .measure import (
     TunnelingRotation,
+    apply_rotation,
     estimate_correlations,
     exact_records,
     pair_operator,
     plan_bases,
-    rotation_matrix,
 )
 from .model import (
     HubbardParams,
@@ -177,17 +177,18 @@ def _check_simplex() -> tuple[float, str]:
 def _check_pulses() -> tuple[float, str]:
     basis = FockBasis(4)
     rng = np.random.default_rng(3)
+    rho = random_mixed_state(rng, 4)
     worst = 0.0
     for axis in ("x", "y"):
         for _ in range(4):
             i, j = sorted(rng.choice(4, size=2, replace=False))
             angle = float(rng.uniform(-3.0, 3.0))
             rot = TunnelingRotation((int(i), int(j)), axis, angle)
-            fast = rotation_matrix(basis, rot).toarray()
-            slow = scipy.linalg.expm(
+            fast = apply_rotation(rho, rot).elements
+            u = scipy.linalg.expm(
                 -1j * angle * pair_operator(basis, (int(i), int(j)), axis))
-            worst = max(worst, float(np.abs(fast - slow).max()))
-    return worst, "closed form vs matrix exponential"
+            worst = max(worst, float(np.abs(fast - u @ rho.elements @ u.conj().T).max()))
+    return worst, "doublet mixing vs matrix exponential"
 
 
 def _check_estimators() -> tuple[float, str]:

@@ -1,15 +1,19 @@
 """Slow, obviously-correct Fock-space helpers that the fast kernels are checked against."""
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse
 
 from fermiscope.fock import (
+    DensityMatrix,
     DomainError,
     FockBasis,
     OccupationBitstring,
     StateVector,
+    ladder_map,
     ladder_matrix,
     popcount,
 )
@@ -134,8 +138,8 @@ def trace_chain_walk(rho, ops) -> complex:
 
 def same_bits(a, b) -> bool:
     """Equal arrays down to the sign of every zero."""
-    a = np.atleast_1d(np.asarray(a, dtype=complex))
-    b = np.atleast_1d(np.asarray(b, dtype=complex))
+    a = np.ascontiguousarray(np.atleast_1d(np.asarray(a, dtype=complex)))
+    b = np.ascontiguousarray(np.atleast_1d(np.asarray(b, dtype=complex)))
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
@@ -193,3 +197,40 @@ def delta_rho_loop(c4_frame, frame) -> np.ndarray:
                     * inv_f[a1] * inv_f[a2] * inv_f[b1] * inv_f[b2]
                 )
     return delta
+
+
+def rotation_matrix_sparse(basis: FockBasis, rot) -> scipy.sparse.csr_matrix:
+    """Sparse unitary of one tunneling rotation with exact string signs.
+
+    The generator squares to 1/4 on each partner doublet, so the block
+    closed form exp(-i t S) = cos(t/2) - i sin(t/2) (2S) is exact.
+    """
+    i, j = rot.pair
+    target, sel, partner, sign = ladder_map(basis, ((j, "create"), (i, "annihilate")))
+    if target is not basis and sel.size:
+        raise DomainError("rotation partner states fall outside the basis")
+    c = math.cos(0.5 * rot.angle)
+    s = math.sin(0.5 * rot.angle)
+    diag = np.ones(basis.dim, dtype=np.complex128)
+    diag[sel] = c
+    diag[partner] = c
+    rows = [np.arange(basis.dim), partner, sel]
+    cols = [np.arange(basis.dim), sel, partner]
+    if rot.axis == "x":
+        # 2S^x doublet element is the string sign on both corners
+        data = [diag, -1j * s * sign, -1j * s * sign]
+    else:
+        # 2S^y doublet is [[0, -i sgn], [+i sgn, 0]] with row/col order
+        # (i occupied, j occupied); multiplying by -i makes it real
+        data = [diag, s * sign, -s * sign]
+    mat = scipy.sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(basis.dim, basis.dim),
+    )
+    return mat.tocsr()
+
+
+def apply_rotation_sparse(state: DensityMatrix, rot) -> DensityMatrix:
+    """U rho U+ as two sparse-dense products with the sparse unitary."""
+    u = rotation_matrix_sparse(state.basis, rot)
+    return DensityMatrix(state.basis, u @ state.elements @ u.conj().T)

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from fermiscope.correlations import measure_four_point_connected, measure_two_point
-from fermiscope.fock import DomainError, FockBasis
+from fermiscope.fock import DensityMatrix, DomainError, FockBasis
 from fermiscope.measure import (
     CoverageError,
     MeasurementBasis,
@@ -22,13 +22,14 @@ from fermiscope.measure import (
     plan_bases,
     readout_rotation,
     readout_rules,
-    rotation_matrix,
     run_plan,
+    sample_occupations,
     save_shot_records,
 )
 from fermiscope.validate import random_mixed_state
 
 from conftest import bell_pair, paired_state, pure_density
+from oracles import apply_rotation_sparse, same_bits
 
 
 def test_readout_rules_frozen():
@@ -39,24 +40,65 @@ def test_readout_rules_frozen():
     assert axis == "x" and angle == pytest.approx(np.pi / 2)
 
 
-def test_rotation_matrix_matches_exponential(rng):
+def test_apply_rotation_matches_exponential(rng):
     basis = FockBasis(4)
+    mixed = random_mixed_state(rng, 4).elements
+    general = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(
+        size=(basis.dim, basis.dim))
     for axis in ("x", "y"):
         for _ in range(3):
             i, j = sorted(int(x) for x in rng.choice(4, size=2, replace=False))
             angle = float(rng.uniform(-3.0, 3.0))
             rot = TunnelingRotation((i, j), axis, angle)
-            fast = rotation_matrix(basis, rot).toarray()
-            slow = scipy.linalg.expm(-1j * angle * pair_operator(basis, (i, j), axis))
-            assert np.abs(fast - slow).max() < 1e-12
-            assert np.abs(fast.conj().T @ fast - np.eye(basis.dim)).max() < 1e-12
+            u = scipy.linalg.expm(-1j * angle * pair_operator(basis, (i, j), axis))
+            for mat in (mixed, general):
+                got = apply_rotation(DensityMatrix(basis, mat), rot).elements
+                assert np.abs(got - u @ mat @ u.conj().T).max() < 1e-12
+                assert abs(np.trace(got) - np.trace(mat)) < 1e-12
+
+
+def test_apply_rotation_matches_sparse_oracle_bit_for_bit(rng):
+    def same_as_oracle(rho, rotations):
+        fast = slow = rho
+        for rot in rotations:
+            fast = apply_rotation(fast, rot)
+            slow = apply_rotation_sparse(slow, rot)
+        return same_bits(fast.elements, slow.elements)
+
+    for n_modes in (2, 4, 6):
+        basis = FockBasis(n_modes)
+        # rows of -0, which the sparse products never return
+        signed = random_mixed_state(rng, n_modes).elements
+        signed[::3] = complex(-0.0, -0.0)
+        states = [
+            random_mixed_state(rng, n_modes),
+            DensityMatrix(basis, np.eye(basis.dim)),
+            DensityMatrix(basis, np.diag(rng.uniform(size=basis.dim))),
+            DensityMatrix(basis, signed),
+        ]
+        # every basis of the plan: single rotations, and double rotations
+        # once four modes allow an order-2 plan
+        plan = plan_bases(n_modes, 2 if n_modes >= 4 else 1)
+        for rho in states:
+            for angle in (0.0, 0.4, -2.9):
+                for axis in ("x", "y"):
+                    rot = TunnelingRotation((0, n_modes - 1), axis, angle)
+                    assert same_as_oracle(rho, [rot])
+            for mbasis in plan.bases:
+                assert same_as_oracle(rho, mbasis.rotations), mbasis.key
+    fixed = FockBasis(6, 3)
+    a = rng.normal(size=(fixed.dim, fixed.dim)) + 1j * rng.normal(size=(fixed.dim, fixed.dim))
+    rho = DensityMatrix(fixed, a @ a.conj().T / np.trace(a @ a.conj().T))
+    for mbasis in plan_bases(6, 2).bases:
+        assert same_as_oracle(rho, mbasis.rotations), mbasis.key
 
 
 def test_rotation_rejects_partners_outside_the_basis():
     # the pair-(0, 1) partner of |1001> is |1010>, which has 2 Sz = 2
     basis = FockBasis(4, 2, sz_twice=0)
+    rho = DensityMatrix(basis, np.eye(basis.dim) / basis.dim)
     with pytest.raises(DomainError, match="outside the basis"):
-        rotation_matrix(basis, TunnelingRotation((0, 1), "x", 0.3))
+        apply_rotation(rho, TunnelingRotation((0, 1), "x", 0.3))
 
 
 def test_rotation_validation():
@@ -115,14 +157,15 @@ def test_exact_records_reproduce_two_point():
 
 
 def test_exact_records_reproduce_four_point(rng):
-    rho = random_mixed_state(rng, 4)
-    plan = plan_bases(4, 2)
-    records = exact_records(rho, plan)
-    c2, _ = estimate_correlations(plan, records, order=1)
-    c4, _ = estimate_correlations(plan, records, order=2)
-    assert np.abs(c2.entries - measure_two_point(rho).entries).max() < 1e-12
-    want = measure_four_point_connected(rho)
-    assert np.abs(c4.entries - want.entries).max() < 1e-12
+    for n_modes in (4, 6):
+        rho = random_mixed_state(rng, n_modes)
+        plan = plan_bases(n_modes, 2)
+        records = exact_records(rho, plan)
+        c2, _ = estimate_correlations(plan, records, order=1)
+        c4, _ = estimate_correlations(plan, records, order=2)
+        assert np.abs(c2.entries - measure_two_point(rho).entries).max() < 1e-12
+        want = measure_four_point_connected(rho)
+        assert np.abs(c4.entries - want.entries).max() < 1e-12
 
 
 def test_pure_states_are_not_measured():
@@ -162,9 +205,26 @@ def test_estimates_tighten_with_shots():
 
 
 def test_shot_record_count_validation():
-    with pytest.raises(DomainError):
-        ShotRecord(basis_id=0, key=("identity",), mode_count=2, shots=10,
-                   counts={0: 4, 3: 5})
+    bad = [
+        (10, {0: 4, 3: 5}),          # counts miss the shot number
+        (10, {0: 13, 3: -3}),        # a negative count
+        (10, {7: 10}),               # pattern 7 needs three modes
+        (10, {-1: 10}),
+        (0, {}),                     # no shots at all
+        (1, {0: math.nan}),
+        (1, {0: math.inf, 1: -math.inf}),
+    ]
+    for shots, counts in bad:
+        with pytest.raises(DomainError):
+            ShotRecord(basis_id=0, key=("identity",), mode_count=2, shots=shots,
+                       counts=counts)
+    # exact Born weights pose as float counts of one shot
+    ShotRecord(basis_id=0, key=("identity",), mode_count=2, shots=1,
+               counts={0: 0.25, 3: 0.75})
+    basis = FockBasis(2)
+    nan_state = DensityMatrix(basis, np.full((basis.dim, basis.dim), math.nan))
+    with pytest.raises(DomainError, match="sum to nan"):
+        sample_occupations(nan_state, plan_bases(2, 1).bases[0], 10, 0)
 
 
 def test_basis_seed_is_stable():

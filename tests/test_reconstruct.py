@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from fermiscope.correlations import (
+    DiagonalFrame,
     FourPointTensor,
     TwoPointMatrix,
     diagonalize_two_point,
@@ -12,7 +13,7 @@ from fermiscope.correlations import (
     measure_two_point,
     rotate_four_point,
 )
-from fermiscope.fock import DensityMatrix, FockBasis
+from fermiscope.fock import DensityMatrix, DomainError, FockBasis
 from fermiscope.reconstruct import (
     AnsatzValidityWarning,
     delta_rho,
@@ -88,6 +89,18 @@ def test_correction_survives_near_pure_modes(rng):
     frame = diagonalize_two_point(TwoPointMatrix(c2))
     corr = delta_rho(rotate_four_point(t, frame), frame)
     assert np.abs(corr.elements - corr.elements.conj().T).max() < 1e-12
+
+
+def test_correction_rejects_pure_frames_and_nan_elements(rng):
+    # a pure occupation puts 1/0 into delta_rho
+    for occupations in ([1.0, 0.6, 0.3, 0.0], [0.9, 0.6, 0.3, 0.0],
+                        [1.5, 0.6, 0.3, -0.5], [np.nan, 0.6, 0.3, 0.1]):
+        with pytest.raises(DomainError, match="inside"):
+            DiagonalFrame(np.eye(4), occupations)
+    t = random_valid_tensor(rng, 4).entries.copy()
+    t[0, 1, 2, 3] = np.nan
+    with pytest.raises(DomainError, match="Hermitian"):
+        delta_rho(FourPointTensor(t), random_frame(rng, 4))
 
 
 def test_correction_matches_loop_oracle_bit_for_bit(rng):
