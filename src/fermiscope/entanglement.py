@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .correlations import diagonalize_two_point, measure_two_point
-from .fock import DensityMatrix, DomainError, FockBasis
+from .fock import CapacityError, DensityMatrix, DomainError, FockBasis
 from .model import number_diagonal, spin_squared, sz_twice_diagonal
 from .reconstruct import gaussian_state, mode_rotation_unitary
 
@@ -32,6 +32,8 @@ DEGENERACY_TOL = 1e-10
 CASIMIR_TOL = 1e-8
 DEFAULT_ERROR_INDICES = (0, 10, 50, 100)
 POISSON_MEAN_R = 2.0 * math.log(2.0) - 1.0
+# one GUE draw holds a few complex matrix_dim^2 arrays: ~0.3 GB at 2000
+MAX_GUE_DIM = 2000
 
 
 class StatisticsUnavailableError(Exception):
@@ -374,6 +376,9 @@ def reference_distribution(
     elif kind == "gue":
         if matrix_dim < 100:
             raise DomainError("GUE sampling needs matrix_dim >= 100")
+        if matrix_dim > MAX_GUE_DIM:
+            raise CapacityError(f"GUE matrix_dim {matrix_dim} exceeds the "
+                                f"{MAX_GUE_DIM} capacity guard")
         lo, hi = matrix_dim // 3, 2 * matrix_dim // 3
         chunks = []
         total = 0

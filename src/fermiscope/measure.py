@@ -40,6 +40,7 @@ import numpy as np
 from . import serialize
 from .correlations import FourPointTensor, TwoPointMatrix
 from .fock import (
+    CapacityError,
     DensityMatrix,
     DomainError,
     FockBasis,
@@ -48,6 +49,8 @@ from .fock import (
 )
 
 HALF_TURN = math.pi / 2.0
+# each basis rotates the whole reduced state; 897 bases at 8 modes
+MAX_BASES = 100_000
 
 
 class PlanError(ValueError):
@@ -240,6 +243,12 @@ def plan_bases(n_modes: int, order: int, shots_per_basis: int = 1000) -> Measure
         raise DomainError("measurement order must be 1 or 2")
     if n_modes < 2:
         raise DomainError("need at least two modes to measure")
+    n_bases = 1 + n_modes * (n_modes - 1)
+    if order == 2:
+        n_bases += 12 * math.comb(n_modes, 4)
+    if n_bases > MAX_BASES:
+        raise CapacityError(f"order-{order} plan on {n_modes} modes needs {n_bases} "
+                            f"bases, over the {MAX_BASES}-basis capacity guard")
     bases = []
 
     def add(key, rotations):
@@ -568,7 +577,8 @@ def load_shot_records(path: str):
     records = []
     for ln in lines[1:]:
         doc = serialize.from_json_line(ln)
-        counts = {int(pattern[::-1], 2): int(c)
+        # sampled counts are ints, exact Born weights floats; keep either
+        counts = {int(pattern[::-1], 2): c
                   for pattern, c in doc["counts"].items()}
         records.append(ShotRecord(
             basis_id=doc["basis_id"],

@@ -17,6 +17,7 @@ from fermiscope.fock import (
     ladder_matrix,
     popcount,
 )
+from fermiscope.model import KRYLOV_DIM, MAX_SUBSTEPS, _lanczos_step
 from fermiscope.reconstruct import _between_mask
 
 
@@ -234,3 +235,37 @@ def apply_rotation_sparse(state: DensityMatrix, rot) -> DensityMatrix:
     """U rho U+ as two sparse-dense products with the sparse unitary."""
     u = rotation_matrix_sparse(state.basis, rot)
     return DensityMatrix(state.basis, u @ state.elements @ u.conj().T)
+
+
+def evolve_krylov_full(psi: StateVector, ham, t: float, tol: float = 1e-10) -> StateVector:
+    """exp(-i H t) |psi> by Krylov substeps over the whole sector.
+
+    The loop ``model.evolve`` ran before it stepped each 2*Sz block on its
+    own: one Krylov space for the whole state, renormalized to unit norm.
+    """
+    if t == 0.0:
+        return StateVector(psi.basis, psi.amplitudes.copy())
+    y = psi.amplitudes.copy()
+    total = abs(t)
+    remaining = float(t)
+    dt = remaining
+    for _ in range(MAX_SUBSTEPS):
+        if abs(remaining) <= 1e-15 * total:
+            break
+        if abs(dt) > abs(remaining):
+            dt = remaining
+        y_try, err = _lanczos_step(ham.matrix, y, dt, KRYLOV_DIM)
+        if err <= tol * abs(dt) / total:
+            y = y_try
+            remaining -= dt
+            dt *= 1.5
+        else:
+            dt *= 0.5
+            if abs(dt) < 1e-12 * total:
+                raise RuntimeError(f"step size collapsed at residual {err:.2e}")
+    else:
+        raise RuntimeError(f"did not finish within {MAX_SUBSTEPS} substeps")
+    norm = np.linalg.norm(y)
+    if abs(norm - 1.0) > 1e-8:
+        raise RuntimeError(f"norm drifted to {norm}")
+    return StateVector(psi.basis, y / norm)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fermiscope.entanglement import (
+    MAX_GUE_DIM,
     EntanglementSpectrum,
     SectorLabel,
     StatisticsUnavailableError,
@@ -15,7 +16,13 @@ from fermiscope.entanglement import (
     sector_spectra,
     spectral_error,
 )
-from fermiscope.fock import DensityMatrix, DomainError, FockBasis, partial_trace
+from fermiscope.fock import (
+    CapacityError,
+    DensityMatrix,
+    DomainError,
+    FockBasis,
+    partial_trace,
+)
 from fermiscope.model import (
     HubbardParams,
     OccupationBitstring,
@@ -170,3 +177,9 @@ def test_reference_distribution_guards():
 
 def test_sector_label_formatting():
     assert str(SectorLabel(n=2, m=-1.0, s=1.0)) == "(n=2, m=-1, s=1)"
+
+
+def test_gue_capacity_guard():
+    for dim in (MAX_GUE_DIM + 1, 10**9):
+        with pytest.raises(CapacityError):
+            reference_distribution("gue", matrix_dim=dim)

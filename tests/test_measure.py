@@ -6,8 +6,9 @@ import pytest
 import scipy.linalg
 
 from fermiscope.correlations import measure_four_point_connected, measure_two_point
-from fermiscope.fock import DensityMatrix, DomainError, FockBasis
+from fermiscope.fock import CapacityError, DensityMatrix, DomainError, FockBasis
 from fermiscope.measure import (
+    MAX_BASES,
     CoverageError,
     MeasurementBasis,
     PlanError,
@@ -248,6 +249,31 @@ def test_shot_records_round_trip(tmp_path):
     for x, y in zip(records, back):
         assert x.key == y.key
         assert x.counts == y.counts
+    again = str(tmp_path / "again.jsonl")
+    save_shot_records(again, plan, back, provenance={"tag": "demo"})
+    assert open(again, "rb").read() == open(path, "rb").read()
+
+
+def test_exact_records_round_trip(tmp_path):
+    # Born weights are float counts; they must load back as the same floats
+    plan = plan_bases(2, 1)
+    records = exact_records(random_mixed_state(np.random.default_rng(0), 2), plan)
+    path = str(tmp_path / "exact.jsonl")
+    save_shot_records(path, plan, records)
+    _, back = load_shot_records(path)
+    assert back == records
+    assert all(type(c) is float for rec in back for c in rec.counts.values())
+    again = str(tmp_path / "again.jsonl")
+    save_shot_records(again, plan, back)
+    assert open(again, "rb").read() == open(path, "rb").read()
+
+
+def test_plan_capacity_guard():
+    # 1 + n(n-1) + 12 C(n,4) bases at order 2: 22 modes fit, 23 do not
+    assert 1 + 22 * 21 + 12 * math.comb(22, 4) <= MAX_BASES
+    for n_modes, order in ((23, 2), (10**6, 2), (10**6, 1), (2**40, 1)):
+        with pytest.raises(CapacityError):
+            plan_bases(n_modes, order)
 
 
 def test_shot_records_serialize_mode_zero_leftmost(tmp_path):

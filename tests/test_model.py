@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from fermiscope.fock import DomainError, FockBasis, OccupationBitstring, partial_trace
+from fermiscope.fock import (
+    DomainError,
+    FockBasis,
+    OccupationBitstring,
+    StateVector,
+    partial_trace,
+)
 from fermiscope.model import (
     HubbardParams,
     RankDeficientError,
@@ -16,9 +22,10 @@ from fermiscope.model import (
     prepare_position_quench,
     select_initial_state,
     spin_squared,
+    sz_twice_diagonal,
 )
 
-from oracles import quadratic_operator_loop, same_bits
+from oracles import evolve_krylov_full, quadratic_operator_loop, same_bits
 
 
 def test_momentum_grid_folds_into_first_zone():
@@ -69,8 +76,6 @@ def test_interaction_term_counts_double_occupancy():
 
 
 def test_evolution_methods_agree(rng):
-    from fermiscope.fock import StateVector
-
     params = HubbardParams(sites=4, interaction=0.3)
     ham = build_hamiltonian(params, particles=3)
     amps = rng.normal(size=ham.basis.dim) + 1j * rng.normal(size=ham.basis.dim)
@@ -79,6 +84,55 @@ def test_evolution_methods_agree(rng):
     krylov = evolve(psi, ham, 7.0, method="krylov")
     assert np.abs(dense.amplitudes - krylov.amplitudes).max() < 1e-9
     assert dense.norm == pytest.approx(1.0, abs=1e-12)
+    # the random state spans every 2*Sz block; Krylov steps each one apart
+    sz = sz_twice_diagonal(ham.basis)
+    assert set(sz) == {-3, -1, 1, 3}
+    for value in set(sz):
+        block = sz == value
+        want = np.linalg.norm(psi.amplitudes[block])
+        got = np.linalg.norm(krylov.amplitudes[block])
+        assert abs(got - want) <= 1e-14 * want
+
+
+def test_hamiltonian_has_no_entries_between_sz_blocks():
+    params = HubbardParams(sites=4, interaction=0.3)
+    ham = build_hamiltonian(params, particles=3)
+    sz = sz_twice_diagonal(ham.basis)
+    rebuilt = np.zeros((ham.basis.dim, ham.basis.dim), dtype=complex)
+    for value in np.unique(sz):
+        idx, block = ham.block(int(value))
+        assert np.array_equal(idx, np.flatnonzero(sz == value))
+        assert not idx.flags.writeable
+        assert ham.block(int(value))[1] is block  # cached on the instance
+        rebuilt[np.ix_(idx, idx)] = block.toarray()
+    assert same_bits(rebuilt, ham.matrix.toarray())
+
+
+def test_krylov_output_is_zero_outside_the_support(rng):
+    params = HubbardParams(sites=4, interaction=0.3)
+    ham = build_hamiltonian(params, particles=3)
+    sz = sz_twice_diagonal(ham.basis)
+    support = np.isin(sz, (-1, 3))
+    amps = np.where(support, rng.normal(size=sz.size) + 1j * rng.normal(size=sz.size), 0)
+    psi = StateVector(ham.basis, amps).normalized()
+    out = evolve(psi, ham, 7.0, method="krylov").amplitudes
+    assert np.all(out[~support] == 0)
+    assert np.all(out[support] != 0)
+    dense = evolve(psi, ham, 7.0, method="dense").amplitudes
+    assert np.abs(dense - out).max() < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["momentum", "position"])
+def test_block_route_matches_full_sector_oracle(kind):
+    params = HubbardParams(sites=6, interaction=0.3)
+    ham = build_hamiltonian(params, particles=5)
+    spec = select_initial_state(params, 5, 4, kind=kind)
+    psi = initial_state(params, spec)
+    assert np.unique(sz_twice_diagonal(ham.basis)[psi.amplitudes != 0]).size == 1
+    for t in (0.5, 6.0):
+        got = evolve(psi, ham, t, method="krylov")
+        want = evolve_krylov_full(psi, ham, t)
+        assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
 
 
 def test_select_initial_state_is_deterministic():
