@@ -12,7 +12,8 @@ import warnings
 from dataclasses import asdict, dataclass, fields, replace
 
 from . import serialize
-from .fock import DomainError
+from .entanglement import MAX_BOOTSTRAP
+from .fock import CapacityError, DomainError
 from .model import HubbardParams
 
 
@@ -79,6 +80,9 @@ class RunConfig:
                      "shots_per_basis"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1")
+        if self.bootstrap_resamples > MAX_BOOTSTRAP:
+            raise CapacityError(f"bootstrap_resamples exceeds the "
+                                f"{MAX_BOOTSTRAP} capacity guard")
         if not 0.0 < self.clamp < 0.5:
             raise DomainError("clamp must lie in (0, 0.5)")
         if not self.evolve_tol > 0.0:

@@ -34,6 +34,11 @@ DEFAULT_ERROR_INDICES = (0, 10, 50, 100)
 POISSON_MEAN_R = 2.0 * math.log(2.0) - 1.0
 # one GUE draw holds a few complex matrix_dim^2 arrays: ~0.3 GB at 2000
 MAX_GUE_DIM = 2000
+# the bootstrap keeps one mean per resample and draws 100 resamples of
+# n ratios at a time: 0.4 GB of indices and gathered ratios for n at the
+# sample cap (0.16 GB measured at C05's 100 001)
+MAX_BOOTSTRAP = 100_000
+MAX_REFERENCE_SAMPLES = 250_000
 
 
 class StatisticsUnavailableError(Exception):
@@ -322,6 +327,12 @@ def _pooled_statistics(
     )
 
 
+def _check_bootstrap(bootstrap: int):
+    if bootstrap > MAX_BOOTSTRAP:
+        raise CapacityError(f"{bootstrap} bootstrap resamples exceed the "
+                            f"{MAX_BOOTSTRAP} capacity guard")
+
+
 def gap_statistics(
     spectra,
     bins: int = 24,
@@ -336,6 +347,7 @@ def gap_statistics(
     dynamics); the number removed is reported on the result.  Sectors
     contribute only with at least three surviving levels.
     """
+    _check_bootstrap(bootstrap)
     pool = []
     dropped = 0
     used = 0
@@ -368,6 +380,10 @@ def reference_distribution(
     """
     if samples < 1000:
         raise DomainError("reference ensembles need at least 1000 samples")
+    if samples > MAX_REFERENCE_SAMPLES:
+        raise CapacityError(f"{samples} reference samples exceed the "
+                            f"{MAX_REFERENCE_SAMPLES} capacity guard")
+    _check_bootstrap(bootstrap)
     rng = np.random.default_rng(seed)
     if kind == "poisson":
         spacings = rng.exponential(size=samples + 1)

@@ -15,6 +15,10 @@ exact pulse (axis, angle) used for each readout is derived numerically on
 first use by conjugating Sz through candidate rotations on a dedicated
 two-mode system, not hard-coded; see :func:`readout_rules`.
 
+A plan is measured in one pass: bases that start with the same pulse
+share one rotated state, and the readout pulse that ends a basis yields
+only the diagonal that the Born weights are read from.
+
 Everything reduces to occupation statistics in a planned set of bases:
 
   C2_ij            = <Sx_ij> + i <Sy_ij>          two rotated bases
@@ -49,7 +53,8 @@ from .fock import (
 )
 
 HALF_TURN = math.pi / 2.0
-# each basis rotates the whole reduced state; 897 bases at 8 modes
+# each basis keeps a weight vector over the reduced state's basis while
+# its plan is sampled; 897 bases at 8 modes
 MAX_BASES = 100_000
 
 
@@ -70,6 +75,8 @@ class TunnelingRotation:
     angle: float
 
     def __post_init__(self):
+        # a hashable pair: bases are grouped by their first rotation
+        object.__setattr__(self, "pair", tuple(self.pair))
         i, j = self.pair
         if i == j:
             raise DomainError("tunneling pair must couple distinct modes")
@@ -94,43 +101,81 @@ def pair_operator(basis: FockBasis, pair: tuple[int, int], axis: str) -> np.ndar
     return quadratic_operator(basis, h)
 
 
-def apply_rotation(state: DensityMatrix, rot: TunnelingRotation) -> DensityMatrix:
-    """Rotate a DensityMatrix by one tunneling pulse, U rho U+.
+@lru_cache(maxsize=512)
+def _doublets(mode_count: int, sector, sz_twice, pair: tuple[int, int]):
+    """(sel, partner, sign) of c+_j c_i: the doublets a pulse on (i, j) mixes.
 
-    The generator squares to 1/4 on each partner doublet of c+_j c_i, so
-    U = cos(t/2) - i sin(t/2) (2S) mixes the rows, then the columns, of
-    each doublet and leaves every other state alone.
+    Read from ``ladder_map`` once per basis and pair, and read-only.
     """
-    if not isinstance(state, DensityMatrix):
-        raise DomainError(f"cannot rotate {type(state).__name__}")
-    i, j = rot.pair
-    target, sel, partner, sign = ladder_map(
-        state.basis, ((j, "create"), (i, "annihilate")))
-    if target is not state.basis and sel.size:
+    basis = FockBasis(mode_count, sector, sz_twice)
+    i, j = pair
+    target, sel, partner, sign = ladder_map(basis, ((j, "create"), (i, "annihilate")))
+    if target is not basis and sel.size:
         raise DomainError(
             "rotation partner states fall outside the basis; use a full or "
             "fixed-N basis"
         )
+    for table in (sel, partner, sign):
+        table.flags.writeable = False
+    return sel, partner, sign
+
+
+def _pulse(basis: FockBasis, rot: TunnelingRotation):
+    """(sel, partner, c, u_sp, u_ps): U is [[c, u_sp], [u_ps, c]] on each doublet.
+
+    The generator squares to 1/4 on each partner doublet of c+_j c_i, so
+    U = cos(t/2) - i sin(t/2) (2S) there.
+    """
+    sel, partner, sign = _doublets(basis.mode_count, basis.sector,
+                                   basis.sz_twice, rot.pair)
     c = math.cos(0.5 * rot.angle)
     s = math.sin(0.5 * rot.angle)
     if rot.axis == "x":
         # 2S^x doublet element is the string sign on both corners
-        u_ps = u_sp = -1j * s * sign
-    else:
-        # 2S^y doublet is [[0, -i sgn], [+i sgn, 0]] with row/col order
-        # (i occupied, j occupied); multiplying by -i makes it real
-        u_ps, u_sp = s * sign, -s * sign
-    # u_ps = U[partner, sel] and u_sp = U[sel, partner]
+        u = -1j * s * sign
+        return sel, partner, c, u, u
+    # 2S^y doublet is [[0, -i sgn], [+i sgn, 0]] with row/col order
+    # (i occupied, j occupied); multiplying by -i makes it real
+    return sel, partner, c, -s * sign, s * sign
+
+
+def _mix(c, u_sp, u_ps, top, bottom):
+    """U on the (sel, partner) rows, or U+ on the columns given conj(u)."""
+    return c * top + u_sp * bottom, c * bottom + u_ps * top
+
+
+def apply_rotation(state: DensityMatrix, rot: TunnelingRotation) -> DensityMatrix:
+    """Rotate a DensityMatrix by one tunneling pulse, U rho U+.
+
+    U mixes the rows, then the columns, of each partner doublet and leaves
+    every other state alone.
+    """
+    if not isinstance(state, DensityMatrix):
+        raise DomainError(f"cannot rotate {type(state).__name__}")
+    sel, partner, c, u_sp, u_ps = _pulse(state.basis, rot)
     rho = state.elements.copy()
-    top, bottom = rho[sel], rho[partner]
-    rho[sel] = c * top + u_sp[:, None] * bottom
-    rho[partner] = c * bottom + u_ps[:, None] * top
-    left, right = rho[:, sel], rho[:, partner]
-    rho[:, sel] = left * c + right * u_sp.conj()
-    rho[:, partner] = right * c + left * u_ps.conj()
+    rho[sel], rho[partner] = _mix(c, u_sp[:, None], u_ps[:, None],
+                                  rho[sel], rho[partner])
+    rho[:, sel], rho[:, partner] = _mix(c, u_sp.conj(), u_ps.conj(),
+                                        rho[:, sel], rho[:, partner])
     # a sparse product sums from +0, so no element of it is -0; keep that
     rho += 0.0
     return DensityMatrix(state.basis, rho)
+
+
+def _rotated_diagonal(state: DensityMatrix, rot: TunnelingRotation) -> np.ndarray:
+    """diag(U rho U+) alone: the four corners of each doublet go through
+    :func:`apply_rotation`'s row pass, column pass and +0, bit for bit."""
+    sel, partner, c, u_sp, u_ps = _pulse(state.basis, rot)
+    rho = state.elements
+    # row pass on the sel column, then on the partner column
+    ss, ps = _mix(c, u_sp, u_ps, rho[sel, sel], rho[partner, sel])
+    sp, pp = _mix(c, u_sp, u_ps, rho[sel, partner], rho[partner, partner])
+    diag = np.diagonal(rho).copy()
+    diag[sel] = _mix(c, u_sp.conj(), u_ps.conj(), ss, sp)[0]
+    diag[partner] = _mix(c, u_sp.conj(), u_ps.conj(), ps, pp)[1]
+    diag += 0.0
+    return diag
 
 
 @lru_cache(maxsize=1)
@@ -303,43 +348,67 @@ def basis_seed(master_seed: int, basis_id: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(basis_id,))
 
 
-def _born_weights(state, mbasis: MeasurementBasis) -> np.ndarray:
-    """Occupation weights after the basis's rotations, clipped at zero."""
+def _born_weights(state, bases) -> list[np.ndarray]:
+    """Occupation weights after each basis's rotations, clipped at zero.
+
+    Bases that start with the same pulse share one rotated state, and the
+    last pulse of a basis yields only the diagonal that is read out.
+    """
     if not isinstance(state, DensityMatrix):
         raise DomainError(f"cannot measure {type(state).__name__}")
-    rotated = state
-    for rot in mbasis.rotations:
-        rotated = apply_rotation(rotated, rot)
-    return np.clip(np.real(np.diag(rotated.elements)), 0.0, None)
+    groups: dict[tuple, list[int]] = {}
+    for k, mbasis in enumerate(bases):
+        groups.setdefault(mbasis.rotations[:1], []).append(k)
+    weights = [None] * len(bases)
+    for first, members in groups.items():
+        # one group's rotated state is alive at a time
+        head = apply_rotation(state, first[0]) if first else state
+        for k in members:
+            rotated, rest = head, bases[k].rotations[1:]
+            # plan bases have at most two pulses
+            for rot in rest[:-1]:
+                rotated = apply_rotation(rotated, rot)
+            diag = (_rotated_diagonal(rotated, rest[-1]) if rest
+                    else np.diagonal(rotated.elements))
+            weights[k] = np.clip(np.real(diag), 0.0, None)
+    return weights
+
+
+def _record(state, mbasis: MeasurementBasis, counts: np.ndarray,
+            shots) -> ShotRecord:
+    """Counts (or exact weights) over the basis states; zeros are left out."""
+    hit = np.nonzero(counts > 0)[0]
+    return ShotRecord(basis_id=mbasis.id, key=mbasis.key,
+                      mode_count=state.basis.mode_count, shots=shots,
+                      counts=dict(zip(state.basis.states[hit].tolist(),
+                                      counts[hit].tolist())))
+
+
+def _draw(state, mbasis: MeasurementBasis, probs: np.ndarray, shots: int,
+          seed) -> ShotRecord:
+    """Draw occupation bitstrings from one basis's Born weights."""
+    if shots < 1:
+        raise DomainError("need at least one shot")
+    total = probs.sum()
+    if not abs(total - 1.0) <= 1e-8:
+        raise DomainError(f"sampling weights sum to {total:.6g}, not 1")
+    drawn = np.random.default_rng(seed).multinomial(shots, probs / total)
+    return _record(state, mbasis, drawn, shots)
 
 
 def sample_occupations(state, mbasis: MeasurementBasis, shots: int,
                        seed) -> ShotRecord:
     """Rotate, then draw occupation bitstrings from the Born weights."""
-    if shots < 1:
-        raise DomainError("need at least one shot")
-    probs = _born_weights(state, mbasis)
-    total = probs.sum()
-    if not abs(total - 1.0) <= 1e-8:
-        raise DomainError(f"sampling weights sum to {total:.6g}, not 1")
-    probs /= total
-    rng = np.random.default_rng(seed)
-    drawn = rng.multinomial(shots, probs)
-    hit = np.nonzero(drawn)[0]
-    counts = {int(state.basis.states[k]): int(drawn[k]) for k in hit}
-    return ShotRecord(basis_id=mbasis.id, key=mbasis.key,
-                      mode_count=state.basis.mode_count, shots=shots,
-                      counts=counts)
+    return _draw(state, mbasis, _born_weights(state, [mbasis])[0], shots, seed)
 
 
 def run_plan(state, plan: MeasurementPlan, master_seed: int,
              shots: int | None = None) -> list[ShotRecord]:
     """Sample every basis of a plan with per-basis derived seeds."""
     shots = plan.shots_per_basis if shots is None else shots
-    return [
-        sample_occupations(state, b, shots, basis_seed(master_seed, b.id))
-        for b in plan.bases
-    ]
+    weights = _born_weights(state, plan.bases)
+    return [_draw(state, b, probs, shots, basis_seed(master_seed, b.id))
+            for b, probs in zip(plan.bases, weights)]
 
 
 def exact_records(state, plan: MeasurementPlan) -> list[ShotRecord]:
@@ -348,16 +417,9 @@ def exact_records(state, plan: MeasurementPlan) -> list[ShotRecord]:
     Feeding these to the estimators returns exact expectation values,
     which isolates estimator algebra from sampling noise.
     """
-    out = []
-    for mbasis in plan.bases:
-        probs = _born_weights(state, mbasis)
-        probs = probs / probs.sum()
-        counts = {int(b): float(p)
-                  for b, p in zip(state.basis.states, probs) if p > 0.0}
-        out.append(ShotRecord(basis_id=mbasis.id, key=mbasis.key,
-                              mode_count=state.basis.mode_count, shots=1,
-                              counts=counts))
-    return out
+    weights = _born_weights(state, plan.bases)
+    return [_record(state, b, probs / probs.sum(), 1)
+            for b, probs in zip(plan.bases, weights)]
 
 
 def _shot_mean(record: ShotRecord, values_fn):
@@ -556,14 +618,18 @@ def save_shot_records(path: str, plan: MeasurementPlan, records,
         "n_bases": plan.n_bases,
     }
     lines = [serialize.to_json_line(header)]
+    # mode count -> bit pattern -> its label, mode 0 leftmost
+    labels: dict[int, dict[int, str]] = {}
     for rec in records:
+        table = labels.setdefault(rec.mode_count, {})
+        for b in rec.counts.keys() - table.keys():
+            table[b] = format(b, f"0{rec.mode_count}b")[::-1]
         lines.append(serialize.to_json_line({
             "basis_id": rec.basis_id,
             "key": list(rec.key),
             "mode_count": rec.mode_count,
             "shots": rec.shots,
-            "counts": {format(b, f"0{rec.mode_count}b")[::-1]: c
-                       for b, c in sorted(rec.counts.items())},
+            "counts": {table[b]: c for b, c in sorted(rec.counts.items())},
         }))
     serialize.atomic_write_text(path, "\n".join(lines) + "\n")
 

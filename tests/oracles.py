@@ -17,6 +17,7 @@ from fermiscope.fock import (
     ladder_matrix,
     popcount,
 )
+from fermiscope.measure import apply_rotation
 from fermiscope.model import KRYLOV_DIM, MAX_SUBSTEPS, _lanczos_step
 from fermiscope.reconstruct import _between_mask
 
@@ -235,6 +236,14 @@ def apply_rotation_sparse(state: DensityMatrix, rot) -> DensityMatrix:
     """U rho U+ as two sparse-dense products with the sparse unitary."""
     u = rotation_matrix_sparse(state.basis, rot)
     return DensityMatrix(state.basis, u @ state.elements @ u.conj().T)
+
+
+def born_weights_loop(state: DensityMatrix, mbasis) -> np.ndarray:
+    """Born weights of one basis: a full pulse per rotation, then the clipped diagonal."""
+    rotated = state
+    for rot in mbasis.rotations:
+        rotated = apply_rotation(rotated, rot)
+    return np.clip(np.real(np.diag(rotated.elements)), 0.0, None)
 
 
 def evolve_krylov_full(psi: StateVector, ham, t: float, tol: float = 1e-10) -> StateVector:

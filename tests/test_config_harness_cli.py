@@ -15,6 +15,7 @@ from fermiscope.config import (
     load_config,
     save_config,
 )
+from fermiscope.entanglement import MAX_BOOTSTRAP
 from fermiscope.fock import CapacityError, DomainError
 from fermiscope.model import HubbardParams
 from fermiscope.serialize import load_json, sha256_of_file
@@ -81,6 +82,10 @@ def test_config_guards(tmp_path):
                 mini_config(str(tmp_path)).override(**{name: value})
     with pytest.warns(ConfigWarning):
         mini_config(str(tmp_path)).override(subsystem_sites=3)
+    # extreme values only: the guard raises before any stage runs
+    for resamples in (MAX_BOOTSTRAP + 1, 10**15):
+        with pytest.raises(CapacityError, match="bootstrap_resamples"):
+            mini_config(str(tmp_path)).override(bootstrap_resamples=resamples)
 
 
 def test_validate_battery_passes(capsys):

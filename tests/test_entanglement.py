@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from fermiscope.entanglement import (
+    MAX_BOOTSTRAP,
     MAX_GUE_DIM,
+    MAX_REFERENCE_SAMPLES,
     EntanglementSpectrum,
     SectorLabel,
     StatisticsUnavailableError,
@@ -183,3 +185,19 @@ def test_gue_capacity_guard():
     for dim in (MAX_GUE_DIM + 1, 10**9):
         with pytest.raises(CapacityError):
             reference_distribution("gue", matrix_dim=dim)
+
+
+def test_bootstrap_and_sample_capacity_guards():
+    # extreme values only: each must raise before anything is allocated
+    assert MAX_BOOTSTRAP >= 1000 and MAX_REFERENCE_SAMPLES >= 100_001
+    spec = EntanglementSpectrum(levels=np.array([0.0, 1.0, 3.0]))
+    for bootstrap in (MAX_BOOTSTRAP + 1, 10**15):
+        with pytest.raises(CapacityError, match="bootstrap"):
+            gap_statistics([spec], bootstrap=bootstrap)
+        for kind in ("poisson", "gue"):
+            with pytest.raises(CapacityError, match="bootstrap"):
+                reference_distribution(kind, samples=2000, bootstrap=bootstrap)
+    for samples in (MAX_REFERENCE_SAMPLES + 1, 10**15):
+        for kind in ("poisson", "gue"):
+            with pytest.raises(CapacityError, match="samples"):
+                reference_distribution(kind, samples=samples)

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fermiscope import measure
 from fermiscope.correlations import measure_four_point_connected, measure_two_point
 from fermiscope.fock import CapacityError, DensityMatrix, DomainError, FockBasis
 from fermiscope.measure import (
@@ -30,7 +33,7 @@ from fermiscope.measure import (
 from fermiscope.validate import random_mixed_state
 
 from conftest import bell_pair, paired_state, pure_density
-from oracles import apply_rotation_sparse, same_bits
+from oracles import apply_rotation_sparse, born_weights_loop, same_bits
 
 
 def test_readout_rules_frozen():
@@ -92,6 +95,126 @@ def test_apply_rotation_matches_sparse_oracle_bit_for_bit(rng):
     rho = DensityMatrix(fixed, a @ a.conj().T / np.trace(a @ a.conj().T))
     for mbasis in plan_bases(6, 2).bases:
         assert same_as_oracle(rho, mbasis.rotations), mbasis.key
+
+
+def _plan_test_states(rng, n_modes):
+    basis = FockBasis(n_modes)
+    weights = rng.uniform(size=basis.dim)
+    weights[::2] = 0.0  # exact-zero Born weights
+    signed = random_mixed_state(rng, n_modes).elements
+    signed[::3] = complex(-0.0, -0.0)  # rows of -0
+    return [
+        random_mixed_state(rng, n_modes),
+        DensityMatrix(basis, np.eye(basis.dim)),
+        DensityMatrix(basis, np.diag(weights / weights.sum())),
+        DensityMatrix(basis, signed),
+    ]
+
+
+def _wide_pulse_bases(n_modes):
+    """Layers of two and three pulses, some with angles where cos(t/2) < 0."""
+    pairs = [(p, p + 1) for p in range(0, n_modes - 1, 2)]
+    bases = []
+    for angle in (4.0, -4.0, 0.7):
+        for axes in ("xy", "yx", "yy", "xx", "xyx"):
+            rotations = [TunnelingRotation(pair, axis, angle)
+                         for pair, axis in zip(pairs, axes)]
+            if len(rotations) == len(axes):
+                bases.append(MeasurementBasis(id=len(bases), key=("layer", len(bases)),
+                                              rotations=tuple(rotations)))
+    return bases
+
+
+def test_rotated_diagonal_is_the_diagonal_of_apply_rotation_bit_for_bit(rng):
+    # the weights are clipped at 0, which turns -0 into +0, so the signed
+    # zeros of the diagonal form are checked here, before the clip
+    cases = [rho for n in (2, 4, 6) for rho in _plan_test_states(rng, n)]
+    general = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    general[::5] = complex(-0.0, 0.0)
+    cases.append(DensityMatrix(FockBasis(4), general))
+    fixed = FockBasis(6, 3)
+    cases.append(DensityMatrix(fixed, np.diag(rng.uniform(size=fixed.dim))))
+    for rho in cases:
+        n_modes = rho.basis.mode_count
+        for pair in ((0, 1), (0, n_modes - 1)):
+            for axis in ("x", "y"):
+                for angle in (0.0, 0.4, -2.9, 4.0):
+                    rot = TunnelingRotation(pair, axis, angle)
+                    got = measure._rotated_diagonal(rho, rot)
+                    want = np.diagonal(apply_rotation(rho, rot).elements)
+                    assert same_bits(got, want), (n_modes, pair, axis, angle)
+
+
+def test_plan_weights_match_the_per_basis_loop_bit_for_bit(rng):
+    cases = [(rho, plan_bases(n, 2).bases + tuple(_wide_pulse_bases(n)))
+             for n in (4, 6) for rho in _plan_test_states(rng, n)]
+    fixed = FockBasis(6, 3)
+    a = rng.normal(size=(fixed.dim, fixed.dim)) + 1j * rng.normal(size=(fixed.dim, fixed.dim))
+    cases.append((DensityMatrix(fixed, a @ a.conj().T / np.trace(a @ a.conj().T)),
+                  plan_bases(6, 2).bases))
+    for rho, bases in cases:
+        weights = measure._born_weights(rho, bases)
+        assert len(weights) == len(bases)
+        for mbasis, got in zip(bases, weights):
+            assert same_bits(got, born_weights_loop(rho, mbasis)), mbasis.key
+
+
+def test_run_plan_matches_sampling_from_the_loop_weights(rng):
+    rho = _plan_test_states(rng, 4)[0]
+    plan = plan_bases(4, 2, shots_per_basis=300)
+    records = run_plan(rho, plan, 41)
+    assert [r.basis_id for r in records] == list(range(plan.n_bases))
+    for mbasis, rec in zip(plan.bases, records):
+        probs = born_weights_loop(rho, mbasis)
+        probs /= probs.sum()
+        drawn = np.random.default_rng(basis_seed(41, mbasis.id)).multinomial(300, probs)
+        want = {int(rho.basis.states[k]): int(drawn[k]) for k in np.nonzero(drawn)[0]}
+        assert (rec.key, rec.shots, rec.counts) == (mbasis.key, 300, want)
+        assert all(type(b) is int and type(c) is int for b, c in rec.counts.items())
+        one = sample_occupations(rho, mbasis, 300, basis_seed(41, mbasis.id))
+        assert one == rec
+
+
+def test_plan_rotates_each_first_pulse_once(monkeypatch):
+    pulses = []
+    kernel = measure.apply_rotation
+
+    def spy(state, rot):
+        pulses.append(rot)
+        return kernel(state, rot)
+
+    monkeypatch.setattr(measure, "apply_rotation", spy)
+    for n_modes in (4, 6):
+        pulses.clear()
+        plan = plan_bases(n_modes, 2)
+        exact_records(random_mixed_state(np.random.default_rng(n_modes), n_modes), plan)
+        # one full rotation per (pair, axis), the shared first pulse
+        assert len(pulses) == len(set(pulses)) == n_modes * (n_modes - 1)
+        assert set(pulses) == {b.rotations[0] for b in plan.bases if b.rotations}
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(min_value=0, max_value=2**63 - 1))
+def test_exact_records_estimators_are_exact(seed):
+    rho = random_mixed_state(np.random.default_rng(seed), 4)
+    plan = plan_bases(4, 2)
+    records = exact_records(rho, plan)
+    c2, _ = estimate_correlations(plan, records, order=1)
+    c4, _ = estimate_correlations(plan, records, order=2)
+    assert np.abs(c2.entries - measure_two_point(rho).entries).max() < 1e-12
+    want = measure_four_point_connected(rho)
+    assert np.abs(c4.entries - want.entries).max() < 1e-12
+
+
+def test_doublet_tables_are_shared_and_read_only():
+    basis = FockBasis(6, 3)
+    a = measure._doublets(6, 3, None, (1, 4))
+    assert measure._doublets(basis.mode_count, basis.sector, basis.sz_twice, (1, 4)) is a
+    for table in a:
+        assert not table.flags.writeable
+    # a list pair is stored as a tuple, so its rotation can key a group
+    rot = TunnelingRotation([1, 4], "x", 0.3)
+    assert rot.pair == (1, 4) and hash(rot) == hash(TunnelingRotation((1, 4), "x", 0.3))
 
 
 def test_rotation_rejects_partners_outside_the_basis():
