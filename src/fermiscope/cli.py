@@ -24,8 +24,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="master seed (overrides the config)")
     parser.add_argument("--workers", type=int, metavar="N",
                         help="parallel worker processes (0 or 1 = serial)")
-    parser.add_argument("--tol", type=float, metavar="X",
-                        help="time-evolution tolerance (overrides the config)")
 
 
 def _resolve_config(args):
@@ -37,8 +35,6 @@ def _resolve_config(args):
         overrides["master_seed"] = args.seed
     if args.workers is not None:
         overrides["workers"] = args.workers
-    if args.tol is not None:
-        overrides["evolve_tol"] = args.tol
     return config.override(**overrides) if overrides else config
 
 

@@ -8,6 +8,7 @@ nested under "model".
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -36,8 +37,6 @@ class RunConfig:
         1e-3, 1.93e-3, 3.73e-3, 7.2e-3, 1.39e-2, 2.68e-2, 5.18e-2, 1e-1,
     )
     ensemble_size: int = 10
-    evolve_tol: float = 1e-10
-    evolve_method: str = "auto"
     clamp: float = 1e-10
     warn_threshold: float = 0.1
     rank_cutoff: float = 1e-12
@@ -85,8 +84,6 @@ class RunConfig:
                                 f"{MAX_BOOTSTRAP} capacity guard")
         if not 0.0 < self.clamp < 0.5:
             raise DomainError("clamp must lie in (0, 0.5)")
-        if not self.evolve_tol > 0.0:
-            raise DomainError("evolve_tol must be > 0")
         for name in ("rank_cutoff", "degeneracy_tol"):
             if not getattr(self, name) >= 0.0:
                 raise DomainError(f"{name} must be >= 0")
@@ -96,6 +93,8 @@ class RunConfig:
         # incremental evolution in the drivers assumes ordered grids
         for name in ("times", "u_values"):
             grid = getattr(self, name)
+            if not all(math.isfinite(x) for x in grid):
+                raise DomainError(f"{name} must be finite")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise DomainError(f"{name} must be strictly increasing")
 

@@ -129,10 +129,8 @@ def _member_snapshots(config, out_dir, iu, member, spec, ham):
     """All snapshots of one (interaction, member) pair."""
     u = config.u_values[iu]
     if spec.kind == "position":
-        psi = prepare_position_quench(
-            config.model, spec, config.subsystem_sites,
-            tol=config.evolve_tol, method=config.evolve_method,
-        )
+        psi = prepare_position_quench(config.model, spec,
+                                      config.subsystem_sites)
     else:
         psi = initial_state(config.model, spec)
     keep = config.subsystem_modes
@@ -140,8 +138,7 @@ def _member_snapshots(config, out_dir, iu, member, spec, ham):
     t_prev = 0.0
     for it, t in enumerate(config.times):
         if t != t_prev:
-            psi = evolve(psi, ham, t - t_prev, tol=config.evolve_tol,
-                         method=config.evolve_method)
+            psi = evolve(psi, ham, t - t_prev)
             t_prev = t
         rho = partial_trace(psi, keep)
         c2, c4 = subsystem_correlations(psi, keep)

@@ -396,12 +396,6 @@ def _draw(state, mbasis: MeasurementBasis, probs: np.ndarray, shots: int,
     return _record(state, mbasis, drawn, shots)
 
 
-def sample_occupations(state, mbasis: MeasurementBasis, shots: int,
-                       seed) -> ShotRecord:
-    """Rotate, then draw occupation bitstrings from the Born weights."""
-    return _draw(state, mbasis, _born_weights(state, [mbasis])[0], shots, seed)
-
-
 def run_plan(state, plan: MeasurementPlan, master_seed: int,
              shots: int | None = None) -> list[ShotRecord]:
     """Sample every basis of a plan with per-basis derived seeds."""

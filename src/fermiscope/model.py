@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .fock import (
@@ -33,14 +32,14 @@ from .fock import (
     partial_trace,
 )
 
-KRYLOV_DIM = 30
 DENSE_LIMIT = 4096
-MAX_SUBSTEPS = 100_000
+# Chebyshev terms below this leave the sum unchanged in double precision
+BESSEL_FLOOR = 1e-17
 SEARCH_TRIALS = 10_000
 
 
 class EvolutionError(Exception):
-    """Propagator failed to reach the requested accuracy."""
+    """Propagator lost the norm of the state."""
 
 
 class SearchExhaustedError(Exception):
@@ -297,93 +296,79 @@ def initial_state(params: HubbardParams, spec: InitialStateSpec) -> StateVector:
     return StateVector(basis, amps)
 
 
-def _lanczos_step(matrix, y: np.ndarray, dt: float, m: int):
-    """One Krylov step exp(-i dt H) y with an a posteriori error estimate."""
-    beta0 = np.linalg.norm(y)
-    vecs = [y / beta0]
-    alphas, betas = [], []
-    for j in range(m):
-        w = matrix @ vecs[-1]
-        alpha = np.real(np.vdot(vecs[-1], w))
-        w = w - alpha * vecs[-1]
-        if j > 0:
-            w = w - betas[-1] * vecs[-2]
-        # full reorthogonalization; m is small
-        for v in vecs:
-            w = w - np.vdot(v, w) * v
-        alphas.append(alpha)
-        beta = np.linalg.norm(w)
-        if beta < 1e-14 * max(1.0, abs(alpha)):
-            tri = _tridiag(alphas, betas)
-            small = scipy.linalg.expm(-1j * dt * tri)
-            out = beta0 * np.column_stack(vecs) @ small[:, 0]
-            return out, 0.0
-        betas.append(beta)
-        vecs.append(w / beta)
-    tri = _tridiag(alphas, betas[:-1])
-    small = scipy.linalg.expm(-1j * dt * tri)
-    out = beta0 * np.column_stack(vecs[:-1]) @ small[:, 0]
-    err = float(beta0 * betas[-1] * abs(dt) * abs(small[-1, 0]))
-    return out, err
+def _bessel_series(x: float) -> np.ndarray:
+    """Bessel J_0(x) .. J_K(x), x != 0, with K >= 1 the last |J_K| >= BESSEL_FLOOR.
+
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, started
+    where the bound |J_n(x)| <= (|x|/2)^n / n! is below 1e-30 (beyond
+    n = |x|, so the recurrence is stable), normalized by J_0 + 2 sum J_{2k} = 1.
+    """
+    n, log_bound = 0, 0.0
+    while log_bound > math.log(1e-30):
+        n += 1
+        log_bound += math.log(abs(x) / 2.0 / n)
+    f = np.zeros(n + 2)
+    f[n] = 1.0
+    for k in range(n, 0, -1):
+        f[k - 1] = 2.0 * k / x * f[k] - f[k + 1]
+        if abs(f[k - 1]) > 1e100:  # rescale before the recurrence overflows
+            f[k - 1:] *= 1e-100
+    j = f[:n + 1] / (f[0] + 2.0 * f[2::2].sum())
+    return j[:max(2, np.flatnonzero(np.abs(j) >= BESSEL_FLOOR)[-1] + 1)]
 
 
-def _tridiag(alphas, betas) -> np.ndarray:
-    n = len(alphas)
-    tri = np.diag(np.asarray(alphas, dtype=float))
-    if betas:
-        off = np.asarray(betas, dtype=float)
-        tri += np.diag(off, 1) + np.diag(off, -1)
-    return tri
+def _chebyshev(matrix, y: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t H) y by a Chebyshev series, renormalized to |y|.
 
-
-def _krylov(matrix, y: np.ndarray, t: float, tol: float) -> np.ndarray:
-    """Adaptive Krylov substeps of exp(-i t H) y, renormalized to |y|."""
-    norm0 = np.linalg.norm(y)
-    total = abs(t)
-    remaining = float(t)
-    dt = remaining
-    for _ in range(MAX_SUBSTEPS):
-        if abs(remaining) <= 1e-15 * total:
-            break
-        if abs(dt) > abs(remaining):
-            dt = remaining
-        y_try, err = _lanczos_step(matrix, y, dt, KRYLOV_DIM)
-        if err <= tol * abs(dt) / total:
-            y = y_try
-            remaining -= dt
-            dt *= 1.5
-        else:
-            dt *= 0.5
-            if abs(dt) < 1e-12 * total:
-                raise EvolutionError(
-                    f"step size collapsed at residual {err:.2e}"
-                )
-    else:
-        raise EvolutionError(f"did not finish within {MAX_SUBSTEPS} substeps")
-    norm = np.linalg.norm(y)
+    H is mapped onto [-1, 1] through its Gershgorin interval, a rigorous
+    bound on its spectrum (the series diverges outside it), and
+    exp(-i t H) = exp(-i c t) [J_0(a t) + 2 sum_k (-i)^k J_k(a t) T_k(H')]
+    with H = c + a H' is summed down to the double-precision floor.
+    """
+    diag = matrix.diagonal().real
+    radius = np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(diag)
+    lo, hi = (diag - radius).min(), (diag + radius).max()
+    center, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    if half == 0.0:  # no off-diagonal entries and one level: H = c
+        return np.exp(-1j * center * t) * y
+    coef = _bessel_series(half * t).astype(np.complex128)
+    coef *= (-1j) ** np.arange(coef.size)
+    coef[1:] *= 2.0
+    twice = (matrix - center * scipy.sparse.identity(matrix.shape[0])) * (2.0 / half)
+    prev, cur = y, 0.5 * (twice @ y)
+    out = coef[0] * prev + coef[1] * cur
+    for c in coef[2:]:
+        prev, cur = cur, twice @ cur - prev
+        out += c * cur
+    norm0, norm = np.linalg.norm(y), np.linalg.norm(out)
     if abs(norm - norm0) > 1e-8 * norm0:
         raise EvolutionError(f"norm drifted from {norm0} to {norm}")
-    return y * (norm0 / norm)
+    return out * (np.exp(-1j * center * t) * norm0 / norm)
 
 
 def evolve(
     psi: StateVector,
     ham: Hamiltonian,
     t: float,
-    tol: float = 1e-10,
     method: str = "auto",
 ) -> StateVector:
-    """exp(-i H t) |psi> by Krylov stepping or cached dense diagonalization.
+    """exp(-i H t) |psi> by a Chebyshev series or cached dense diagonalization.
 
-    ``method`` is "auto" (dense up to sector dimension 4096, Krylov
+    ``method`` is "auto" (dense up to sector dimension 4096, iterative
     beyond), "dense", or "krylov"; the explicit options exist so the two
     routes can be cross-checked against each other.  The dense route
-    diagonalizes the whole sector once.  The Krylov route steps each 2*Sz
-    block of the support of ``psi`` on its own (``Hamiltonian.block``),
-    keeps each block's norm, and leaves amplitudes outside the support 0.
+    diagonalizes the whole sector once.  The iterative "krylov" route
+    expands exp(-i H t) in Chebyshev polynomials of H on each 2*Sz block
+    of the support of ``psi`` (``Hamiltonian.block``), summed down to the
+    double-precision floor in one step of any length; it keeps each
+    block's norm and leaves amplitudes outside the support 0.  ``psi``
+    must live on the Hamiltonian's sector and ``t`` must be finite.
     """
-    if psi.basis is not ham.basis and psi.basis.dim != ham.basis.dim:
-        raise DomainError("state and Hamiltonian bases differ")
+    if psi.basis is not ham.basis and not np.array_equal(psi.basis.states,
+                                                         ham.basis.states):
+        raise DomainError(f"state on {psi.basis} but Hamiltonian on {ham.basis}")
+    if not math.isfinite(t):
+        raise DomainError(f"evolution time must be finite, not {t}")
     if method == "auto":
         method = "dense" if ham.basis.dim <= DENSE_LIMIT else "krylov"
     if method == "dense":
@@ -398,7 +383,7 @@ def evolve(
     out = np.zeros_like(psi.amplitudes)
     for sz_twice in np.unique(sz[psi.amplitudes != 0]):
         idx, block = ham.block(int(sz_twice))
-        out[idx] = _krylov(block, psi.amplitudes[idx], t, tol)
+        out[idx] = _chebyshev(block, psi.amplitudes[idx], t)
     return StateVector(psi.basis, out)
 
 
@@ -422,8 +407,6 @@ def prepare_position_quench(
     params: HubbardParams,
     spec: InitialStateSpec,
     subsystem_sites: int,
-    tol: float = 1e-10,
-    method: str = "auto",
 ) -> StateVector:
     """Free evolution of a position product state until the cut fills up.
 
@@ -440,10 +423,10 @@ def prepare_position_quench(
     h_free = build_hamiltonian(
         params.with_interaction(0.0), spec.occupation.particle_count
     )
-    psi = evolve(psi0, h_free, spec.t_free, tol=tol, method=method)
+    psi = evolve(psi0, h_free, spec.t_free)
     keep = 2 * subsystem_sites
     rho = partial_trace(psi, keep)
-    rank = effective_rank(np.linalg.eigvalsh(rho.elements), tol)
+    rank = effective_rank(np.linalg.eigvalsh(rho.elements))
     bound = _free_rank_bound(params.n_modes, spec.occupation.particle_count, keep)
     if rank < bound:
         raise RankDeficientError(

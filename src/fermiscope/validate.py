@@ -129,7 +129,7 @@ def _check_evolution() -> tuple[float, str]:
     amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     psi = StateVector(basis, amps / np.linalg.norm(amps))
     a = evolve(psi, ham, 7.0, method="dense")
-    b = evolve(psi, ham, 7.0, method="krylov", tol=1e-12)
+    b = evolve(psi, ham, 7.0, method="krylov")
     return float(np.abs(a.amplitudes - b.amplitudes).max()), \
         "dense vs iterative propagator"
 

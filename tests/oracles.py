@@ -5,6 +5,7 @@ import math
 from itertools import combinations
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from fermiscope.fock import (
@@ -18,7 +19,6 @@ from fermiscope.fock import (
     popcount,
 )
 from fermiscope.measure import apply_rotation
-from fermiscope.model import KRYLOV_DIM, MAX_SUBSTEPS, _lanczos_step
 from fermiscope.reconstruct import _between_mask
 
 
@@ -246,11 +246,56 @@ def born_weights_loop(state: DensityMatrix, mbasis) -> np.ndarray:
     return np.clip(np.real(np.diag(rotated.elements)), 0.0, None)
 
 
-def evolve_krylov_full(psi: StateVector, ham, t: float, tol: float = 1e-10) -> StateVector:
-    """exp(-i H t) |psi> by Krylov substeps over the whole sector.
+KRYLOV_DIM = 30
+MAX_SUBSTEPS = 100_000
 
-    The loop ``model.evolve`` ran before it stepped each 2*Sz block on its
-    own: one Krylov space for the whole state, renormalized to unit norm.
+
+def _lanczos_step(matrix, y: np.ndarray, dt: float, m: int):
+    """One Krylov step exp(-i dt H) y with an a posteriori error estimate."""
+    beta0 = np.linalg.norm(y)
+    vecs = [y / beta0]
+    alphas, betas = [], []
+    for j in range(m):
+        w = matrix @ vecs[-1]
+        alpha = np.real(np.vdot(vecs[-1], w))
+        w = w - alpha * vecs[-1]
+        if j > 0:
+            w = w - betas[-1] * vecs[-2]
+        # full reorthogonalization; m is small
+        for v in vecs:
+            w = w - np.vdot(v, w) * v
+        alphas.append(alpha)
+        beta = np.linalg.norm(w)
+        if beta < 1e-14 * max(1.0, abs(alpha)):
+            tri = _tridiag(alphas, betas)
+            small = scipy.linalg.expm(-1j * dt * tri)
+            out = beta0 * np.column_stack(vecs) @ small[:, 0]
+            return out, 0.0
+        betas.append(beta)
+        vecs.append(w / beta)
+    tri = _tridiag(alphas, betas[:-1])
+    small = scipy.linalg.expm(-1j * dt * tri)
+    out = beta0 * np.column_stack(vecs[:-1]) @ small[:, 0]
+    err = float(beta0 * betas[-1] * abs(dt) * abs(small[-1, 0]))
+    return out, err
+
+
+def _tridiag(alphas, betas) -> np.ndarray:
+    tri = np.diag(np.asarray(alphas, dtype=float))
+    if betas:
+        off = np.asarray(betas, dtype=float)
+        tri += np.diag(off, 1) + np.diag(off, -1)
+    return tri
+
+
+def evolve_krylov_full(psi: StateVector, ham, t: float, tol: float = 1e-10) -> StateVector:
+    """exp(-i H t) |psi> by adaptive Lanczos substeps over the whole sector.
+
+    An iterative propagator independent of ``model.evolve``'s Chebyshev
+    series: one Krylov space of ``KRYLOV_DIM`` vectors per substep for the
+    whole state, full reorthogonalization, a step that grows x1.5 when the
+    a posteriori error estimate meets ``tol`` and halves when it does not,
+    and a final renormalization to unit norm.
     """
     if t == 0.0:
         return StateVector(psi.basis, psi.amplitudes.copy())

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shutil
 from collections import Counter
@@ -74,8 +75,10 @@ def test_config_guards(tmp_path):
     for name in ("bootstrap_resamples", "histogram_bins", "shots_per_basis"):
         with pytest.raises(DomainError, match=name):
             mini_config(str(tmp_path)).override(**{name: 0})
-    bad_values = {"clamp": (-1.0, 0.0, 0.5, 0.6), "evolve_tol": (0.0, -1e-10),
-                  "rank_cutoff": (-1e-12,), "degeneracy_tol": (-1e-10,)}
+    non_finite = ((0.0, math.nan), (0.0, math.inf), (math.nan,))
+    bad_values = {"clamp": (-1.0, 0.0, 0.5, 0.6), "times": non_finite,
+                  "u_values": non_finite, "rank_cutoff": (-1e-12,),
+                  "degeneracy_tol": (-1e-10,)}
     for name, values in bad_values.items():
         for value in values:
             with pytest.raises(DomainError, match=name):

@@ -27,7 +27,6 @@ from fermiscope.measure import (
     readout_rotation,
     readout_rules,
     run_plan,
-    sample_occupations,
     save_shot_records,
 )
 from fermiscope.validate import random_mixed_state
@@ -171,8 +170,6 @@ def test_run_plan_matches_sampling_from_the_loop_weights(rng):
         want = {int(rho.basis.states[k]): int(drawn[k]) for k in np.nonzero(drawn)[0]}
         assert (rec.key, rec.shots, rec.counts) == (mbasis.key, 300, want)
         assert all(type(b) is int and type(c) is int for b, c in rec.counts.items())
-        one = sample_occupations(rho, mbasis, 300, basis_seed(41, mbasis.id))
-        assert one == rec
 
 
 def test_plan_rotates_each_first_pulse_once(monkeypatch):
@@ -348,7 +345,7 @@ def test_shot_record_count_validation():
     basis = FockBasis(2)
     nan_state = DensityMatrix(basis, np.full((basis.dim, basis.dim), math.nan))
     with pytest.raises(DomainError, match="sum to nan"):
-        sample_occupations(nan_state, plan_bases(2, 1).bases[0], 10, 0)
+        run_plan(nan_state, plan_bases(2, 1, shots_per_basis=10), 0)
 
 
 def test_basis_seed_is_stable():

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fermiscope
 from fermiscope.fock import (
     DomainError,
     FockBasis,
@@ -92,6 +97,11 @@ def test_evolution_methods_agree(rng):
         want = np.linalg.norm(psi.amplitudes[block])
         got = np.linalg.norm(krylov.amplitudes[block])
         assert abs(got - want) <= 1e-14 * want
+    # at t = 1000, a*t reaches 6400 on the 2*Sz = +-1 blocks, beyond the
+    # a*t of about 3500 where the Bessel recurrence starts to rescale
+    dense = evolve(psi, ham, 1000.0, method="dense")
+    krylov = evolve(psi, ham, 1000.0, method="krylov")
+    assert np.abs(dense.amplitudes - krylov.amplitudes).max() < 1e-9
 
 
 def test_hamiltonian_has_no_entries_between_sz_blocks():
@@ -120,6 +130,45 @@ def test_krylov_output_is_zero_outside_the_support(rng):
     assert np.all(out[support] != 0)
     dense = evolve(psi, ham, 7.0, method="dense").amplitudes
     assert np.abs(dense - out).max() < 1e-9
+
+
+@pytest.mark.parametrize("method", ["dense", "krylov"])
+def test_evolve_rejects_other_sectors_and_non_finite_times(method):
+    # 3 and 5 particles on 8 modes: both sectors have 56 states
+    ham = build_hamiltonian(HubbardParams(sites=4, interaction=0.3), particles=5)
+    other = FockBasis(8, 3)
+    assert other.dim == ham.basis.dim
+    psi = StateVector(other, np.full(other.dim, other.dim ** -0.5, dtype=complex))
+    with pytest.raises(DomainError, match="Hamiltonian"):
+        evolve(psi, ham, 1.0, method=method)
+    psi = StateVector(ham.basis, psi.amplitudes)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            evolve(psi, ham, t, method=method)
+
+
+def test_one_state_block_evolves_by_its_phase():
+    # every site holds one up fermion: the only state with 2*Sz = 4
+    ham = build_hamiltonian(HubbardParams(sites=4, interaction=0.3), particles=4)
+    idx, block = ham.block(4)
+    assert block.shape == (1, 1)
+    psi = StateVector(ham.basis, np.zeros(ham.basis.dim, dtype=complex))
+    psi.amplitudes[ham.basis.index_of(0b01010101)] = 1.0
+    got = evolve(psi, ham, 7.0, method="krylov").amplitudes
+    want = evolve(psi, ham, 7.0, method="dense").amplitudes
+    assert np.abs(got - want).max() <= 1e-14
+    assert np.all(got[np.arange(ham.basis.dim) != idx[0]] == 0)
+
+
+def test_model_loads_neither_scipy_linalg_nor_special():
+    code = ("import sys, fermiscope.model; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.special') "
+            "if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(fermiscope.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("kind", ["momentum", "position"])
