@@ -31,13 +31,13 @@ RANK_CUTOFF = 1e-12
 DEGENERACY_TOL = 1e-10
 CASIMIR_TOL = 1e-8
 DEFAULT_ERROR_INDICES = (0, 10, 50, 100)
-POISSON_MEAN_R = 2.0 * math.log(2.0) - 1.0
 # one GUE draw holds a few complex matrix_dim^2 arrays: ~0.3 GB at 2000
 MAX_GUE_DIM = 2000
-# the bootstrap keeps one mean per resample and draws 100 resamples of
-# n ratios at a time: 0.4 GB of indices and gathered ratios for n at the
-# sample cap (0.16 GB measured at C05's 100 001)
+# the bootstrap keeps one mean per resample (0.8 MB at the cap) and draws
+# as many resamples at a time as fit BOOTSTRAP_BLOCK indices: 16 MB of
+# indices and gathered ratios (one resample when n is larger)
 MAX_BOOTSTRAP = 100_000
+BOOTSTRAP_BLOCK = 1 << 20
 MAX_REFERENCE_SAMPLES = 250_000
 
 
@@ -280,18 +280,20 @@ def _ratios_from_levels(levels: np.ndarray) -> np.ndarray:
     return np.minimum(lead, lag) / np.maximum(lead, lag)
 
 
-def _bootstrap_ci(
-    ratios: np.ndarray, resamples: int, seed: int, chunk: int = 100
-):
+def _bootstrap_ci(ratios: np.ndarray, resamples: int, seed: int):
+    """95% percentile interval of the resampled means.
+
+    ``Generator.integers`` yields the same stream however a draw is split,
+    so the blocks give the intervals of one whole-array draw.
+    """
     rng = np.random.default_rng(seed)
     n = ratios.size
+    per_block = max(1, BOOTSTRAP_BLOCK // n)
     means = np.empty(resamples)
-    done = 0
-    while done < resamples:
-        take = min(chunk, resamples - done)
+    for start in range(0, resamples, per_block):
+        take = min(per_block, resamples - start)
         idx = rng.integers(0, n, size=(take, n))
-        means[done : done + take] = ratios[idx].mean(axis=1)
-        done += take
+        means[start : start + take] = ratios[idx].mean(axis=1)
     lo, hi = np.percentile(means, [2.5, 97.5])
     return float(lo), float(hi)
 

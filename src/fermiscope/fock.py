@@ -111,9 +111,6 @@ class FockBasis:
         bits = state.bits if isinstance(state, OccupationBitstring) else int(state)
         return self._index[bits]
 
-    def __contains__(self, bits: int) -> bool:
-        return int(bits) in self._index
-
     def state(self, k: int) -> OccupationBitstring:
         return OccupationBitstring(int(self.states[k]), self.mode_count)
 

@@ -322,7 +322,7 @@ def cmd_measure(config: RunConfig, out_root: str | None = None,
     shots_name = f"shots_{tag}.jsonl"
     save_shot_records(os.path.join(mdir, shots_name), plan, records)
 
-    c2_hat, c2_se = estimate_correlations(plan, records, order=1)
+    c2_hat, c2_se, c4_hat, c4_se = estimate_correlations(plan, records)
     doc = {
         "header": serialize.make_header(
             "estimate", config.subsystem_modes,
@@ -333,12 +333,10 @@ def cmd_measure(config: RunConfig, out_root: str | None = None,
         "two_point_se": c2_se.tolist(),
         "max_dev_c2": float(np.abs(c2_hat.entries - c2_exact.entries).max()),
     }
-    if config.measure_order == 2:
-        c4_hat, c4_se = estimate_correlations(plan, records, order=2)
+    if c4_hat is not None:
         doc["four_point"] = serialize.complex_to_nested(c4_hat.entries)
         doc["four_point_se"] = c4_se.tolist()
-        doc["max_dev_c4"] = float(
-            np.abs(c4_hat.entries - c4_exact.entries).max())
+        doc["max_dev_c4"] = float(np.abs(c4_hat.entries - c4_exact.entries).max())
     est_name = f"estimate_{tag}.json"
     serialize.dump_json(os.path.join(mdir, est_name), doc)
     manifest = os.path.join(mdir, f"manifest_{tag}.json")

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -416,184 +416,119 @@ def exact_records(state, plan: MeasurementPlan) -> list[ShotRecord]:
             for b, probs in zip(plan.bases, weights)]
 
 
-def _shot_mean(record: ShotRecord, values_fn):
-    """Sample mean and standard error of a bitstring observable."""
-    bits = np.fromiter(record.counts.keys(), dtype=np.int64,
-                       count=len(record.counts))
-    weights = np.fromiter(record.counts.values(), dtype=float,
-                          count=len(record.counts))
-    vals = values_fn(bits)
-    mean = float(np.dot(weights, vals)) / record.shots
-    var = float(np.dot(weights, (vals - mean) ** 2)) / record.shots
-    se = math.sqrt(var / record.shots)
-    return mean, se
+def _records_by_basis(plan: MeasurementPlan, records) -> list[ShotRecord]:
+    """The records in plan order, one per basis; checked, as they may come from files."""
+    by_id = [None] * plan.n_bases
+    for rec in records:
+        if not 0 <= rec.basis_id < plan.n_bases or rec.key != plan.bases[rec.basis_id].key:
+            raise CoverageError(f"record {rec.basis_id} {rec.key} names no basis of the plan")
+        if rec.mode_count != plan.n_modes:
+            raise CoverageError(f"record {rec.key} has {rec.mode_count} modes, not {plan.n_modes}")
+        if by_id[rec.basis_id] is not None:
+            raise CoverageError(f"two shot records for basis {rec.key}")
+        by_id[rec.basis_id] = rec
+    if None in by_id:
+        raise CoverageError(f"no shot record for basis {plan.bases[by_id.index(None)].key}")
+    return by_id
 
 
-def _occ(p):
-    return lambda bits: ((bits >> p) & 1).astype(float)
+def _readout(rec: ShotRecord, columns) -> np.ndarray:
+    """Stacked shot means and standard errors of the columns of
+    ``columns(occ)``, where ``occ`` is one 0/1 row per recorded pattern."""
+    bits = np.fromiter(rec.counts, dtype=np.int64, count=len(rec.counts))
+    weights = np.fromiter(rec.counts.values(), dtype=float, count=len(rec.counts))
+    vals = columns(((bits[:, None] >> np.arange(rec.mode_count)) & 1).astype(float))
+    mean = weights @ vals / rec.shots
+    var = weights @ (vals - mean) ** 2 / rec.shots
+    return np.stack([mean, np.sqrt(var / rec.shots)])
 
 
-def _pair_sz(p, q):
-    return lambda bits: 0.5 * (((bits >> p) & 1) - ((bits >> q) & 1)).astype(float)
+def estimate_correlations(plan: MeasurementPlan, records):
+    """(TwoPointMatrix, se, FourPointTensor, se) from one pass over the
+    records; the four-point pair is None for an order-1 plan.
 
-
-def _canonical_pair(first: int, second: int):
-    """Sorted pair plus the sign picked up by odd axes under the swap."""
-    if first < second:
-        return first, second, 1.0
-    return second, first, -1.0
-
-
-def _axis_coef(axis: str) -> complex:
-    return 1j if axis == "y" else 1.0
-
-
-class _RecordSet:
-    def __init__(self, plan: MeasurementPlan, records):
-        self.plan = plan
-        by_id = {}
-        for rec in records:
-            if rec.key != plan.bases[rec.basis_id].key:
-                raise CoverageError(
-                    f"record for basis {rec.basis_id} carries key {rec.key}, "
-                    f"plan says {plan.bases[rec.basis_id].key}"
-                )
-            by_id[rec.basis_id] = rec
-        self.by_id = by_id
-
-    def record(self, key: tuple) -> ShotRecord:
-        if key not in self.plan.index_by_key:
-            raise CoverageError(f"plan does not cover {key}")
-        bid = self.plan.index_by_key[key]
-        if bid not in self.by_id:
-            raise CoverageError(f"no shot record for basis {key}")
-        return self.by_id[bid]
-
-    def pair_moment(self, first: int, second: int, extra_fn=None):
-        """<c+_first c_second> (optionally weighted by a diagonal factor)."""
-        p, q, flip = _canonical_pair(first, second)
-        total = 0.0j
-        var = 0.0
-        sz = _pair_sz(p, q)
-        for axis in ("x", "y"):
-            rec = self.record(("pair", p, q, axis))
-            if extra_fn is None:
-                fn = sz
-            else:
-                fn = lambda bits, e=extra_fn, s=sz: e(bits) * s(bits)
-            mean, se = _shot_mean(rec, fn)
-            sign = flip if axis == "y" else 1.0
-            total += _axis_coef(axis) * sign * mean
-            var += se * se
-        return total, math.sqrt(var)
-
-    def double_pair_moment(self, pair1, axis1, pair2, axis2):
-        """<S^axis1_pair1 S^axis2_pair2> for disjoint pairs, with swap signs."""
-        p, q, f1 = _canonical_pair(*pair1)
-        r, s, f2 = _canonical_pair(*pair2)
-        if (p, q) > (r, s):
-            (p, q, f1, axis1), (r, s, f2, axis2) = (
-                (r, s, f2, axis2), (p, q, f1, axis1))
-        rec = self.record(("pairs", p, q, axis1, r, s, axis2))
-        sz1, sz2 = _pair_sz(p, q), _pair_sz(r, s)
-        mean, se = _shot_mean(rec, lambda bits: sz1(bits) * sz2(bits))
-        sign = (f1 if axis1 == "y" else 1.0) * (f2 if axis2 == "y" else 1.0)
-        return sign * mean, se
-
-
-def _estimate_two_point(rs: _RecordSet):
-    n = rs.plan.n_modes
-    c2 = np.zeros((n, n), dtype=np.complex128)
-    se = np.zeros((n, n))
-    ident = rs.record(("identity",))
-    for p in range(n):
-        c2[p, p], se[p, p] = _shot_mean(ident, _occ(p))
-    for p, q in combinations(range(n), 2):
-        val, err = rs.pair_moment(p, q)
-        c2[p, q] = val
-        c2[q, p] = np.conj(val)
-        se[p, q] = se[q, p] = err
-    return c2, se
-
-
-def _raw_four_moment(rs: _RecordSet, i, j, k, l):
-    """<c+_i c+_j c_k c_l> for i < j, k < l from covered bases."""
-    shared = {i, j} & {k, l}
-    if len(shared) == 0:
-        # <c+i c+j ck cl> = -<(c+i ck)(c+j cl)> for disjoint index pairs
-        total = 0.0j
-        var = 0.0
-        for ax1 in ("x", "y"):
-            for ax2 in ("x", "y"):
-                mean, err = rs.double_pair_moment((i, k), ax1, (j, l), ax2)
-                total += _axis_coef(ax1) * _axis_coef(ax2) * mean
-                var += err * err
-        return -total, math.sqrt(var)
-    if len(shared) == 1:
-        # anticommute the shared index out: sgn <n_s c+_r c_c>
-        if i == k:
-            s_idx, r_idx, c_idx, sgn = i, j, l, -1.0
-        elif j == k:
-            s_idx, r_idx, c_idx, sgn = j, i, l, 1.0
-        elif i == l:
-            s_idx, r_idx, c_idx, sgn = i, j, k, 1.0
-        else:
-            s_idx, r_idx, c_idx, sgn = j, i, k, -1.0
-        val, err = rs.pair_moment(r_idx, c_idx, extra_fn=_occ(s_idx))
-        return sgn * val, err
-    # doubly shared: canonical ordering forces k = i, l = j
-    mean, err = _shot_mean(rs.record(("identity",)),
-                           lambda bits: _occ(i)(bits) * _occ(j)(bits))
-    return -mean, err
-
-
-def estimate_correlations(plan: MeasurementPlan, records, order: int):
-    """Turn shot records into correlation estimates with standard errors.
-
-    order 1 returns (TwoPointMatrix, se matrix); order 2 returns the
-    connected four-point tensor (FourPointTensor, se tensor) built from
-    raw moments with plug-in subtraction of the estimated two-point
-    part.  Statistical noise is per-entry shot noise; the subtraction
-    propagates it to first order in the estimated means.
+    A raw moment <c+_i c+_j c_k c_l> with i < j, k < l comes from the basis
+    pairing (i, k) with (j, l), or from the identity and pair readouts of
+    its shared indices; its other index orders are antisymmetric copies.
+    Plug-in subtraction of the two-point part gives the connected tensor
+    and propagates the shot noise to first order.
     """
-    rs = _RecordSet(plan, records)
-    c2, se2 = _estimate_two_point(rs)
-    if order == 1:
-        return TwoPointMatrix(entries=c2), se2
-    if order != 2:
-        raise DomainError("estimation order must be 1 or 2")
-    if plan.order < 2:
-        raise CoverageError("plan was built for order 1 only")
-
     n = plan.n_modes
-    raw = np.zeros((n, n, n, n), dtype=np.complex128)
-    se4 = np.zeros((n, n, n, n))
-    for i, j in combinations(range(n), 2):
-        for k, l in combinations(range(n), 2):
-            val, err = _raw_four_moment(rs, i, j, k, l)
-            for (a, b, sa) in ((i, j, 1.0), (j, i, -1.0)):
-                for (c, d, sc) in ((k, l, 1.0), (l, k, -1.0)):
-                    raw[a, b, c, d] = sa * sc * val
-                    se4[a, b, c, d] = err
+    # [mean or se, axis, 0 or 1 + s, p, q]: <S^axis_pq> and <n_s S^axis_pq>
+    # in both pair orders; S^y is odd under the swap
+    pair = np.zeros((2, 2, n + 1, n, n))
+    # [mean or se, axis1, axis2, p, q, r, s]: <S^axis1_pq S^axis2_rs>, p < q
+    # and r < s, in both orders of the two pairs
+    quad = np.zeros((2, 2, 2, n, n, n, n))
+    for mbasis, rec in zip(plan.bases, _records_by_basis(plan, records)):
+        kind, *key = mbasis.key
+        if kind == "identity":
+            nn = _readout(rec, lambda occ: (occ[:, :, None] * occ[:, None, :])
+                          .reshape(len(occ), n * n)).reshape(2, n, n)
+        elif kind == "pair":
+            p, q, axis = key
+            a = "xy".index(axis)
+            pair[:, a, :, p, q] = pair[:, a, :, q, p] = _readout(
+                rec, lambda occ: 0.5 * (occ[:, p] - occ[:, q])[:, None]
+                * np.column_stack([np.ones(len(occ)), occ]))
+            pair[0, a, :, q, p] *= 1.0 - 2 * a
+        else:
+            p, q, ax1, r, s, ax2 = key
+            (mean,), (se,) = _readout(rec, lambda occ: (
+                (0.5 * (occ[:, p] - occ[:, q])) * (0.5 * (occ[:, r] - occ[:, s])))[:, None])
+            a, b = "xy".index(ax1), "xy".index(ax2)
+            quad[:, a, b, p, q, r, s] = quad[:, b, a, r, s, p, q] = mean, se
+
+    # <c+_r c_c> = <S^x_rc> + i <S^y_rc>, bare and times n_s
+    moment = pair[0, 0] + 1j * pair[0, 1]
+    moment_se = np.sqrt(pair[1, 0] ** 2 + pair[1, 1] ** 2)
+    c2, se2 = moment[0], moment_se[0]
+    c2[np.diag_indices(n)], se2[np.diag_indices(n)] = nn[0].diagonal(), nn[1].diagonal()
+    lower = np.tril_indices(n, -1)
+    c2[lower] = c2.T[lower].conj()
+    if plan.order == 1:
+        return TwoPointMatrix(entries=c2), se2, None, None
+
+    # every raw moment with i < j, k < l
+    i, j, k, l = np.array([a + b for a, b in product(combinations(range(n), 2), repeat=2)]).T
+    val, err = np.empty(i.size, dtype=np.complex128), np.empty(i.size)
+    # <c+i c+j ck cl> = -<(c+i ck)(c+j cl)> for disjoint index pairs; S^y
+    # of a pair changes sign with its order
+    m = (i != k) & (i != l) & (j != k) & (j != l)
+    q4, q4_se = quad[:, :, :, np.minimum(i, k)[m], np.maximum(i, k)[m],
+                     np.minimum(j, l)[m], np.maximum(j, l)[m]]
+    f1, f2 = np.where(i < k, 1.0, -1.0)[m], np.where(j < l, 1.0, -1.0)[m]
+    val[m] = -(q4[0, 0] + 1j * (f2 * q4[0, 1]) + 1j * (f1 * q4[1, 0])
+               - (f1 * f2) * q4[1, 1])
+    err[m] = np.sqrt((q4_se**2).sum(axis=(0, 1)))
+    # doubly shared: canonical ordering forces k = i, l = j
+    both = (i == k) & (j == l)
+    val[both], err[both] = -nn[0, i[both], j[both]], nn[1, i[both], j[both]]
+    # one shared index s, anticommuted out: -<n_s c+_r c_c> when it sits
+    # at the same place in both pairs, +<n_s c+_r c_c> when not
+    one = ~(m | both)
+    s = np.where((i == k) | (i == l), i, j)[one]
+    r, c = (i + j)[one] - s, (k + l)[one] - s
+    val[one] = np.where(((i == k) | (j == l))[one], -1.0, 1.0) * moment[1 + s, r, c]
+    err[one] = moment_se[1 + s, r, c]
+
+    raw, se4 = np.zeros((n, n, n, n), dtype=np.complex128), np.zeros((n, n, n, n))
+    for (a, b, sa) in ((i, j, 1.0), (j, i, -1.0)):
+        for (c, d, sc) in ((k, l, 1.0), (l, k, -1.0)):
+            raw[a, b, c, d] = sa * sc * val
+            se4[a, b, c, d] = err
     # the moment is Hermitian under full index reversal; averaging the two
     # independent estimates keeps unbiasedness and halves the variance
     raw = 0.5 * (raw + raw.transpose(3, 2, 1, 0).conj())
     se4 = 0.5 * np.sqrt(se4**2 + se4.transpose(3, 2, 1, 0) ** 2)
 
-    connected = (raw
-                 - np.einsum("il,jk->ijkl", c2, c2)
-                 + np.einsum("ik,jl->ijkl", c2, c2))
-    a2 = np.abs(c2)
-    se_prod1 = np.sqrt(
-        np.einsum("il,jk->ijkl", a2**2, se2**2)
-        + np.einsum("il,jk->ijkl", se2**2, a2**2)
-    )
-    se_prod2 = np.sqrt(
-        np.einsum("ik,jl->ijkl", a2**2, se2**2)
-        + np.einsum("ik,jl->ijkl", se2**2, a2**2)
-    )
+    connected = raw - np.einsum("il,jk->ijkl", c2, c2) + np.einsum("ik,jl->ijkl", c2, c2)
+    a2, v2 = np.abs(c2) ** 2, se2**2
+    se_prod1, se_prod2 = (np.sqrt(np.einsum(f, a2, v2) + np.einsum(f, v2, a2))
+                          for f in ("il,jk->ijkl", "ik,jl->ijkl"))
     se_conn = np.sqrt(se4**2 + se_prod1**2 + se_prod2**2)
-    return FourPointTensor(entries=connected), se_conn
+    return (TwoPointMatrix(entries=c2), se2,
+            FourPointTensor(entries=connected), se_conn)
 
 
 def save_shot_records(path: str, plan: MeasurementPlan, records,

@@ -355,9 +355,9 @@ def evolve(
     """exp(-i H t) |psi> by a Chebyshev series or cached dense diagonalization.
 
     ``method`` is "auto" (dense up to sector dimension 4096, iterative
-    beyond), "dense", or "krylov"; the explicit options exist so the two
+    beyond), "dense", or "chebyshev"; the explicit options exist so the two
     routes can be cross-checked against each other.  The dense route
-    diagonalizes the whole sector once.  The iterative "krylov" route
+    diagonalizes the whole sector once.  The iterative "chebyshev" route
     expands exp(-i H t) in Chebyshev polynomials of H on each 2*Sz block
     of the support of ``psi`` (``Hamiltonian.block``), summed down to the
     double-precision floor in one step of any length; it keeps each
@@ -370,12 +370,12 @@ def evolve(
     if not math.isfinite(t):
         raise DomainError(f"evolution time must be finite, not {t}")
     if method == "auto":
-        method = "dense" if ham.basis.dim <= DENSE_LIMIT else "krylov"
+        method = "dense" if ham.basis.dim <= DENSE_LIMIT else "chebyshev"
     if method == "dense":
         w, v = ham.dense_eig()
         rotated = v.conj().T @ psi.amplitudes
         return StateVector(psi.basis, v @ (np.exp(-1j * w * t) * rotated))
-    if method != "krylov":
+    if method != "chebyshev":
         raise DomainError(f"unknown evolution method {method!r}")
     if t == 0.0:
         return StateVector(psi.basis, psi.amplitudes.copy())

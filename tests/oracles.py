@@ -18,7 +18,8 @@ from fermiscope.fock import (
     ladder_matrix,
     popcount,
 )
-from fermiscope.measure import apply_rotation
+from fermiscope.correlations import FourPointTensor, TwoPointMatrix
+from fermiscope.measure import CoverageError, apply_rotation
 from fermiscope.reconstruct import _between_mask
 
 
@@ -323,3 +324,154 @@ def evolve_krylov_full(psi: StateVector, ham, t: float, tol: float = 1e-10) -> S
     if abs(norm - 1.0) > 1e-8:
         raise RuntimeError(f"norm drifted to {norm}")
     return StateVector(psi.basis, y / norm)
+
+
+def _shot_mean(record, values_fn):
+    """Sample mean and standard error of a bitstring observable."""
+    bits = np.fromiter(record.counts.keys(), dtype=np.int64,
+                       count=len(record.counts))
+    weights = np.fromiter(record.counts.values(), dtype=float,
+                          count=len(record.counts))
+    vals = values_fn(bits)
+    mean = float(np.dot(weights, vals)) / record.shots
+    var = float(np.dot(weights, (vals - mean) ** 2)) / record.shots
+    return mean, math.sqrt(var / record.shots)
+
+
+def _occ(p):
+    return lambda bits: ((bits >> p) & 1).astype(float)
+
+
+def _pair_sz(p, q):
+    return lambda bits: 0.5 * (((bits >> p) & 1) - ((bits >> q) & 1)).astype(float)
+
+
+def _canonical_pair(first: int, second: int):
+    """Sorted pair plus the sign picked up by odd axes under the swap."""
+    if first < second:
+        return first, second, 1.0
+    return second, first, -1.0
+
+
+def _axis_coef(axis: str) -> complex:
+    return 1j if axis == "y" else 1.0
+
+
+def estimate_correlations_loop(plan, records):
+    """``measure.estimate_correlations`` one shot mean at a time.
+
+    Every moment is its own pass over one record's bit patterns: C2 from
+    the identity and pair bases, and each raw C4 entry <c+_i c+_j c_k c_l>
+    with i < j, k < l from the one basis (or identity/pair reduction) that
+    covers it, copied to the other three index orders with its
+    antisymmetric sign.
+    """
+    by_id = {}
+    for rec in records:
+        if rec.key != plan.bases[rec.basis_id].key:
+            raise CoverageError(f"record for basis {rec.basis_id} carries "
+                                f"key {rec.key}")
+        by_id[rec.basis_id] = rec
+
+    def record(key):
+        if key not in plan.index_by_key:
+            raise CoverageError(f"plan does not cover {key}")
+        if plan.index_by_key[key] not in by_id:
+            raise CoverageError(f"no shot record for basis {key}")
+        return by_id[plan.index_by_key[key]]
+
+    def pair_moment(first, second, extra_fn=None):
+        """<c+_first c_second>, optionally weighted by a diagonal factor."""
+        p, q, flip = _canonical_pair(first, second)
+        total = 0.0j
+        var = 0.0
+        sz = _pair_sz(p, q)
+        for axis in ("x", "y"):
+            if extra_fn is None:
+                fn = sz
+            else:
+                fn = lambda bits, e=extra_fn, s=sz: e(bits) * s(bits)
+            mean, se = _shot_mean(record(("pair", p, q, axis)), fn)
+            sign = flip if axis == "y" else 1.0
+            total += _axis_coef(axis) * sign * mean
+            var += se * se
+        return total, math.sqrt(var)
+
+    def double_pair_moment(pair1, axis1, pair2, axis2):
+        """<S^axis1_pair1 S^axis2_pair2> for disjoint pairs, with swap signs."""
+        p, q, f1 = _canonical_pair(*pair1)
+        r, s, f2 = _canonical_pair(*pair2)
+        if (p, q) > (r, s):
+            (p, q, f1, axis1), (r, s, f2, axis2) = (
+                (r, s, f2, axis2), (p, q, f1, axis1))
+        sz1, sz2 = _pair_sz(p, q), _pair_sz(r, s)
+        mean, se = _shot_mean(record(("pairs", p, q, axis1, r, s, axis2)),
+                              lambda bits: sz1(bits) * sz2(bits))
+        sign = (f1 if axis1 == "y" else 1.0) * (f2 if axis2 == "y" else 1.0)
+        return sign * mean, se
+
+    def raw_four_moment(i, j, k, l):
+        """<c+_i c+_j c_k c_l> for i < j, k < l from covered bases."""
+        shared = {i, j} & {k, l}
+        if len(shared) == 0:
+            # <c+i c+j ck cl> = -<(c+i ck)(c+j cl)> for disjoint index pairs
+            total = 0.0j
+            var = 0.0
+            for ax1 in ("x", "y"):
+                for ax2 in ("x", "y"):
+                    mean, err = double_pair_moment((i, k), ax1, (j, l), ax2)
+                    total += _axis_coef(ax1) * _axis_coef(ax2) * mean
+                    var += err * err
+            return -total, math.sqrt(var)
+        if len(shared) == 1:
+            # anticommute the shared index out: sgn <n_s c+_r c_c>
+            if i == k:
+                s_idx, r_idx, c_idx, sgn = i, j, l, -1.0
+            elif j == k:
+                s_idx, r_idx, c_idx, sgn = j, i, l, 1.0
+            elif i == l:
+                s_idx, r_idx, c_idx, sgn = i, j, k, 1.0
+            else:
+                s_idx, r_idx, c_idx, sgn = j, i, k, -1.0
+            val, err = pair_moment(r_idx, c_idx, extra_fn=_occ(s_idx))
+            return sgn * val, err
+        # doubly shared: canonical ordering forces k = i, l = j
+        mean, err = _shot_mean(record(("identity",)),
+                               lambda bits: _occ(i)(bits) * _occ(j)(bits))
+        return -mean, err
+
+    n = plan.n_modes
+    c2 = np.zeros((n, n), dtype=np.complex128)
+    se2 = np.zeros((n, n))
+    ident = record(("identity",))
+    for p in range(n):
+        c2[p, p], se2[p, p] = _shot_mean(ident, _occ(p))
+    for p, q in combinations(range(n), 2):
+        val, err = pair_moment(p, q)
+        c2[p, q] = val
+        c2[q, p] = np.conj(val)
+        se2[p, q] = se2[q, p] = err
+    if plan.order == 1:
+        return TwoPointMatrix(entries=c2), se2, None, None
+
+    raw = np.zeros((n, n, n, n), dtype=np.complex128)
+    se4 = np.zeros((n, n, n, n))
+    for i, j in combinations(range(n), 2):
+        for k, l in combinations(range(n), 2):
+            val, err = raw_four_moment(i, j, k, l)
+            for (a, b, sa) in ((i, j, 1.0), (j, i, -1.0)):
+                for (c, d, sc) in ((k, l, 1.0), (l, k, -1.0)):
+                    raw[a, b, c, d] = sa * sc * val
+                    se4[a, b, c, d] = err
+    raw = 0.5 * (raw + raw.transpose(3, 2, 1, 0).conj())
+    se4 = 0.5 * np.sqrt(se4**2 + se4.transpose(3, 2, 1, 0) ** 2)
+    connected = (raw
+                 - np.einsum("il,jk->ijkl", c2, c2)
+                 + np.einsum("ik,jl->ijkl", c2, c2))
+    a2 = np.abs(c2)
+    se_prod1 = np.sqrt(np.einsum("il,jk->ijkl", a2**2, se2**2)
+                       + np.einsum("il,jk->ijkl", se2**2, a2**2))
+    se_prod2 = np.sqrt(np.einsum("ik,jl->ijkl", a2**2, se2**2)
+                       + np.einsum("ik,jl->ijkl", se2**2, a2**2))
+    se_conn = np.sqrt(se4**2 + se_prod1**2 + se_prod2**2)
+    return TwoPointMatrix(entries=c2), se2, FourPointTensor(entries=connected), se_conn

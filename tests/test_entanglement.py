@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fermiscope import entanglement
 from fermiscope.entanglement import (
     MAX_BOOTSTRAP,
     MAX_GUE_DIM,
@@ -185,6 +188,29 @@ def test_gue_capacity_guard():
     for dim in (MAX_GUE_DIM + 1, 10**9):
         with pytest.raises(CapacityError):
             reference_distribution("gue", matrix_dim=dim)
+
+
+@pytest.mark.parametrize("block", [1, 50, 1 << 20])
+def test_bootstrap_blocks_match_one_whole_draw(monkeypatch, block):
+    monkeypatch.setattr(entanglement, "BOOTSTRAP_BLOCK", block)
+    for n in (7, 33, 1001):
+        ratios = np.random.default_rng(n).random(n)
+        rng = np.random.default_rng(5)
+        means = ratios[rng.integers(0, n, size=(250, n))].mean(axis=1)
+        want = tuple(float(x) for x in np.percentile(means, [2.5, 97.5]))
+        assert entanglement._bootstrap_ci(ratios, 250, 5) == want
+
+
+def test_bootstrap_peak_memory_is_one_block():
+    # one block is 2**20 indices plus their gathered ratios: 16 MB
+    ratios = np.random.default_rng(0).random(100_001)
+    tracemalloc.start()
+    try:
+        entanglement._bootstrap_ci(ratios, 1000, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_bootstrap_and_sample_capacity_guards():

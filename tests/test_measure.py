@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -32,7 +33,12 @@ from fermiscope.measure import (
 from fermiscope.validate import random_mixed_state
 
 from conftest import bell_pair, paired_state, pure_density
-from oracles import apply_rotation_sparse, born_weights_loop, same_bits
+from oracles import (
+    apply_rotation_sparse,
+    born_weights_loop,
+    estimate_correlations_loop,
+    same_bits,
+)
 
 
 def test_readout_rules_frozen():
@@ -196,11 +202,44 @@ def test_exact_records_estimators_are_exact(seed):
     rho = random_mixed_state(np.random.default_rng(seed), 4)
     plan = plan_bases(4, 2)
     records = exact_records(rho, plan)
-    c2, _ = estimate_correlations(plan, records, order=1)
-    c4, _ = estimate_correlations(plan, records, order=2)
+    c2, _, c4, _ = estimate_correlations(plan, records)
     assert np.abs(c2.entries - measure_two_point(rho).entries).max() < 1e-12
     want = measure_four_point_connected(rho)
     assert np.abs(c4.entries - want.entries).max() < 1e-12
+
+
+@pytest.mark.parametrize("n_modes", [4, 6, 8])
+def test_estimator_matches_loop_oracle_on_sampled_records(n_modes):
+    # sampled counts are integers and readouts multiples of 1/4, so every
+    # shot sum is exact and C2/C4 must agree to the sign of each zero; the
+    # pairing of each disjoint C4 entry shows here and not on exact records
+    rho = random_mixed_state(np.random.default_rng(n_modes), n_modes)
+    plan = plan_bases(n_modes, 2, shots_per_basis=300)
+    records = run_plan(rho, plan, 11)
+    c2, c2_se, c4, c4_se = estimate_correlations(plan, records)
+    w2, w2_se, w4, w4_se = estimate_correlations_loop(plan, records)
+    assert same_bits(c2.entries, w2.entries)
+    assert same_bits(c4.entries, w4.entries)
+    assert np.abs(c2_se - w2_se).max() <= 1e-15
+    assert np.abs(c4_se - w4_se).max() <= 1e-15
+
+
+@pytest.mark.parametrize("case", ["id past the plan", "negative id",
+                                  "repeated basis", "other mode count"])
+def test_estimator_rejects_malformed_records(case):
+    plan = plan_bases(2, 1)
+    records = exact_records(pure_density(bell_pair()), plan)
+    last = records[-1]
+    if case == "id past the plan":
+        records[-1] = dataclasses.replace(last, basis_id=7)
+    elif case == "negative id":
+        records[-1] = dataclasses.replace(last, basis_id=-1)
+    elif case == "repeated basis":
+        records.append(dataclasses.replace(records[0], counts={0b01: 1.0}))
+    else:
+        records = [dataclasses.replace(r, mode_count=3) for r in records]
+    with pytest.raises(CoverageError):
+        estimate_correlations(plan, records)
 
 
 def test_doublet_tables_are_shared_and_read_only():
@@ -265,14 +304,15 @@ def test_plan_lookup_and_coverage():
     with pytest.raises(CoverageError):
         plan.basis(("pair", 0, 1, "q"))
     records = exact_records(pure_density(paired_state()), plan)
-    with pytest.raises(CoverageError):
-        estimate_correlations(plan, records, order=2)
+    with pytest.raises(CoverageError, match="no shot record"):
+        estimate_correlations(plan, records[:3] + records[4:])
 
 
 def test_exact_records_reproduce_two_point():
     rho = pure_density(bell_pair())
     plan = plan_bases(2, 1)
-    c2, se = estimate_correlations(plan, exact_records(rho, plan), order=1)
+    c2, se, c4, c4_se = estimate_correlations(plan, exact_records(rho, plan))
+    assert c4 is None and c4_se is None
     assert np.abs(c2.entries - measure_two_point(rho).entries).max() < 1e-12
     assert np.all(se >= 0.0)
 
@@ -282,8 +322,7 @@ def test_exact_records_reproduce_four_point(rng):
         rho = random_mixed_state(rng, n_modes)
         plan = plan_bases(n_modes, 2)
         records = exact_records(rho, plan)
-        c2, _ = estimate_correlations(plan, records, order=1)
-        c4, _ = estimate_correlations(plan, records, order=2)
+        c2, _, c4, _ = estimate_correlations(plan, records)
         assert np.abs(c2.entries - measure_two_point(rho).entries).max() < 1e-12
         want = measure_four_point_connected(rho)
         assert np.abs(c4.entries - want.entries).max() < 1e-12
@@ -320,7 +359,7 @@ def test_estimates_tighten_with_shots():
     devs = []
     for shots in (200, 20_000):
         plan = plan_bases(4, 1, shots_per_basis=shots)
-        c2, _ = estimate_correlations(plan, run_plan(rho, plan, 7), order=1)
+        c2, *_ = estimate_correlations(plan, run_plan(rho, plan, 7))
         devs.append(np.abs(c2.entries - exact).max())
     assert devs[1] < devs[0]
 

@@ -86,22 +86,22 @@ def test_evolution_methods_agree(rng):
     amps = rng.normal(size=ham.basis.dim) + 1j * rng.normal(size=ham.basis.dim)
     psi = StateVector(ham.basis, amps).normalized()
     dense = evolve(psi, ham, 7.0, method="dense")
-    krylov = evolve(psi, ham, 7.0, method="krylov")
-    assert np.abs(dense.amplitudes - krylov.amplitudes).max() < 1e-9
+    cheb = evolve(psi, ham, 7.0, method="chebyshev")
+    assert np.abs(dense.amplitudes - cheb.amplitudes).max() < 1e-9
     assert dense.norm == pytest.approx(1.0, abs=1e-12)
-    # the random state spans every 2*Sz block; Krylov steps each one apart
+    # the random state spans every 2*Sz block; Chebyshev steps each one apart
     sz = sz_twice_diagonal(ham.basis)
     assert set(sz) == {-3, -1, 1, 3}
     for value in set(sz):
         block = sz == value
         want = np.linalg.norm(psi.amplitudes[block])
-        got = np.linalg.norm(krylov.amplitudes[block])
+        got = np.linalg.norm(cheb.amplitudes[block])
         assert abs(got - want) <= 1e-14 * want
     # at t = 1000, a*t reaches 6400 on the 2*Sz = +-1 blocks, beyond the
     # a*t of about 3500 where the Bessel recurrence starts to rescale
     dense = evolve(psi, ham, 1000.0, method="dense")
-    krylov = evolve(psi, ham, 1000.0, method="krylov")
-    assert np.abs(dense.amplitudes - krylov.amplitudes).max() < 1e-9
+    cheb = evolve(psi, ham, 1000.0, method="chebyshev")
+    assert np.abs(dense.amplitudes - cheb.amplitudes).max() < 1e-9
 
 
 def test_hamiltonian_has_no_entries_between_sz_blocks():
@@ -118,21 +118,21 @@ def test_hamiltonian_has_no_entries_between_sz_blocks():
     assert same_bits(rebuilt, ham.matrix.toarray())
 
 
-def test_krylov_output_is_zero_outside_the_support(rng):
+def test_chebyshev_output_is_zero_outside_the_support(rng):
     params = HubbardParams(sites=4, interaction=0.3)
     ham = build_hamiltonian(params, particles=3)
     sz = sz_twice_diagonal(ham.basis)
     support = np.isin(sz, (-1, 3))
     amps = np.where(support, rng.normal(size=sz.size) + 1j * rng.normal(size=sz.size), 0)
     psi = StateVector(ham.basis, amps).normalized()
-    out = evolve(psi, ham, 7.0, method="krylov").amplitudes
+    out = evolve(psi, ham, 7.0, method="chebyshev").amplitudes
     assert np.all(out[~support] == 0)
     assert np.all(out[support] != 0)
     dense = evolve(psi, ham, 7.0, method="dense").amplitudes
     assert np.abs(dense - out).max() < 1e-9
 
 
-@pytest.mark.parametrize("method", ["dense", "krylov"])
+@pytest.mark.parametrize("method", ["dense", "chebyshev"])
 def test_evolve_rejects_other_sectors_and_non_finite_times(method):
     # 3 and 5 particles on 8 modes: both sectors have 56 states
     ham = build_hamiltonian(HubbardParams(sites=4, interaction=0.3), particles=5)
@@ -154,7 +154,7 @@ def test_one_state_block_evolves_by_its_phase():
     assert block.shape == (1, 1)
     psi = StateVector(ham.basis, np.zeros(ham.basis.dim, dtype=complex))
     psi.amplitudes[ham.basis.index_of(0b01010101)] = 1.0
-    got = evolve(psi, ham, 7.0, method="krylov").amplitudes
+    got = evolve(psi, ham, 7.0, method="chebyshev").amplitudes
     want = evolve(psi, ham, 7.0, method="dense").amplitudes
     assert np.abs(got - want).max() <= 1e-14
     assert np.all(got[np.arange(ham.basis.dim) != idx[0]] == 0)
@@ -179,7 +179,7 @@ def test_block_route_matches_full_sector_oracle(kind):
     psi = initial_state(params, spec)
     assert np.unique(sz_twice_diagonal(ham.basis)[psi.amplitudes != 0]).size == 1
     for t in (0.5, 6.0):
-        got = evolve(psi, ham, t, method="krylov")
+        got = evolve(psi, ham, t, method="chebyshev")
         want = evolve_krylov_full(psi, ham, t)
         assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
 
