@@ -9,12 +9,12 @@ nested under "model".
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 
 from . import serialize
-from .entanglement import MAX_BOOTSTRAP
-from .fock import CapacityError, DomainError
+from .fock import DomainError
 from .model import HubbardParams
 
 
@@ -37,24 +37,34 @@ class RunConfig:
         1e-3, 1.93e-3, 3.73e-3, 7.2e-3, 1.39e-2, 2.68e-2, 5.18e-2, 1e-1,
     )
     ensemble_size: int = 10
-    clamp: float = 1e-10
-    warn_threshold: float = 0.1
-    rank_cutoff: float = 1e-12
-    degeneracy_tol: float = 1e-10
-    histogram_bins: int = 24
-    bootstrap_resamples: int = 1000
     shots_per_basis: int = 4000
     measure_order: int = 2
     workers: int = 0
     out_dir: str = "runs"
 
     def __post_init__(self):
-        if not isinstance(self.master_seed, int):
-            raise DomainError("master_seed must be an integer")
-        if not self.times:
-            raise DomainError("time grid is empty")
-        if not self.u_values:
-            raise DomainError("interaction grid is empty")
+        # JSON may give a float or a boolean where an integer belongs
+        ints = ["master_seed", "subsystem_sites", "ensemble_size",
+                "shots_per_basis", "measure_order", "workers"]
+        if self.target_particles is not None:
+            ints.append("target_particles")
+        for name in ints:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("times", "u_values"):
+            grid = getattr(self, name)
+            if not (isinstance(grid, (list, tuple)) and grid and all(
+                    isinstance(x, numbers.Real) and not isinstance(x, bool)
+                    and math.isfinite(x) for x in grid)):
+                raise DomainError(f"{name} must be a nonempty list of finite "
+                                  f"numbers, not {grid!r}")
+            grid = tuple(float(x) for x in grid)
+            object.__setattr__(self, name, grid)
+            # incremental evolution in the drivers assumes ordered grids
+            if any(b <= a for a, b in zip(grid, grid[1:])):
+                raise DomainError(f"{name} must be strictly increasing")
         if self.ensemble_size < 1:
             raise DomainError("ensemble size must be positive")
         if not 1 <= self.subsystem_sites < self.model.sites:
@@ -75,28 +85,8 @@ class RunConfig:
             raise DomainError("measure_order must be 1 or 2")
         if self.workers < 0:
             raise DomainError("workers must be >= 0")
-        for name in ("histogram_bins", "bootstrap_resamples",
-                     "shots_per_basis"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1")
-        if self.bootstrap_resamples > MAX_BOOTSTRAP:
-            raise CapacityError(f"bootstrap_resamples exceeds the "
-                                f"{MAX_BOOTSTRAP} capacity guard")
-        if not 0.0 < self.clamp < 0.5:
-            raise DomainError("clamp must lie in (0, 0.5)")
-        for name in ("rank_cutoff", "degeneracy_tol"):
-            if not getattr(self, name) >= 0.0:
-                raise DomainError(f"{name} must be >= 0")
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(self, "u_values",
-                           tuple(float(u) for u in self.u_values))
-        # incremental evolution in the drivers assumes ordered grids
-        for name in ("times", "u_values"):
-            grid = getattr(self, name)
-            if not all(math.isfinite(x) for x in grid):
-                raise DomainError(f"{name} must be finite")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise DomainError(f"{name} must be strictly increasing")
+        if self.shots_per_basis < 1:
+            raise DomainError("shots_per_basis must be >= 1")
 
     @property
     def particles(self) -> int:
@@ -127,18 +117,20 @@ def save_config(path: str, config: RunConfig):
     serialize.dump_json(path, config.summary())
 
 
+def _fields_of(doc, cls, what: str, required: tuple[str, ...]) -> dict:
+    """``doc`` as keyword arguments of ``cls``, or a DomainError naming why not."""
+    if not isinstance(doc, dict):
+        raise DomainError(f"{what} must be a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    missing = [name for name in required if name not in doc]
+    if unknown or missing:
+        raise DomainError(f"unknown {what} keys: {unknown}, missing: {missing}")
+    return doc
+
+
 def load_config(path: str) -> RunConfig:
-    doc = serialize.load_json(path)
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(doc) - known
-    if unknown:
-        raise DomainError(f"unknown config keys: {sorted(unknown)}")
-    if "model" not in doc or "master_seed" not in doc:
-        raise DomainError("config needs at least 'model' and 'master_seed'")
-    kwargs = dict(doc)
-    kwargs["model"] = HubbardParams(**doc["model"])
-    if "times" in kwargs:
-        kwargs["times"] = tuple(kwargs["times"])
-    if "u_values" in kwargs:
-        kwargs["u_values"] = tuple(kwargs["u_values"])
+    kwargs = _fields_of(serialize.load_json(path), RunConfig, "config",
+                        ("model", "master_seed"))
+    kwargs["model"] = HubbardParams(**_fields_of(kwargs["model"], HubbardParams,
+                                                 "model", ("sites",)))
     return RunConfig(**kwargs)

@@ -53,13 +53,13 @@ class TwoPointMatrix:
         w = np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T))
         return float(max(0.0, -w.min(), w.max() - 1.0))
 
-    def validate(self, tol: float = HERMITICITY_TOL):
-        # a NaN defect compares False with tol, so test finiteness first
+    def validate(self):
+        # a NaN defect compares False with the tolerance, so test finiteness first
         if not np.isfinite(self.entries).all():
             raise DomainError("two-point matrix has non-finite entries")
-        if self.hermiticity_defect() > tol:
+        if self.hermiticity_defect() > HERMITICITY_TOL:
             raise DomainError("two-point matrix is not Hermitian")
-        if self.occupation_bound_defect() > tol:
+        if self.occupation_bound_defect() > HERMITICITY_TOL:
             raise DomainError("two-point eigenvalues leave [0, 1]")
 
 
@@ -92,12 +92,12 @@ class FourPointTensor:
     def max_abs(self) -> float:
         return float(np.abs(self.entries).max())
 
-    def validate(self, tol: float = HERMITICITY_TOL):
+    def validate(self):
         if not np.isfinite(self.entries).all():
             raise DomainError("four-point tensor has non-finite entries")
-        if self.antisymmetry_defect() > tol:
+        if self.antisymmetry_defect() > HERMITICITY_TOL:
             raise DomainError("four-point tensor breaks antisymmetry")
-        if self.hermiticity_defect() > tol:
+        if self.hermiticity_defect() > HERMITICITY_TOL:
             raise DomainError("four-point tensor breaks Hermiticity")
 
 
@@ -235,13 +235,12 @@ class DiagonalFrame:
 
     ``rotation`` holds the eigenvectors as columns, ordered by descending
     occupation; frame annihilators are d_p = sum_b rotation[b, p] c_b.
-    ``occupations`` are the eigenvalues clamped into (clamp, 1 - clamp) so
-    entanglement-Hamiltonian logs stay finite.
+    ``occupations`` lie strictly inside (0, 1) so entanglement-Hamiltonian
+    logs and the 1/f factors of the correction stay finite.
     """
 
     rotation: np.ndarray
     occupations: np.ndarray
-    clamp: float = OCCUPATION_CLAMP
 
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.complex128)
@@ -263,18 +262,16 @@ class DiagonalFrame:
         return self.occupations.shape[0]
 
 
-def diagonalize_two_point(
-    c2: TwoPointMatrix, clamp: float = OCCUPATION_CLAMP
-) -> DiagonalFrame:
+def diagonalize_two_point(c2: TwoPointMatrix) -> DiagonalFrame:
     """Eigen-frame of C2 with a deterministic ordering.
 
-    Ties in the occupation spectrum are broken lexicographically on the
-    rounded eigenvector entries, and each eigenvector's global phase is
-    fixed by making its largest-magnitude entry real positive, so repeated
-    runs produce bit-identical frames.
+    Occupations are clamped into (OCCUPATION_CLAMP, 1 - OCCUPATION_CLAMP),
+    so a pure mode (occupation 0 or 1) still gives a valid frame.  Ties in
+    the occupation spectrum are broken lexicographically on the rounded
+    eigenvector entries, and each eigenvector's global phase is fixed by
+    making its largest-magnitude entry real positive, so repeated runs
+    produce bit-identical frames.
     """
-    if not 0.0 < clamp < 0.5:
-        raise DomainError(f"occupation clamp {clamp} outside (0, 0.5)")
     c2.validate()
     herm = 0.5 * (c2.entries + c2.entries.conj().T)
     w, v = np.linalg.eigh(herm)
@@ -291,8 +288,8 @@ def diagonalize_two_point(
     order = sorted(range(n), key=lambda p: keys[p])
     w = w[order]
     v = v[:, order]
-    g = np.clip(w, clamp, 1.0 - clamp)
-    return DiagonalFrame(rotation=v, occupations=g, clamp=clamp)
+    g = np.clip(w, OCCUPATION_CLAMP, 1.0 - OCCUPATION_CLAMP)
+    return DiagonalFrame(rotation=v, occupations=g)
 
 
 def rotate_four_point(c4: FourPointTensor, frame: DiagonalFrame) -> FourPointTensor:

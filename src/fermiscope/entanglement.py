@@ -29,6 +29,8 @@ from .reconstruct import gaussian_state, mode_rotation_unitary
 
 RANK_CUTOFF = 1e-12
 DEGENERACY_TOL = 1e-10
+HISTOGRAM_BINS = 24
+BOOTSTRAP_RESAMPLES = 1000
 CASIMIR_TOL = 1e-8
 DEFAULT_ERROR_INDICES = (0, 10, 50, 100)
 # one GUE draw holds a few complex matrix_dim^2 arrays: ~0.3 GB at 2000
@@ -59,10 +61,9 @@ class SectorLabel:
 
 @dataclass
 class EntanglementSpectrum:
-    """Levels -log(lambda) above a rank cutoff, ascending."""
+    """Levels -log(lambda) above RANK_CUTOFF, ascending."""
 
     levels: np.ndarray
-    cutoff: float = RANK_CUTOFF
     label: SectorLabel | None = None
 
     def __post_init__(self):
@@ -77,14 +78,10 @@ class EntanglementSpectrum:
         return int(self.levels.size)
 
 
-def entanglement_spectrum(
-    rho: DensityMatrix | np.ndarray,
-    cutoff: float = RANK_CUTOFF,
-    label: SectorLabel | None = None,
-) -> EntanglementSpectrum:
+def entanglement_spectrum(rho: DensityMatrix | np.ndarray) -> EntanglementSpectrum:
     """Spectrum of -log(rho), truncated at the numerical rank.
 
-    Eigenvalues at or below ``cutoff`` carry no information about the
+    Eigenvalues at or below RANK_CUTOFF carry no information about the
     state (they are zeros plus rounding) and would inject divergent
     levels, so they are dropped rather than clipped.
     """
@@ -94,9 +91,8 @@ def entanglement_spectrum(
         raise DomainError(
             f"state has eigenvalue {vals[0]:.3e}; project it first"
         )
-    kept = vals[vals > cutoff]
-    levels = np.sort(-np.log(kept))
-    return EntanglementSpectrum(levels=levels, cutoff=cutoff, label=label)
+    kept = vals[vals > RANK_CUTOFF]
+    return EntanglementSpectrum(levels=np.sort(-np.log(kept)))
 
 
 def spectral_error(
@@ -205,10 +201,6 @@ class SectorBlock:
     label: SectorLabel
     elements: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return int(self.elements.shape[0])
-
 
 def sector_project(rho: DensityMatrix) -> list[SectorBlock]:
     """Split a reduced state into (n, m, s) symmetry blocks.
@@ -225,21 +217,17 @@ def sector_project(rho: DensityMatrix) -> list[SectorBlock]:
     return blocks
 
 
-def sector_spectra(
-    rho: DensityMatrix, cutoff: float = RANK_CUTOFF
-) -> list[EntanglementSpectrum]:
+def sector_spectra(rho: DensityMatrix) -> list[EntanglementSpectrum]:
     """Entanglement spectrum of every symmetry block with >= 1 kept level."""
     spectra = []
     for block in sector_project(rho):
         herm = 0.5 * (block.elements + block.elements.conj().T)
         vals = np.linalg.eigvalsh(herm)
-        kept = vals[vals > cutoff]
+        kept = vals[vals > RANK_CUTOFF]
         if kept.size == 0:
             continue
         spectra.append(
-            EntanglementSpectrum(
-                levels=np.sort(-np.log(kept)), cutoff=cutoff, label=block.label
-            )
+            EntanglementSpectrum(levels=np.sort(-np.log(kept)), label=block.label)
         )
     return spectra
 
@@ -258,14 +246,14 @@ class GapStatistics:
     sectors_used: int
 
 
-def _filter_degenerate(levels: np.ndarray, tol: float):
-    """Collapse near-coincident levels; returns (filtered, dropped count)."""
+def _filter_degenerate(levels: np.ndarray):
+    """Collapse levels within DEGENERACY_TOL; returns (filtered, dropped count)."""
     if levels.size == 0:
         return levels, 0
     kept = [float(levels[0])]
     dropped = 0
     for x in levels[1:]:
-        if x - kept[-1] < tol:
+        if x - kept[-1] < DEGENERACY_TOL:
             dropped += 1
         else:
             kept.append(float(x))
@@ -337,10 +325,9 @@ def _check_bootstrap(bootstrap: int):
 
 def gap_statistics(
     spectra,
-    bins: int = 24,
-    bootstrap: int = 1000,
+    bins: int = HISTOGRAM_BINS,
+    bootstrap: int = BOOTSTRAP_RESAMPLES,
     seed: int = 0,
-    degeneracy_tol: float = DEGENERACY_TOL,
 ) -> GapStatistics:
     """Pool gap ratios over sector spectra.
 
@@ -354,8 +341,7 @@ def gap_statistics(
     dropped = 0
     used = 0
     for spec in spectra:
-        levels, d = _filter_degenerate(np.asarray(spec.levels, float),
-                                       degeneracy_tol)
+        levels, d = _filter_degenerate(np.asarray(spec.levels, float))
         dropped += d
         if levels.size < 3:
             continue
@@ -369,8 +355,8 @@ def reference_distribution(
     kind: str,
     samples: int = 100_000,
     seed: int = 0,
-    bins: int = 24,
-    bootstrap: int = 1000,
+    bins: int = HISTOGRAM_BINS,
+    bootstrap: int = BOOTSTRAP_RESAMPLES,
     matrix_dim: int = 200,
 ) -> GapStatistics:
     """Monte Carlo gap-ratio reference ensembles.

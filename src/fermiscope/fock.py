@@ -178,9 +178,6 @@ class StateVector:
     def normalized(self) -> "StateVector":
         return StateVector(self.basis, self.amplitudes / self.norm)
 
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 @dataclass
 class DensityMatrix:

@@ -21,6 +21,7 @@ import numpy as np
 from . import serialize
 from .config import RunConfig
 from .correlations import (
+    OCCUPATION_CLAMP,
     load_correlations,
     measure_four_point_connected,
     measure_two_point,
@@ -29,6 +30,7 @@ from .correlations import (
 )
 from .entanglement import (
     DEFAULT_ERROR_INDICES,
+    RANK_CUTOFF,
     EntanglementSpectrum,
     StatisticsUnavailableError,
     entanglement_spectrum,
@@ -108,12 +110,12 @@ def _run_tasks(fn, tasks, workers: int):
         return list(pool.map(fn, tasks))
 
 
-def _quench_dir(out_root: str) -> str:
-    return os.path.join(out_root, "quench")
+def _quench_dir(config: RunConfig) -> str:
+    return os.path.join(config.out_dir, "quench")
 
 
-def _recon_dir(out_root: str) -> str:
-    return os.path.join(out_root, "recon")
+def _recon_dir(config: RunConfig) -> str:
+    return os.path.join(config.out_dir, "recon")
 
 
 def _quench_task(task):
@@ -162,16 +164,15 @@ def _member_snapshots(config, out_dir, iu, member, spec, ham):
     return names
 
 
-def cmd_quench(config: RunConfig, out_root: str | None = None) -> str:
+def cmd_quench(config: RunConfig) -> str:
     """Evolve the ensemble over the (U, t) grid and write snapshots."""
-    out_root = config.out_dir if out_root is None else out_root
     dim = sector_dimension(config.model.n_modes, config.particles)
     if dim > CAPACITY_LIMIT:
         raise CapacityError(
             f"sector dimension {dim} exceeds {CAPACITY_LIMIT}; reduce "
             "sites or the particle number, or run on dedicated hardware"
         )
-    out_dir = _quench_dir(out_root)
+    out_dir = _quench_dir(config)
     os.makedirs(out_dir, exist_ok=True)
     specs = initial_specs(config)
     members_doc = {
@@ -202,16 +203,10 @@ def cmd_quench(config: RunConfig, out_root: str | None = None) -> str:
     return manifest
 
 
-def _sector_spectra_doc(rho: DensityMatrix, cutoff: float) -> list[dict]:
-    out = []
-    for spec in sector_spectra(rho, cutoff=cutoff):
-        out.append({
-            "n": spec.label.n,
-            "m": spec.label.m,
-            "s": spec.label.s,
-            "levels": [float(x) for x in spec.levels],
-        })
-    return out
+def _sector_spectra_doc(rho: DensityMatrix) -> list[dict]:
+    return [{"n": spec.label.n, "m": spec.label.m, "s": spec.label.s,
+             "levels": [float(x) for x in spec.levels]}
+            for spec in sector_spectra(rho)]
 
 
 def _recon_task(task):
@@ -222,10 +217,7 @@ def _recon_task(task):
     c2, c4, _ = load_correlations(os.path.join(qdir, f"{tag}_corr.json"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AnsatzValidityWarning)
-        recon = reconstruct_state(
-            c2, c4, clamp=config.clamp,
-            warn_threshold=config.warn_threshold,
-        )
+        recon = reconstruct_state(c2, c4)
     warned = any(issubclass(w.category, AnsatzValidityWarning)
                  for w in caught)
 
@@ -235,11 +227,9 @@ def _recon_task(task):
         measure_four_point_connected(recon.assembled, c2_assembled).entries
         - c4.entries).max())
 
-    spec_exact = entanglement_spectrum(rho_exact, cutoff=config.rank_cutoff)
-    spec_gauss = entanglement_spectrum(recon.gaussian_matrix,
-                                       cutoff=config.rank_cutoff)
-    spec_proj = entanglement_spectrum(recon.projected,
-                                      cutoff=config.rank_cutoff)
+    spec_exact = entanglement_spectrum(rho_exact)
+    spec_gauss = entanglement_spectrum(recon.gaussian_matrix)
+    spec_proj = entanglement_spectrum(recon.projected)
     theta_exact = non_gaussianity(rho_exact)
     theta_recon = non_gaussianity(recon.projected)
     negativity = float(np.linalg.eigvalsh(recon.assembled.elements).min())
@@ -248,8 +238,8 @@ def _recon_task(task):
     doc = {
         "header": serialize.make_header(
             "reconstruction", rho_exact.basis.mode_count,
-            tolerances={"clamp": config.clamp,
-                        "rank_cutoff": config.rank_cutoff},
+            tolerances={"clamp": OCCUPATION_CLAMP,
+                        "rank_cutoff": RANK_CUTOFF},
             provenance=prov,
         ),
         "u": float(config.u_values[iu]),
@@ -268,22 +258,20 @@ def _recon_task(task):
         "error_indices": list(DEFAULT_ERROR_INDICES),
         "delta_gaussian": spectral_error(spec_exact, spec_gauss),
         "delta_projected": spectral_error(spec_exact, spec_proj),
-        "spectrum_exact": _sector_spectra_doc(rho_exact, config.rank_cutoff),
-        "spectrum_recon": _sector_spectra_doc(recon.projected,
-                                              config.rank_cutoff),
+        "spectrum_exact": _sector_spectra_doc(rho_exact),
+        "spectrum_recon": _sector_spectra_doc(recon.projected),
     }
     name = f"{tag}_recon.json"
     serialize.dump_json(os.path.join(rdir, name), doc)
     return name
 
 
-def cmd_reconstruct(config: RunConfig, out_root: str | None = None) -> str:
+def cmd_reconstruct(config: RunConfig) -> str:
     """Reconstruct every snapshot and write diagnostics next to it."""
-    out_root = config.out_dir if out_root is None else out_root
-    qdir = _quench_dir(out_root)
+    qdir = _quench_dir(config)
     if not os.path.isdir(qdir):
         raise FileNotFoundError(f"no quench outputs under {qdir}")
-    rdir = _recon_dir(out_root)
+    rdir = _recon_dir(config)
     os.makedirs(rdir, exist_ok=True)
     tasks = [
         (config, qdir, rdir, iu, m, it)
@@ -299,12 +287,10 @@ def cmd_reconstruct(config: RunConfig, out_root: str | None = None) -> str:
     return manifest
 
 
-def cmd_measure(config: RunConfig, out_root: str | None = None,
-                iu: int = 0, member: int = 0,
+def cmd_measure(config: RunConfig, iu: int = 0, member: int = 0,
                 it: int | None = None) -> str:
     """Simulate the sampling protocol on one stored snapshot."""
-    out_root = config.out_dir if out_root is None else out_root
-    qdir = _quench_dir(out_root)
+    qdir = _quench_dir(config)
     it = len(config.times) - 1 if it is None else it
     tag = snapshot_tag(iu, member, it)
     state_path = os.path.join(qdir, f"{tag}_state.json")
@@ -314,7 +300,7 @@ def cmd_measure(config: RunConfig, out_root: str | None = None,
     c2_exact, c4_exact, _ = load_correlations(
         os.path.join(qdir, f"{tag}_corr.json"))
 
-    mdir = os.path.join(out_root, "measure")
+    mdir = os.path.join(config.out_dir, "measure")
     os.makedirs(mdir, exist_ok=True)
     plan = plan_bases(config.subsystem_modes, config.measure_order,
                       shots_per_basis=config.shots_per_basis)
@@ -391,12 +377,11 @@ FIGURE_COLUMNS = {
 }
 
 
-def _load_cell(config: RunConfig, out_root: str, iu: int,
-               it: int) -> list[dict]:
+def _load_cell(config: RunConfig, iu: int, it: int) -> list[dict]:
     """The reconstruction documents of one (u, t) cell, in member order."""
     docs = []
     for m in range(config.ensemble_size):
-        path = os.path.join(_recon_dir(out_root),
+        path = os.path.join(_recon_dir(config),
                             f"{snapshot_tag(iu, m, it)}_recon.json")
         if not os.path.isfile(path):
             raise FileNotFoundError(f"missing reconstruction output {path}")
@@ -446,13 +431,8 @@ def _cell_statistics(config: RunConfig, docs: list, iu: int, it: int,
     spectra = [EntanglementSpectrum(levels=np.array(sec["levels"], dtype=float))
                for doc in docs for sec in doc[f"spectrum_{kind}"]]
     try:
-        return gap_statistics(
-            spectra,
-            bins=config.histogram_bins,
-            bootstrap=config.bootstrap_resamples,
-            seed=stat_seed(config, "gaps", kind, iu, it),
-            degeneracy_tol=config.degeneracy_tol,
-        )
+        return gap_statistics(spectra,
+                              seed=stat_seed(config, "gaps", kind, iu, it))
     except StatisticsUnavailableError:
         return None
 
@@ -468,8 +448,7 @@ def _stat_cells(stats: dict, width: int) -> list:
     return cells
 
 
-def cmd_figures(config: RunConfig, which: str,
-                out_root: str | None = None) -> list[str]:
+def cmd_figures(config: RunConfig, which: str) -> list[str]:
     """Assemble analysis CSVs from reconstruction outputs in one pass.
 
     ``which`` is one figure name or "all"; the manifest paths of the
@@ -481,8 +460,7 @@ def cmd_figures(config: RunConfig, which: str,
         raise ValueError(f"unknown figure {which!r}; pick from "
                          f"{sorted(FIGURE_COLUMNS)} or 'all'")
     targets = list(FIGURE_COLUMNS) if which == "all" else [which]
-    out_root = config.out_dir if out_root is None else out_root
-    fdir = os.path.join(out_root, "figures")
+    fdir = os.path.join(config.out_dir, "figures")
     os.makedirs(fdir, exist_ok=True)
     times = config.times
     n_t = len(times)
@@ -495,7 +473,7 @@ def cmd_figures(config: RunConfig, which: str,
     ius = [iu_fig3] if targets == ["fig3"] else range(len(config.u_values))
     for iu in ius:
         u = config.u_values[iu]
-        cells = [_load_cell(config, out_root, iu, it) for it in range(n_t)]
+        cells = [_load_cell(config, iu, it) for it in range(n_t)]
         if "fig2" in targets:
             theta_rows, delta_row = _fig2_rows(config, iu, cells, it_star)
             rows["fig2_theta.csv"] += theta_rows

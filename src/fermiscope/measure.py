@@ -396,12 +396,11 @@ def _draw(state, mbasis: MeasurementBasis, probs: np.ndarray, shots: int,
     return _record(state, mbasis, drawn, shots)
 
 
-def run_plan(state, plan: MeasurementPlan, master_seed: int,
-             shots: int | None = None) -> list[ShotRecord]:
+def run_plan(state, plan: MeasurementPlan, master_seed: int) -> list[ShotRecord]:
     """Sample every basis of a plan with per-basis derived seeds."""
-    shots = plan.shots_per_basis if shots is None else shots
     weights = _born_weights(state, plan.bases)
-    return [_draw(state, b, probs, shots, basis_seed(master_seed, b.id))
+    return [_draw(state, b, probs, plan.shots_per_basis,
+                  basis_seed(master_seed, b.id))
             for b, probs in zip(plan.bases, weights)]
 
 
@@ -572,9 +571,13 @@ def load_shot_records(path: str):
     records = []
     for ln in lines[1:]:
         doc = serialize.from_json_line(ln)
+        labels = doc["counts"]
+        # int() alone would also read "0_1", " 01", "+1" and short labels
+        if not all(len(p) == doc["mode_count"] and set(p) <= {"0", "1"} for p in labels):
+            raise DomainError(f"shot labels of basis {doc['basis_id']} are not "
+                              f"{doc['mode_count']} characters of 0 and 1")
         # sampled counts are ints, exact Born weights floats; keep either
-        counts = {int(pattern[::-1], 2): c
-                  for pattern, c in doc["counts"].items()}
+        counts = {int(p[::-1], 2): c for p, c in labels.items()}
         records.append(ShotRecord(
             basis_id=doc["basis_id"],
             key=tuple(doc["key"]),

@@ -17,6 +17,7 @@ eps_k = 2 [J cos k + J' cos 2k] on the momentum grid 2*pi*m/L folded into
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ DENSE_LIMIT = 4096
 # Chebyshev terms below this leave the sum unchanged in double precision
 BESSEL_FLOOR = 1e-17
 SEARCH_TRIALS = 10_000
+# a pattern whose projector commutes with S^2 this closely keeps S^2 symmetry
+MIN_COMMUTATOR = 1e-8
 
 
 class EvolutionError(Exception):
@@ -58,6 +61,8 @@ class HubbardParams:
     interaction: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.sites, bool) or not isinstance(self.sites, numbers.Integral):
+            raise DomainError(f"sites must be an integer, not {self.sites!r}")
         if self.sites < 3:
             raise DomainError("periodic chain needs at least 3 sites")
 
@@ -130,9 +135,8 @@ class Hamiltonian:
 def build_hamiltonian(
     params: HubbardParams,
     particles: int | None = None,
-    sz_twice: int | None = None,
 ) -> Hamiltonian:
-    basis = FockBasis(params.n_modes, particles, sz_twice)
+    basis = FockBasis(params.n_modes, particles)
     dim = basis.dim
     total = scipy.sparse.coo_matrix((dim, dim), dtype=np.complex128)
     for to_site, from_site, amp in hopping_bonds(params):
@@ -218,7 +222,6 @@ def select_initial_state(
     seed: int,
     kind: str = "momentum",
     t_free: float | None = None,
-    min_commutator: float = 1e-8,
 ) -> InitialStateSpec:
     """Draw a fixed-N occupation pattern that breaks the S^2 symmetry.
 
@@ -243,7 +246,7 @@ def select_initial_state(
     for trial in range(1, SEARCH_TRIALS + 1):
         modes = rng.choice(n_modes, size=target_n, replace=False)
         bits = int(sum(1 << int(p) for p in modes))
-        if commutator_norm_with_spin(s2, basis, bits) > min_commutator:
+        if commutator_norm_with_spin(s2, basis, bits) > MIN_COMMUTATOR:
             return InitialStateSpec(
                 kind=kind,
                 occupation=OccupationBitstring(bits, n_modes),

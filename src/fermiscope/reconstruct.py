@@ -50,7 +50,6 @@ import scipy.linalg
 
 from . import fock, serialize
 from .correlations import (
-    OCCUPATION_CLAMP,
     DiagonalFrame,
     FourPointTensor,
     TwoPointMatrix,
@@ -142,7 +141,6 @@ def _between_mask(lo: int, hi: int) -> int:
 def delta_rho(
     c4_frame: FourPointTensor,
     frame: DiagonalFrame,
-    warn_threshold: float = ANSATZ_WARN_THRESHOLD,
 ) -> NonGaussianCorrection:
     """Matrix elements of the non-Gaussian correction.
 
@@ -155,9 +153,9 @@ def delta_rho(
     n_modes = frame.n_modes
     if t.shape[0] != n_modes:
         raise DomainError("tensor and frame mode counts differ")
-    if np.abs(t).max() > warn_threshold:
+    if np.abs(t).max() > ANSATZ_WARN_THRESHOLD:
         warnings.warn(
-            f"max |C~4| = {np.abs(t).max():.3g} exceeds {warn_threshold}; "
+            f"max |C~4| = {np.abs(t).max():.3g} exceeds {ANSATZ_WARN_THRESHOLD}; "
             "the linear ansatz may be strained",
             AnsatzValidityWarning,
             stacklevel=2,
@@ -374,15 +372,13 @@ class ReconstructedState:
 def reconstruct_state(
     c2: TwoPointMatrix,
     c4: FourPointTensor,
-    clamp: float = OCCUPATION_CLAMP,
-    warn_threshold: float = ANSATZ_WARN_THRESHOLD,
 ) -> ReconstructedState:
     """Full pipeline: frame, Gaussian reference, correction, projection."""
     c4.validate()
-    frame = diagonalize_two_point(c2, clamp=clamp)
+    frame = diagonalize_two_point(c2)
     c4_frame = rotate_four_point(c4, frame)
     gauss = gaussian_state(frame)
-    correction = delta_rho(c4_frame, frame, warn_threshold=warn_threshold)
+    correction = delta_rho(c4_frame, frame)
     basis = FockBasis(frame.n_modes)
     u = mode_rotation_unitary(frame)
     gauss_phys = (u * gauss.weights[None, :]) @ u.conj().T

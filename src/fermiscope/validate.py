@@ -242,15 +242,14 @@ CHECKS = (
 )
 
 
-def run_oracles(verbose: bool = True) -> bool:
-    """Run every check; True only if all pass their tolerances."""
+def run_oracles() -> bool:
+    """Run every check and print one line each; True only if all pass."""
     all_ok = True
     for name, fn, tol in CHECKS:
         value, detail = fn()
         ok = value <= tol
         all_ok = all_ok and ok
-        if verbose:
-            mark = " ok " if ok else "FAIL"
-            print(f"[{mark}] {name:<20s} {value:9.2e} <= {tol:.0e}"
-                  f"  ({detail})")
+        mark = " ok " if ok else "FAIL"
+        print(f"[{mark}] {name:<20s} {value:9.2e} <= {tol:.0e}"
+              f"  ({detail})")
     return all_ok

@@ -16,7 +16,6 @@ from fermiscope.config import (
     load_config,
     save_config,
 )
-from fermiscope.entanglement import MAX_BOOTSTRAP
 from fermiscope.fock import CapacityError, DomainError
 from fermiscope.model import HubbardParams
 from fermiscope.serialize import load_json, sha256_of_file
@@ -56,11 +55,13 @@ def test_config_rejects_unknown_keys(tmp_path):
     config = mini_config(str(tmp_path))
     path = str(tmp_path / "config.json")
     save_config(path, config)
-    doc = json.load(open(path))
-    doc["shots"] = 5
-    json.dump(doc, open(path, "w"))
-    with pytest.raises(DomainError):
-        load_config(path)
+    good = json.load(open(path))
+    # all but "shots" name numerical settings that are module constants
+    for key in ("shots", "clamp", "warn_threshold", "rank_cutoff",
+                "degeneracy_tol", "histogram_bins", "bootstrap_resamples"):
+        json.dump(dict(good, **{key: 5}), open(path, "w"))
+        with pytest.raises(DomainError, match=f"unknown config keys: \\['{key}'\\]"):
+            load_config(path)
 
 
 def test_config_guards(tmp_path):
@@ -72,23 +73,33 @@ def test_config_guards(tmp_path):
         mini_config(str(tmp_path)).override(measure_order=3)
     with pytest.raises(DomainError):
         mini_config(str(tmp_path)).override(initial_kind="position")
-    for name in ("bootstrap_resamples", "histogram_bins", "shots_per_basis"):
-        with pytest.raises(DomainError, match=name):
-            mini_config(str(tmp_path)).override(**{name: 0})
+    with pytest.raises(DomainError, match="shots_per_basis"):
+        mini_config(str(tmp_path)).override(shots_per_basis=0)
     non_finite = ((0.0, math.nan), (0.0, math.inf), (math.nan,))
-    bad_values = {"clamp": (-1.0, 0.0, 0.5, 0.6), "times": non_finite,
-                  "u_values": non_finite, "rank_cutoff": (-1e-12,),
-                  "degeneracy_tol": (-1e-10,)}
+    bad_values = {"times": non_finite, "u_values": non_finite}
     for name, values in bad_values.items():
         for value in values:
             with pytest.raises(DomainError, match=name):
                 mini_config(str(tmp_path)).override(**{name: value})
     with pytest.warns(ConfigWarning):
         mini_config(str(tmp_path)).override(subsystem_sites=3)
-    # extreme values only: the guard raises before any stage runs
-    for resamples in (MAX_BOOTSTRAP + 1, 10**15):
-        with pytest.raises(CapacityError, match="bootstrap_resamples"):
-            mini_config(str(tmp_path)).override(bootstrap_resamples=resamples)
+    # JSON input of the wrong type: each raises a DomainError naming its field
+    path = str(tmp_path / "config.json")
+    save_config(path, mini_config(str(tmp_path)))
+    good = json.load(open(path))
+    bad_json = [("ensemble_size", 2.5), ("subsystem_sites", 1.5),
+                ("shots_per_basis", 10.5), ("workers", 1.5),
+                ("master_seed", True), ("times", "abc"), ("times", "123"),
+                ("u_values", [0.05, False])]
+    for name, value in bad_json:
+        json.dump(dict(good, **{name: value}), open(path, "w"))
+        with pytest.raises(DomainError, match=name):
+            load_config(path)
+    for model, name in (({"sites": 5.5}, "sites"), ({"sites": 4, "hops": 1.0}, "hops"),
+                        ({"hop": 1.0}, "sites"), ([4], "model")):
+        json.dump(dict(good, model=model), open(path, "w"))
+        with pytest.raises(DomainError, match=name):
+            load_config(path)
 
 
 def test_validate_battery_passes(capsys):

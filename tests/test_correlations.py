@@ -107,9 +107,6 @@ def test_diagonalize_clamps_pure_occupations():
     frame = diagonalize_two_point(TwoPointMatrix(c2))
     assert frame.occupations[0] == pytest.approx(1.0 - 1e-10, abs=1e-16)
     assert frame.occupations[1] == pytest.approx(1e-10, abs=1e-16)
-    for clamp in (0.0, -1.0, 0.5, 0.6, np.nan):
-        with pytest.raises(DomainError, match="clamp"):
-            diagonalize_two_point(TwoPointMatrix(c2), clamp=clamp)
 
 
 def test_diagonalize_recovers_frame(rng):

@@ -443,3 +443,19 @@ def test_shot_records_serialize_mode_zero_leftmost(tmp_path):
     save_shot_records(path, plan, [rec])
     row = json.loads(open(path).read().splitlines()[1])
     assert row["counts"] == {"10": 3}  # mode 0 occupied prints first
+
+
+@pytest.mark.parametrize("label", ["0_1", " 01", "1", "+1"])
+def test_load_shot_records_rejects_malformed_labels(tmp_path, label):
+    # int(label[::-1], 2) alone reads the first three and fails on the last
+    plan = plan_bases(2, 1, shots_per_basis=3)
+    rec = ShotRecord(basis_id=0, key=("identity",), mode_count=2, shots=3,
+                     counts={0b10: 3})
+    path = tmp_path / "one.jsonl"
+    save_shot_records(str(path), plan, [rec])
+    header, row = path.read_text().splitlines()
+    row = json.loads(row)
+    row["counts"] = {label: 3}
+    path.write_text(header + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(DomainError, match="0 and 1"):
+        load_shot_records(str(path))
