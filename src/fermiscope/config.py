@@ -8,14 +8,13 @@ nested under "model".
 
 from __future__ import annotations
 
-import math
 import numbers
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 
 from . import serialize
 from .fock import DomainError
-from .model import HubbardParams
+from .model import HubbardParams, is_finite_real
 
 
 class ConfigWarning(UserWarning):
@@ -55,9 +54,8 @@ class RunConfig:
             object.__setattr__(self, name, int(value))
         for name in ("times", "u_values"):
             grid = getattr(self, name)
-            if not (isinstance(grid, (list, tuple)) and grid and all(
-                    isinstance(x, numbers.Real) and not isinstance(x, bool)
-                    and math.isfinite(x) for x in grid)):
+            if not (isinstance(grid, (list, tuple)) and grid
+                    and all(is_finite_real(x) for x in grid)):
                 raise DomainError(f"{name} must be a nonempty list of finite "
                                   f"numbers, not {grid!r}")
             grid = tuple(float(x) for x in grid)
@@ -79,6 +77,9 @@ class RunConfig:
             )
         if self.initial_kind not in ("momentum", "position"):
             raise DomainError(f"unknown initial state kind {self.initial_kind!r}")
+        if self.t_free is not None and not is_finite_real(self.t_free):
+            raise DomainError(f"t_free must be null or a finite real number, "
+                              f"not {self.t_free!r}")
         if self.initial_kind == "position" and self.t_free is None:
             raise DomainError("position initial states need t_free")
         if self.measure_order not in (1, 2):

@@ -35,6 +35,7 @@ every reduction that its bases cover.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -288,6 +289,10 @@ def plan_bases(n_modes: int, order: int, shots_per_basis: int = 1000) -> Measure
         raise DomainError("measurement order must be 1 or 2")
     if n_modes < 2:
         raise DomainError("need at least two modes to measure")
+    shots = shots_per_basis
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
+        raise DomainError(f"shots_per_basis must be an integer >= 1, "
+                          f"not {shots_per_basis!r}")
     n_bases = 1 + n_modes * (n_modes - 1)
     if order == 2:
         n_bases += 12 * math.comb(n_modes, 4)

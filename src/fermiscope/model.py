@@ -12,6 +12,10 @@ small rings keep their doubled weight exactly as the sum produces it.
 The non-interacting part diagonalizes into plane waves with dispersion
 eps_k = 2 [J cos k + J' cos 2k] on the momentum grid 2*pi*m/L folded into
 (-pi, pi].
+
+``scipy.sparse`` is imported inside the functions that build sparse
+operators, so a CLI stage that only reads stored results never pays for
+loading it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .fock import (
     DomainError,
@@ -53,8 +56,19 @@ class RankDeficientError(Exception):
     """Pre-quench evolution did not fill the reduced state's rank."""
 
 
+def is_finite_real(value) -> bool:
+    """A real number that is neither a bool nor an inf or a NaN."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class HubbardParams:
+    """Chain length and the real amplitudes J, J' and U of the Hamiltonian.
+
+    Complex hops are rejected: :func:`dispersion` is a real cosine band.
+    """
+
     sites: int
     hop: float = 1.0
     hop2: float = 0.125
@@ -65,6 +79,10 @@ class HubbardParams:
             raise DomainError(f"sites must be an integer, not {self.sites!r}")
         if self.sites < 3:
             raise DomainError("periodic chain needs at least 3 sites")
+        for name in ("hop", "hop2", "interaction"):
+            if not is_finite_real(getattr(self, name)):
+                raise DomainError(f"{name} must be a finite real number, "
+                                  f"not {getattr(self, name)!r}")
 
     @property
     def n_modes(self) -> int:
@@ -101,6 +119,8 @@ def hop_matrix(basis: FockBasis, i: int, j: int):
     """Sparse c†_i c_j from ``basis`` into the basis it lands in (i != j)."""
     if i == j:
         raise DomainError("use diagonal occupations for i == j")
+    import scipy.sparse
+
     target, cols, rows, signs = ladder_map(basis, ((i, "create"), (j, "annihilate")))
     return scipy.sparse.coo_matrix(
         (signs.astype(np.complex128), (rows, cols)), shape=(target.dim, basis.dim))
@@ -136,6 +156,8 @@ def build_hamiltonian(
     params: HubbardParams,
     particles: int | None = None,
 ) -> Hamiltonian:
+    import scipy.sparse
+
     basis = FockBasis(params.n_modes, particles)
     dim = basis.dim
     total = scipy.sparse.coo_matrix((dim, dim), dtype=np.complex128)
@@ -145,7 +167,7 @@ def build_hamiltonian(
         for spin in (0, 1):
             i, j = mode_index(to_site, spin), mode_index(from_site, spin)
             term = hop_matrix(basis, i, j)
-            total = total + amp * term + np.conj(amp) * term.conj().T
+            total = total + amp * term + amp * term.conj().T
     bits = basis.states
     double_occ = np.zeros(dim)
     for l in range(params.sites):
@@ -179,6 +201,8 @@ def spin_raising(basis: FockBasis):
 
 def spin_squared(basis: FockBasis) -> scipy.sparse.csr_matrix:
     """Total S^2 = S- S+ + Sz (Sz + 1) on the given basis."""
+    import scipy.sparse
+
     splus = spin_raising(basis)
     sz = sz_twice_diagonal(basis) / 2.0
     return (splus.conj().T @ splus
@@ -328,6 +352,8 @@ def _chebyshev(matrix, y: np.ndarray, t: float) -> np.ndarray:
     exp(-i t H) = exp(-i c t) [J_0(a t) + 2 sum_k (-i)^k J_k(a t) T_k(H')]
     with H = c + a H' is summed down to the double-precision floor.
     """
+    import scipy.sparse
+
     diag = matrix.diagonal().real
     radius = np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(diag)
     lo, hi = (diag - radius).min(), (diag + radius).max()

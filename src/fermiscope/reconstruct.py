@@ -38,6 +38,10 @@ Because the ansatz is linear in C~4 it can leave small negative
 eigenvalues; :func:`project_positive` maps the spectrum to the closest
 probability distribution (Euclidean projection onto the simplex) while
 keeping the eigenbasis.
+
+``scipy.linalg`` is imported inside :func:`mode_rotation_unitary`, the
+one function here that calls it, so the stages that import this module
+only for its loaders never load it.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import fock, serialize
 from .correlations import (
@@ -334,6 +337,8 @@ def mode_rotation_unitary(frame: DiagonalFrame) -> np.ndarray:
     expressed in the frame basis to U rho U† in the physical one.
     Built block by block over particle-number sectors.
     """
+    import scipy.linalg
+
     v = frame.rotation.conj()
     n = frame.n_modes
     h = scipy.linalg.logm(v)

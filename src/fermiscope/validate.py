@@ -5,12 +5,14 @@ a value that can be worked out by hand, so a pass means the conventions
 (ordering, string signs, frame phases) agree across the whole stack, not
 just that the code runs.  Checks print one line each and the battery
 returns False if any of them misses its tolerance.
+
+``scipy.linalg`` is imported inside the two checks that call it, because
+the CLI imports this module for every stage, not only for ``validate``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .correlations import (
     FourPointTensor,
@@ -175,6 +177,8 @@ def _check_simplex() -> tuple[float, str]:
 
 
 def _check_pulses() -> tuple[float, str]:
+    import scipy.linalg
+
     basis = FockBasis(4)
     rng = np.random.default_rng(3)
     rho = random_mixed_state(rng, 4)
@@ -211,6 +215,8 @@ def _check_references() -> tuple[float, str]:
 
 
 def _check_thermal_form() -> tuple[float, str]:
+    import scipy.linalg
+
     rng = np.random.default_rng(13)
     rho = random_mixed_state(rng, 3)
     c2 = measure_two_point(rho)

@@ -22,6 +22,7 @@ from hypothesis import settings
 settings.register_profile("fermiscope", derandomize=True, database=None, deadline=None)
 settings.load_profile("fermiscope")
 
+from fermiscope.config import RunConfig
 from fermiscope.correlations import measure_four_point_connected, measure_two_point
 from fermiscope.fock import DensityMatrix, FockBasis, StateVector, partial_trace
 from fermiscope.model import (
@@ -31,6 +32,22 @@ from fermiscope.model import (
     initial_state,
     select_initial_state,
 )
+
+
+def mini_config(out_dir: str) -> RunConfig:
+    """A 4-site run small enough to take every CLI stage in about a second."""
+    return RunConfig(
+        model=HubbardParams(sites=4),
+        master_seed=7701,
+        subsystem_sites=2,
+        times=(1.0, 3.0),
+        u_values=(0.05,),
+        ensemble_size=2,
+        shots_per_basis=300,
+        measure_order=1,
+        workers=0,
+        out_dir=out_dir,
+    )
 
 
 def bell_pair() -> StateVector:

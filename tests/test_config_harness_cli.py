@@ -20,20 +20,7 @@ from fermiscope.fock import CapacityError, DomainError
 from fermiscope.model import HubbardParams
 from fermiscope.serialize import load_json, sha256_of_file
 
-
-def mini_config(out_dir: str) -> RunConfig:
-    return RunConfig(
-        model=HubbardParams(sites=4),
-        master_seed=7701,
-        subsystem_sites=2,
-        times=(1.0, 3.0),
-        u_values=(0.05,),
-        ensemble_size=2,
-        shots_per_basis=300,
-        measure_order=1,
-        workers=0,
-        out_dir=out_dir,
-    )
+from conftest import mini_config
 
 
 def test_default_config_shape():
@@ -90,13 +77,18 @@ def test_config_guards(tmp_path):
     bad_json = [("ensemble_size", 2.5), ("subsystem_sites", 1.5),
                 ("shots_per_basis", 10.5), ("workers", 1.5),
                 ("master_seed", True), ("times", "abc"), ("times", "123"),
-                ("u_values", [0.05, False])]
+                ("u_values", [0.05, False]), ("t_free", "x"), ("t_free", True)]
     for name, value in bad_json:
         json.dump(dict(good, **{name: value}), open(path, "w"))
         with pytest.raises(DomainError, match=name):
             load_config(path)
+    with pytest.raises(DomainError, match="t_free"):
+        mini_config(str(tmp_path)).override(t_free="x")
     for model, name in (({"sites": 5.5}, "sites"), ({"sites": 4, "hops": 1.0}, "hops"),
-                        ({"hop": 1.0}, "sites"), ([4], "model")):
+                        ({"hop": 1.0}, "sites"), ([4], "model"),
+                        ({"sites": 4, "hop": "abc"}, "hop"),
+                        ({"sites": 4, "hop": math.nan}, "hop"),
+                        ({"sites": 4, "hop": True}, "hop")):
         json.dump(dict(good, model=model), open(path, "w"))
         with pytest.raises(DomainError, match=name):
             load_config(path)

@@ -298,6 +298,15 @@ def test_plan_guards():
         )
 
 
+@pytest.mark.parametrize("shots", [2.5, 0, True])
+def test_plan_rejects_bad_shots_per_basis(shots):
+    with pytest.raises(DomainError, match="shots_per_basis"):
+        plan_bases(2, 1, shots_per_basis=shots)
+    # checked before the capacity guard, so before any basis is built
+    with pytest.raises(DomainError, match="shots_per_basis"):
+        plan_bases(10**6, 1, shots_per_basis=shots)
+
+
 def test_plan_lookup_and_coverage():
     plan = plan_bases(4, 1)
     assert plan.basis(("pair", 0, 1, "x")).id >= 0

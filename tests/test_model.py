@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 import fermiscope
+from fermiscope import harness
+from fermiscope.config import save_config
 from fermiscope.fock import (
     DomainError,
     FockBasis,
@@ -30,6 +33,7 @@ from fermiscope.model import (
     sz_twice_diagonal,
 )
 
+from conftest import mini_config
 from oracles import evolve_krylov_full, quadratic_operator_loop, same_bits
 
 
@@ -49,6 +53,14 @@ def test_dispersion_frozen_values():
 def test_params_reject_short_chain():
     with pytest.raises(DomainError):
         HubbardParams(sites=2)
+
+
+@pytest.mark.parametrize("field", ["hop", "hop2", "interaction"])
+@pytest.mark.parametrize("value", ["abc", math.nan, math.inf, True, 1j])
+def test_params_reject_non_finite_or_non_real_amplitudes(field, value):
+    # complex hops are rejected too: dispersion is a real cosine band
+    with pytest.raises(DomainError, match=field):
+        HubbardParams(sites=4, **{field: value})
 
 
 def test_free_spectrum_doubles_the_band():
@@ -160,15 +172,39 @@ def test_one_state_block_evolves_by_its_phase():
     assert np.all(got[np.arange(ham.basis.dim) != idx[0]] == 0)
 
 
-def test_model_loads_neither_scipy_linalg_nor_special():
-    code = ("import sys, fermiscope.model; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.special') "
-            "if m in sys.modules))")
+@pytest.fixture(scope="module")
+def reconstructed_run(tmp_path_factory):
+    """Path of the saved config of a mini run after quench and reconstruct."""
+    out = str(tmp_path_factory.mktemp("run"))
+    config = mini_config(out)
+    harness.cmd_quench(config)
+    harness.cmd_reconstruct(config)
+    path = os.path.join(out, "config.json")
+    save_config(path, config)
+    return path
+
+
+@pytest.mark.parametrize("argv, unwanted", [
+    ((), ("scipy.sparse", "scipy.linalg", "scipy.special")),
+    (("figures", "all"), ("scipy.sparse", "scipy.linalg")),
+    (("measure",), ("scipy.sparse", "scipy.linalg")),
+], ids=["import-cli", "figures", "measure"])
+def test_stage_loads_only_the_scipy_it_calls(argv, unwanted, request):
+    # each stage runs in a fresh interpreter, so an unused import is start-up time
+    code = "\n".join([
+        "import sys",
+        "import fermiscope.cli as cli",
+        "if len(sys.argv) > 1:",
+        "    cli.main(sys.argv[1:])",
+        f"print('loaded', [m for m in {unwanted!r} if m in sys.modules])",
+    ])
+    if argv:
+        argv += ("--config", request.getfixturevalue("reconstructed_run"))
     src = os.path.dirname(os.path.dirname(fermiscope.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[-1] == "loaded []"
 
 
 @pytest.mark.parametrize("kind", ["momentum", "position"])

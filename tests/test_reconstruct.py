@@ -200,6 +200,28 @@ def test_mode_rotation_unitary_is_unitary_and_consistent(rng):
     assert np.abs(c2 - want).max() < 1e-10
 
 
+def test_mode_rotation_unitary_ignores_numpy_global_rng():
+    # logm picks its Pade degree from onenormest, which draws from np.random
+    frames = [
+        random_frame(np.random.default_rng(4), 4),
+        random_frame(np.random.default_rng(8), 8),
+        # sweep-5site geometry: 5 sites, 4 particles, 2-site subsystem
+        diagonalize_two_point(quench_snapshot(5, 0.05, 10.0, 4, seed=2)[1]),
+        # chain-8site geometry: 8 sites, 7 particles, 4-site subsystem
+        diagonalize_two_point(quench_snapshot(8, 0.05, 5.0, 8, seed=3)[1]),
+    ]
+    saved = np.random.get_state()
+    try:
+        for frame in frames:
+            np.random.seed(0)
+            first = mode_rotation_unitary(frame)
+            for seed in range(1, 6):
+                np.random.seed(seed)
+                assert same_bits(mode_rotation_unitary(frame), first)
+    finally:
+        np.random.set_state(saved)
+
+
 def test_density_matrix_round_trip(tmp_path):
     rho, _, _ = quench_snapshot(4, 0.02, 2.0, 4, seed=8)
     path = str(tmp_path / "rho.json")
