@@ -101,7 +101,7 @@ class FockBasis:
         self.mode_count = mode_count
         self.sector = sector
         self.sz_twice = sz_twice
-        self.states, self._index = _basis_tables(mode_count, sector, sz_twice)
+        self.states = _basis_states(mode_count, sector, sz_twice)
 
     @property
     def dim(self) -> int:
@@ -109,7 +109,7 @@ class FockBasis:
 
     def index_of(self, state: OccupationBitstring | int) -> int:
         bits = state.bits if isinstance(state, OccupationBitstring) else int(state)
-        return self._index[bits]
+        return int(self.indices_of(bits))
 
     def state(self, k: int) -> OccupationBitstring:
         return OccupationBitstring(int(self.states[k]), self.mode_count)
@@ -129,11 +129,11 @@ class FockBasis:
 
 
 @functools.lru_cache(maxsize=64)
-def _basis_tables(mode_count, sector, sz_twice):
-    """Sorted read-only states and their index map, built once per process."""
+def _basis_states(mode_count, sector, sz_twice):
+    """Sorted read-only states, built once per process."""
     states = _enumerate_states(mode_count, sector, sz_twice)
     states.flags.writeable = False
-    return states, {s: k for k, s in enumerate(states.tolist())}
+    return states
 
 
 def _enumerate_states(mode_count, sector, sz_twice) -> np.ndarray:

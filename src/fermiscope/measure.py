@@ -324,28 +324,33 @@ def plan_bases(n_modes: int, order: int, shots_per_basis: int = 1000) -> Measure
                            shots_per_basis=shots_per_basis)
 
 
-@dataclass
+@dataclass(eq=False)
 class ShotRecord:
-    """Occupation counts sampled in one basis."""
+    """Occupation counts sampled in one basis: ``counts[k]`` shots read the
+    bits ``patterns[k]`` (int64, mode 0 lowest, strictly ascending); counts
+    are int64 for draws and float64 for exact Born weights."""
 
     basis_id: int
     key: tuple
     mode_count: int
     shots: int
-    counts: dict
+    patterns: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
         # records are also read back from files, so every field is checked
         if not self.shots >= 1:
             raise DomainError(f"a shot record needs at least one shot, not {self.shots}")
-        if self.counts and not 0 <= min(self.counts) <= max(self.counts) < 1 << self.mode_count:
-            raise DomainError(f"bit patterns outside {self.mode_count} modes")
-        # float counts are allowed so exact Born weights can pose as records
-        counts = np.fromiter(self.counts.values(), dtype=float, count=len(self.counts))
-        if not np.all((counts >= 0.0) & (counts < math.inf)):
+        patterns, counts = self.patterns, self.counts
+        if not (patterns.ndim == 1 and patterns.shape == counts.shape
+                and patterns.dtype.kind == "i" and counts.dtype.kind in "iuf"):
+            raise DomainError("shot patterns and counts need equal-length 1-D int and real arrays")
+        if patterns.size and not (0 <= patterns[0] and patterns[-1] < 1 << self.mode_count
+                                  and np.all(patterns[1:] > patterns[:-1])):
+            raise DomainError(f"bit patterns outside {self.mode_count} modes or unsorted")
+        if not np.all((counts >= 0) & (counts < math.inf)):
             raise DomainError("shot counts must be finite and non-negative")
-        total = sum(self.counts.values())
-        if abs(total - self.shots) > 1e-9 * max(1.0, self.shots):
+        if abs(counts.sum() - self.shots) > 1e-9 * max(1.0, self.shots):
             raise DomainError("shot counts do not sum to the shot number")
 
 
@@ -382,16 +387,18 @@ def _born_weights(state, bases) -> list[np.ndarray]:
 def _record(state, mbasis: MeasurementBasis, counts: np.ndarray,
             shots) -> ShotRecord:
     """Counts (or exact weights) over the basis states; zeros are left out."""
-    hit = np.nonzero(counts > 0)[0]
+    hit = counts > 0
     return ShotRecord(basis_id=mbasis.id, key=mbasis.key,
                       mode_count=state.basis.mode_count, shots=shots,
-                      counts=dict(zip(state.basis.states[hit].tolist(),
-                                      counts[hit].tolist())))
+                      patterns=state.basis.states[hit], counts=counts[hit])
 
 
 def _draw(state, mbasis: MeasurementBasis, probs: np.ndarray, shots: int,
           seed) -> ShotRecord:
-    """Draw occupation bitstrings from one basis's Born weights."""
+    """Draw occupation bitstrings from one basis's Born weights.
+
+    ``multinomial`` consumes no random numbers for a weight of exactly 0, so
+    a 1e-27 leak turned into 0 reshuffles the basis's later counts."""
     if shots < 1:
         raise DomainError("need at least one shot")
     total = probs.sum()
@@ -439,9 +446,9 @@ def _records_by_basis(plan: MeasurementPlan, records) -> list[ShotRecord]:
 def _readout(rec: ShotRecord, columns) -> np.ndarray:
     """Stacked shot means and standard errors of the columns of
     ``columns(occ)``, where ``occ`` is one 0/1 row per recorded pattern."""
-    bits = np.fromiter(rec.counts, dtype=np.int64, count=len(rec.counts))
-    weights = np.fromiter(rec.counts.values(), dtype=float, count=len(rec.counts))
-    vals = columns(((bits[:, None] >> np.arange(rec.mode_count)) & 1).astype(float))
+    weights = rec.counts.astype(float)
+    vals = columns(((rec.patterns[:, None] >> np.arange(rec.mode_count)) & 1)
+                   .astype(float))
     mean = weights @ vals / rec.shots
     var = weights @ (vals - mean) ** 2 / rec.shots
     return np.stack([mean, np.sqrt(var / rec.shots)])
@@ -551,18 +558,19 @@ def save_shot_records(path: str, plan: MeasurementPlan, records,
         "n_bases": plan.n_bases,
     }
     lines = [serialize.to_json_line(header)]
-    # mode count -> bit pattern -> its label, mode 0 leftmost
+    # mode count -> bit pattern -> its label, mode 0 leftmost, made once
     labels: dict[int, dict[int, str]] = {}
     for rec in records:
         table = labels.setdefault(rec.mode_count, {})
-        for b in rec.counts.keys() - table.keys():
+        patterns = rec.patterns.tolist()
+        for b in set(patterns) - table.keys():
             table[b] = format(b, f"0{rec.mode_count}b")[::-1]
         lines.append(serialize.to_json_line({
             "basis_id": rec.basis_id,
             "key": list(rec.key),
             "mode_count": rec.mode_count,
             "shots": rec.shots,
-            "counts": {table[b]: c for b, c in sorted(rec.counts.items())},
+            "counts": dict(zip([table[b] for b in patterns], rec.counts.tolist())),
         }))
     serialize.atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -581,13 +589,16 @@ def load_shot_records(path: str):
         if not all(len(p) == doc["mode_count"] and set(p) <= {"0", "1"} for p in labels):
             raise DomainError(f"shot labels of basis {doc['basis_id']} are not "
                               f"{doc['mode_count']} characters of 0 and 1")
-        # sampled counts are ints, exact Born weights floats; keep either
-        counts = {int(p[::-1], 2): c for p, c in labels.items()}
+        # no dtype: patterns past int64 load as uint64 or object, which ShotRecord rejects
+        patterns = np.array([int(p[::-1], 2) for p in labels])
+        order = np.argsort(patterns)
         records.append(ShotRecord(
             basis_id=doc["basis_id"],
             key=tuple(doc["key"]),
             mode_count=doc["mode_count"],
             shots=doc["shots"],
-            counts=counts,
+            patterns=patterns[order],
+            # sampled counts are ints, exact Born weights floats; keep either
+            counts=np.array(list(labels.values()))[order],
         ))
     return header, records

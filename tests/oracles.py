@@ -328,11 +328,8 @@ def evolve_krylov_full(psi: StateVector, ham, t: float, tol: float = 1e-10) -> S
 
 def _shot_mean(record, values_fn):
     """Sample mean and standard error of a bitstring observable."""
-    bits = np.fromiter(record.counts.keys(), dtype=np.int64,
-                       count=len(record.counts))
-    weights = np.fromiter(record.counts.values(), dtype=float,
-                          count=len(record.counts))
-    vals = values_fn(bits)
+    weights = record.counts.astype(float)
+    vals = values_fn(record.patterns)
     mean = float(np.dot(weights, vals)) / record.shots
     var = float(np.dot(weights, (vals - mean) ** 2)) / record.shots
     return mean, math.sqrt(var / record.shots)

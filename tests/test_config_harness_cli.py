@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fermiscope import cli, harness, serialize
+from fermiscope import cli, harness, measure, serialize
 from fermiscope.config import (
     ConfigWarning,
     RunConfig,
@@ -177,6 +177,23 @@ def test_pipeline_end_to_end(tmp_path):
     before = sha256_of_file(os.path.join(fdir, "fig2_theta.csv"))
     harness.cmd_figures(config, "fig2")
     assert sha256_of_file(os.path.join(fdir, "fig2_theta.csv")) == before
+
+
+def test_measure_stage_is_reproducible(tmp_path):
+    config = mini_config(str(tmp_path))
+    harness.cmd_quench(config)
+    manifest = harness.cmd_measure(config)
+    first = open(manifest, "rb").read()
+    assert harness.cmd_measure(config) == manifest
+    assert open(manifest, "rb").read() == first
+    # the shots file is a fixed point of loading and saving
+    shots = next(tmp_path.glob("measure/shots_*.jsonl"))
+    _, records = measure.load_shot_records(str(shots))
+    plan = measure.plan_bases(config.subsystem_modes, config.measure_order,
+                              shots_per_basis=config.shots_per_basis)
+    again = tmp_path / "again.jsonl"
+    measure.save_shot_records(str(again), plan, records)
+    assert again.read_bytes() == shots.read_bytes()
 
 
 def test_parallel_run_matches_serial(tmp_path):

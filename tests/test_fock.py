@@ -98,6 +98,12 @@ def test_indices_of_rejects_non_members():
     with pytest.raises(DomainError):
         basis.indices_of(np.array([0b1010]))  # sorts between members
     assert FockBasis(4, 2).indices_of(np.array([], dtype=np.int64)).size == 0
+    # the scalar lookup is the same search
+    assert basis.index_of(0b1100) == 3
+    assert type(basis.index_of(OccupationBitstring(0b0011, 4))) is int
+    for bits in (0b1111, 0b1010, 0b111, -1):
+        with pytest.raises(DomainError):
+            basis.index_of(bits)
 
 
 def test_basis_tables_are_shared_and_read_only():

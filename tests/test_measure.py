@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fermiscope import measure
@@ -39,6 +39,16 @@ from oracles import (
     estimate_correlations_loop,
     same_bits,
 )
+
+
+def _same_record(a: ShotRecord, b: ShotRecord) -> bool:
+    """Equal fields, with patterns and counts of one dtype and the same bits."""
+    return ((a.basis_id, a.key, a.mode_count, a.shots)
+            == (b.basis_id, b.key, b.mode_count, b.shots)
+            and a.patterns.dtype == b.patterns.dtype
+            and np.array_equal(a.patterns, b.patterns)
+            and a.counts.dtype == b.counts.dtype
+            and same_bits(a.counts, b.counts))
 
 
 def test_readout_rules_frozen():
@@ -173,9 +183,11 @@ def test_run_plan_matches_sampling_from_the_loop_weights(rng):
         probs = born_weights_loop(rho, mbasis)
         probs /= probs.sum()
         drawn = np.random.default_rng(basis_seed(41, mbasis.id)).multinomial(300, probs)
-        want = {int(rho.basis.states[k]): int(drawn[k]) for k in np.nonzero(drawn)[0]}
-        assert (rec.key, rec.shots, rec.counts) == (mbasis.key, 300, want)
-        assert all(type(b) is int and type(c) is int for b, c in rec.counts.items())
+        hit = np.nonzero(drawn)[0]
+        assert (rec.key, rec.shots) == (mbasis.key, 300)
+        assert np.array_equal(rec.patterns, rho.basis.states[hit])
+        assert np.array_equal(rec.counts, drawn[hit])
+        assert rec.patterns.dtype == rec.counts.dtype == np.int64
 
 
 def test_plan_rotates_each_first_pulse_once(monkeypatch):
@@ -235,7 +247,8 @@ def test_estimator_rejects_malformed_records(case):
     elif case == "negative id":
         records[-1] = dataclasses.replace(last, basis_id=-1)
     elif case == "repeated basis":
-        records.append(dataclasses.replace(records[0], counts={0b01: 1.0}))
+        records.append(dataclasses.replace(records[0], patterns=np.array([0b01]),
+                                               counts=np.array([1.0])))
     else:
         records = [dataclasses.replace(r, mode_count=3) for r in records]
     with pytest.raises(CoverageError):
@@ -357,9 +370,9 @@ def test_sampling_is_seed_deterministic():
     plan = plan_bases(4, 1, shots_per_basis=200)
     a = run_plan(rho, plan, 99)
     b = run_plan(rho, plan, 99)
-    assert all(x.counts == y.counts for x, y in zip(a, b))
+    assert all(_same_record(x, y) for x, y in zip(a, b))
     c = run_plan(rho, plan, 100)
-    assert any(x.counts != y.counts for x, y in zip(a, c))
+    assert not all(_same_record(x, y) for x, y in zip(a, c))
 
 
 def test_estimates_tighten_with_shots():
@@ -375,21 +388,28 @@ def test_estimates_tighten_with_shots():
 
 def test_shot_record_count_validation():
     bad = [
-        (10, {0: 4, 3: 5}),          # counts miss the shot number
-        (10, {0: 13, 3: -3}),        # a negative count
-        (10, {7: 10}),               # pattern 7 needs three modes
-        (10, {-1: 10}),
-        (0, {}),                     # no shots at all
-        (1, {0: math.nan}),
-        (1, {0: math.inf, 1: -math.inf}),
+        (10, [0, 3], [4, 5]),              # counts miss the shot number
+        (10, [0, 3], [13, -3]),            # a negative count
+        (10, [7], [10]),                   # pattern 7 needs three modes
+        (10, [-1], [10]),
+        (0, [], []),                       # no shots at all
+        (1, [0], [math.nan]),
+        (1, [0, 1], [math.inf, -math.inf]),
+        (10, [3, 0], [5, 5]),              # patterns out of order
+        (10, [1, 1], [5, 5]),              # a repeated pattern
+        (10, [0, 3], [10]),                # one count short
+        (10, [[0, 3]], [[5, 5]]),          # not one-dimensional
+        (10, [0.0, 3.0], [5, 5]),          # float patterns
+        (1, [0], [True]),                  # bool and str counts
+        (1, [0], ["1"]),
     ]
-    for shots, counts in bad:
+    for shots, patterns, counts in bad:
         with pytest.raises(DomainError):
             ShotRecord(basis_id=0, key=("identity",), mode_count=2, shots=shots,
-                       counts=counts)
+                       patterns=np.array(patterns), counts=np.array(counts))
     # exact Born weights pose as float counts of one shot
     ShotRecord(basis_id=0, key=("identity",), mode_count=2, shots=1,
-               counts={0: 0.25, 3: 0.75})
+               patterns=np.array([0, 3]), counts=np.array([0.25, 0.75]))
     basis = FockBasis(2)
     nan_state = DensityMatrix(basis, np.full((basis.dim, basis.dim), math.nan))
     with pytest.raises(DomainError, match="sum to nan"):
@@ -414,9 +434,7 @@ def test_shot_records_round_trip(tmp_path):
     assert header["plan"]["n_bases"] == plan.n_bases
     assert header["provenance"]["tag"] == "demo"
     assert len(back) == len(records)
-    for x, y in zip(records, back):
-        assert x.key == y.key
-        assert x.counts == y.counts
+    assert all(_same_record(x, y) for x, y in zip(records, back))
     again = str(tmp_path / "again.jsonl")
     save_shot_records(again, plan, back, provenance={"tag": "demo"})
     assert open(again, "rb").read() == open(path, "rb").read()
@@ -429,11 +447,76 @@ def test_exact_records_round_trip(tmp_path):
     path = str(tmp_path / "exact.jsonl")
     save_shot_records(path, plan, records)
     _, back = load_shot_records(path)
-    assert back == records
-    assert all(type(c) is float for rec in back for c in rec.counts.values())
+    assert len(back) == len(records)
+    assert all(_same_record(x, y) for x, y in zip(records, back))
+    assert all(rec.counts.dtype == np.float64 for rec in back)
     again = str(tmp_path / "again.jsonl")
     save_shot_records(again, plan, back)
     assert open(again, "rb").read() == open(path, "rb").read()
+
+
+@pytest.mark.parametrize("n_modes", [4, 6])
+@pytest.mark.parametrize("order", [1, 2])
+def test_loaded_records_estimate_like_fresh_ones(tmp_path, n_modes, order):
+    # a file lists patterns in label order; loading restores ascending
+    # patterns, so the estimator sums the same terms in the same order
+    plan = plan_bases(n_modes, order)
+    path = str(tmp_path / "exact.jsonl")
+    for seed in range(3):
+        records = exact_records(
+            random_mixed_state(np.random.default_rng(seed), n_modes), plan)
+        save_shot_records(path, plan, records)
+        fresh = estimate_correlations(plan, records)
+        loaded = estimate_correlations(plan, load_shot_records(path)[1])
+        for x, y in zip(fresh, loaded):
+            if x is None:
+                assert y is None
+            else:
+                x, y = getattr(x, "entries", x), getattr(y, "entries", y)
+                assert same_bits(x, y)
+
+
+@st.composite
+def _shot_records(draw):
+    """A plan and shot records for its first bases, with int or float counts."""
+    n_modes = draw(st.integers(min_value=2, max_value=6))
+    plan = plan_bases(n_modes, 1, shots_per_basis=50)
+    as_weights = draw(st.booleans())
+    records = []
+    for mbasis in plan.bases[:draw(st.integers(min_value=1, max_value=3))]:
+        patterns = np.array(sorted(draw(st.sets(
+            st.integers(min_value=0, max_value=2**n_modes - 1), min_size=1))),
+            dtype=np.int64)
+        if as_weights:
+            weights = np.array(draw(st.lists(
+                st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False),
+                min_size=patterns.size, max_size=patterns.size)))
+            assume(weights.sum() > 0.0)
+            counts, shots = weights / weights.sum(), 1
+        else:
+            counts = np.array(draw(st.lists(
+                st.integers(min_value=0, max_value=10**6),
+                min_size=patterns.size, max_size=patterns.size)), dtype=np.int64)
+            assume(counts.sum() > 0)
+            shots = int(counts.sum())
+        records.append(ShotRecord(basis_id=mbasis.id, key=mbasis.key,
+                                  mode_count=n_modes, shots=shots,
+                                  patterns=patterns, counts=counts))
+    return plan, records
+
+
+@settings(max_examples=60)
+@given(case=_shot_records())
+def test_shot_records_round_trip_property(tmp_path_factory, case):
+    plan, records = case
+    path = tmp_path_factory.mktemp("shots") / "shots.jsonl"
+    save_shot_records(str(path), plan, records)
+    _, back = load_shot_records(str(path))
+    assert len(back) == len(records)
+    assert all(_same_record(x, y) for x, y in zip(records, back))
+    again = path.with_name("again.jsonl")
+    save_shot_records(str(again), plan, back)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_plan_capacity_guard():
@@ -447,11 +530,26 @@ def test_plan_capacity_guard():
 def test_shot_records_serialize_mode_zero_leftmost(tmp_path):
     plan = plan_bases(2, 1, shots_per_basis=3)
     rec = ShotRecord(basis_id=0, key=("identity",), mode_count=2, shots=3,
-                     counts={0b01: 3})
+                     patterns=np.array([0b01]), counts=np.array([3]))
     path = str(tmp_path / "one.jsonl")
     save_shot_records(path, plan, [rec])
     row = json.loads(open(path).read().splitlines()[1])
     assert row["counts"] == {"10": 3}  # mode 0 occupied prints first
+
+
+@pytest.mark.parametrize("mode_count", [63, 64, 70])
+def test_load_shot_records_rejects_patterns_past_int64(tmp_path, mode_count):
+    plan = plan_bases(2, 1, shots_per_basis=3)
+    path = tmp_path / "one.jsonl"
+    save_shot_records(str(path), plan, [])
+    row = {"basis_id": 0, "key": ["identity"], "mode_count": mode_count, "shots": 3,
+           "counts": {"0" * (mode_count - 1) + "1": 3}}
+    path.write_text(path.read_text() + json.dumps(row) + "\n")
+    if mode_count == 63:
+        assert load_shot_records(str(path))[1][0].patterns[0] == 1 << 62
+    else:
+        with pytest.raises(DomainError):
+            load_shot_records(str(path))
 
 
 @pytest.mark.parametrize("label", ["0_1", " 01", "1", "+1"])
@@ -459,7 +557,7 @@ def test_load_shot_records_rejects_malformed_labels(tmp_path, label):
     # int(label[::-1], 2) alone reads the first three and fails on the last
     plan = plan_bases(2, 1, shots_per_basis=3)
     rec = ShotRecord(basis_id=0, key=("identity",), mode_count=2, shots=3,
-                     counts={0b10: 3})
+                     patterns=np.array([0b10]), counts=np.array([3]))
     path = tmp_path / "one.jsonl"
     save_shot_records(str(path), plan, [rec])
     header, row = path.read_text().splitlines()

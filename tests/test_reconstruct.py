@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermiscope.correlations import (
     DiagonalFrame,
@@ -163,15 +165,15 @@ def test_simplex_projection_worked_example():
     assert np.abs(got - np.array([0.55, 0.45, 0.0])).max() < 1e-15
 
 
-def test_simplex_projection_matches_exhaustive_oracle(rng):
-    for n in (2, 3, 5, 8):
-        for _ in range(20):
-            v = rng.normal(size=n) * rng.uniform(0.1, 3.0)
-            got = project_to_simplex(v)
-            want = simplex_projection_oracle(v)
-            assert np.abs(got - want).max() < 1e-10
-            assert got.sum() == pytest.approx(1.0)
-            assert got.min() >= 0.0
+@settings(max_examples=100)
+@given(v=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1,
+                  max_size=8).map(np.array))
+def test_simplex_projection_matches_exhaustive_oracle(v):
+    got = project_to_simplex(v)
+    want = simplex_projection_oracle(v)
+    assert np.abs(got - want).max() < 1e-10
+    assert got.sum() == pytest.approx(1.0)
+    assert got.min() >= 0.0
 
 
 def test_simplex_projection_fixes_points_already_inside():
