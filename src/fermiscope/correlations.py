@@ -17,12 +17,11 @@ factor of the rotation per index (conjugated on the creation slots).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityMatrix, DomainError, FockBasis, StateVector, ladder_map
+from .fock import DensityMatrix, DomainError, FockBasis, StateVector, _chain_table
 from . import serialize
 
 HERMITICITY_TOL = 1e-8
@@ -114,7 +113,8 @@ def _annihilated_vectors(psi: StateVector, n: int) -> list[StateVector | None]:
         psi, basis = StateVector(fixed_n, amps), fixed_n
     out = []
     for j in range(n):
-        target, cols, rows, signs = ladder_map(basis, ((j, "annihilate"),))
+        target, cols, rows, signs = _chain_table(
+            basis.mode_count, basis.sector, basis.sz_twice, ((j, "annihilate"),))
         vec = np.zeros(target.dim, dtype=np.complex128)
         vec[rows] = signs * psi.amplitudes[cols]
         out.append(StateVector(target, vec))
@@ -137,23 +137,13 @@ def _two_point_pure(psi: StateVector, n: int) -> np.ndarray:
 def _trace_chain(rho: DensityMatrix, ops) -> complex:
     """Tr[rho * O_1 O_2 ... O_k] with ops written left to right."""
     basis = rho.basis
-    cols, rows, signs = _chain_table(
+    target, cols, rows, signs = _chain_table(
         basis.mode_count, basis.sector, basis.sz_twice, tuple(ops))
     if cols.size == 0:
         return 0.0
-    return complex((signs * rho.elements[cols, rows]).sum())
-
-
-@functools.lru_cache(maxsize=4096)  # holds all 1604 C2/C4 chains of 8 modes
-def _chain_table(mode_count, sector, sz_twice, ops):
-    """Read-only (cols, rows, signs) of :func:`ladder_map` for one chain, built once."""
-    basis = FockBasis(mode_count, sector, sz_twice)
-    target, *table = ladder_map(basis, ops)
-    if target is not basis and table[0].size:
+    if (target.sector, target.sz_twice) != (basis.sector, basis.sz_twice):
         raise DomainError("ladder chain leaves the basis")
-    for arr in table:
-        arr.flags.writeable = False
-    return tuple(table)
+    return complex((signs * rho.elements[cols, rows]).sum())
 
 
 def measure_two_point(state: StateVector | DensityMatrix) -> TwoPointMatrix:

@@ -29,6 +29,7 @@ from itertools import combinations
 import numpy as np
 
 MAX_MODES = 28  # 2^28 amplitudes is already ~4 GiB; refuse beyond this
+TRACE_CHUNK = 1 << 16  # complex entries per partial-trace product temporary
 
 
 class CapacityError(Exception):
@@ -322,6 +323,13 @@ def _pair_tables(mode_count):
     return _frozen(tuple(np.concatenate(arr) for arr in zip(*parts)))
 
 
+@functools.lru_cache(maxsize=4096)  # holds all 1604 C2/C4 chains of 8 modes
+def _chain_table(mode_count, sector, sz_twice, ops):
+    """:func:`ladder_map` of one chain with read-only arrays, built once."""
+    target, *table = ladder_map(FockBasis(mode_count, sector, sz_twice), ops)
+    return (target, *_frozen(table))
+
+
 def _frozen(table):
     for arr in table:
         arr.flags.writeable = False
@@ -335,24 +343,43 @@ def partial_trace(psi: StateVector, keep_modes: int) -> DensityMatrix:
     ordering; with the descending-order state convention the environment
     operators stand to the left of the subsystem operators, so grouping by
     environment pattern needs no extra fermionic signs.
+
+    Each particle-number block adds each environment pattern's outer product
+    in ascending pattern order from +0, bit for bit as one ``+=`` per pattern.
     """
     basis = psi.basis
     m = basis.mode_count
     if not 0 < keep_modes <= m:
         raise DomainError(f"cannot keep {keep_modes} of {m} modes")
     sub = FockBasis(keep_modes)
-    mask = (1 << keep_modes) - 1
-    a_bits = basis.states & mask
-    env = basis.states >> keep_modes
     rho = np.zeros((sub.dim, sub.dim), dtype=np.complex128)
-    order = np.argsort(env, kind="stable")
-    env_sorted = env[order]
-    cuts = np.nonzero(np.diff(env_sorted))[0] + 1
-    for grp in np.split(order, cuts):
-        idx = a_bits[grp]
-        amps = psi.amplitudes[grp]
-        rho[np.ix_(idx, idx)] += np.outer(amps, amps.conj())
+    padded = np.append(psi.amplitudes, 0.0)  # states outside the basis read +0
+    for gather, ix_rows, ix_cols in _trace_layout(m, basis.sector, basis.sz_twice, keep_modes):
+        block = 0.0
+        step = max(1, TRACE_CHUNK // ix_cols.size ** 2)
+        for start in range(0, len(gather), step):
+            part = padded[gather[start:start + step]]
+            terms = part[:, :, None] * part.conj()[:, None, :]
+            terms[0] += block  # sequential: accumulate, unlike reduce
+            block = np.add.accumulate(terms, out=terms)[-1]
+        rho[ix_rows, ix_cols] = block
     return DensityMatrix(sub, rho)
+
+
+@functools.lru_cache(maxsize=64)
+def _trace_layout(mode_count, sector, sz_twice, keep_modes):
+    """Each N block (one if N is free): basis row per (environment, state); np.ix_."""
+    states = _basis_states(mode_count, sector, sz_twice)
+    sub_bits = states & ((1 << keep_modes) - 1)
+    count = np.bitwise_count(sub_bits.astype(np.uint64)) * (sector is not None)
+    layout = []
+    for rows in (np.flatnonzero(count == n) for n in np.unique(count)):
+        env_rank = np.unique(states[rows] >> keep_modes, return_inverse=True)[1]
+        idx, col = np.unique(sub_bits[rows], return_inverse=True)
+        gather = np.full((env_rank.max() + 1, idx.size), states.size)
+        gather[env_rank, col] = rows
+        layout.append(_frozen((gather, *np.ix_(idx, idx))))
+    return tuple(layout)
 
 
 def sector_dimension(mode_count: int, sector: int | None) -> int:

@@ -31,6 +31,7 @@ from .fock import (
     FockBasis,
     OccupationBitstring,
     StateVector,
+    _chain_table,
     ladder_map,
     max_reduced_rank,
     partial_trace,
@@ -304,8 +305,8 @@ def plane_wave_state(params: HubbardParams, occupation: OccupationBitstring) -> 
         coeffs = np.exp(1j * ks[m] * np.arange(sites)) / math.sqrt(sites)
         new = None
         for l in range(sites):
-            target, cols, rows, signs = ladder_map(
-                basis, ((mode_index(l, spin), "create"),))
+            target, cols, rows, signs = _chain_table(
+                params.n_modes, basis.sector, None, ((mode_index(l, spin), "create"),))
             if new is None:
                 new = np.zeros(target.dim, dtype=np.complex128)
             np.add.at(new, rows, coeffs[l] * signs * vec[cols])

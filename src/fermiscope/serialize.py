@@ -66,6 +66,8 @@ def atomic_write_text(path: str, text: str):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.umask(umask := os.umask(0o022))  # mkstemp made it 0600: use open()'s mode
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

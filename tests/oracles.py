@@ -139,6 +139,27 @@ def trace_chain_walk(rho, ops) -> complex:
     return complex(np.sum(signs[cols] * rho.elements[cols, rows]))
 
 
+def partial_trace_loop(psi: StateVector, keep_modes: int) -> DensityMatrix:
+    """``fock.partial_trace`` by one outer product per environment pattern.
+
+    Groups the basis states by their environment bits and adds each
+    group's outer product into the reduced state in ascending environment
+    order, starting from +0.
+    """
+    basis = psi.basis
+    sub = FockBasis(keep_modes)
+    a_bits = basis.states & ((1 << keep_modes) - 1)
+    env = basis.states >> keep_modes
+    rho = np.zeros((sub.dim, sub.dim), dtype=np.complex128)
+    order = np.argsort(env, kind="stable")
+    cuts = np.nonzero(np.diff(env[order]))[0] + 1
+    for grp in np.split(order, cuts):
+        idx = a_bits[grp]
+        amps = psi.amplitudes[grp]
+        rho[np.ix_(idx, idx)] += np.outer(amps, amps.conj())
+    return DensityMatrix(sub, rho)
+
+
 def same_bits(a, b) -> bool:
     """Equal arrays down to the sign of every zero."""
     a = np.ascontiguousarray(np.atleast_1d(np.asarray(a, dtype=complex)))

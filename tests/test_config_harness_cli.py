@@ -3,12 +3,13 @@ import json
 import math
 import os
 import shutil
+import stat
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from fermiscope import cli, harness, measure, serialize
+from fermiscope import cli, fock, harness, measure, model, serialize
 from fermiscope.config import (
     ConfigWarning,
     RunConfig,
@@ -194,6 +195,43 @@ def test_measure_stage_is_reproducible(tmp_path):
     again = tmp_path / "again.jsonl"
     measure.save_shot_records(str(again), plan, records)
     assert again.read_bytes() == shots.read_bytes()
+
+
+def test_outputs_get_the_mode_open_would_give(tmp_path):
+    old = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o077):
+            os.umask(umask)
+            written, opened = tmp_path / f"w{umask:o}", tmp_path / f"o{umask:o}"
+            serialize.atomic_write_text(str(written), "x\n")
+            with open(opened, "w") as fh:
+                fh.write("x\n")
+            mode = stat.S_IMODE(os.stat(written).st_mode)
+            assert mode == stat.S_IMODE(os.stat(opened).st_mode) == 0o666 & ~umask
+    finally:
+        os.umask(old)
+
+
+def test_quench_builds_ladder_tables_once_per_basis(tmp_path, monkeypatch):
+    calls = []
+    real = fock.ladder_map
+
+    def counting(basis, ops):
+        calls.append(ops)
+        return real(basis, ops)
+
+    for module in (fock, model):
+        monkeypatch.setattr(module, "ladder_map", counting)
+    counts = []
+    for times in ((1.0, 3.0), (0.5, 1.0, 2.0, 3.0)):
+        fock._hop_tables.cache_clear()
+        fock._chain_table.cache_clear()
+        calls.clear()
+        harness.cmd_quench(mini_config(str(tmp_path / str(len(times))))
+                           .override(times=times))
+        counts.append(len(calls))
+    # twice the snapshots, the same tables
+    assert counts[0] == counts[1] > 0
 
 
 def test_parallel_run_matches_serial(tmp_path):

@@ -2,6 +2,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermiscope import correlations
 from fermiscope.correlations import (
@@ -236,6 +238,24 @@ def test_density_matrix_moments_match_dense_oracle(n_modes):
     assert np.abs(c4.entries - want_c4).max() < 1e-13
 
 
+@settings(max_examples=12)
+@given(st.sampled_from([6, 8]).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(0, m), st.integers(0, 2**32 - 1))))
+def test_reduced_state_moments_match_the_pure_state_lowering(case):
+    n_modes, particles, seed = case
+    basis = FockBasis(n_modes, particles)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    psi = StateVector(basis, amps).normalized()
+    for keep in range(2, n_modes + 1):
+        rho = partial_trace(psi, keep)
+        c2 = measure_two_point(rho)
+        c4 = measure_four_point_connected(rho, c2)
+        want_c2, want_c4 = subsystem_correlations(psi, keep)
+        assert np.abs(c2.entries - want_c2.entries).max() <= 1e-13, keep
+        assert np.abs(c4.entries - want_c4.entries).max() <= 1e-13, keep
+
+
 @pytest.mark.parametrize("key", [(4, None, None), (6, 3, None)])
 def test_chain_tables_match_the_walk_bit_for_bit(rng, key):
     basis = FockBasis(*key)
@@ -271,10 +291,10 @@ def test_chain_tables_are_shared_and_read_only():
     ops = ((1, "create"), (0, "create"), (2, "annihilate"), (3, "annihilate"))
     a = correlations._chain_table(4, None, None, ops)
     assert correlations._chain_table(4, None, None, ops) is a
-    for arr in a:
+    for arr in a[1:]:
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
-        a[2][0] = 0.0
+        a[3][0] = 0.0
     # the cache holds every C2 and C4 chain of an 8-mode subsystem at once
     n = 8
     chains = n * (n + 1) // 2 + n * (n - 1) * n * (n - 1) // 2

@@ -30,6 +30,7 @@ from oracles import (
     expectation_chain,
     hamming_distance,
     occupation_phase,
+    partial_trace_loop,
     quadratic_operator_loop,
     same_bits,
 )
@@ -406,6 +407,28 @@ def test_partial_trace_properties(rng):
     assert rho.trace == pytest.approx(1.0)
     assert rho.hermiticity_defect() < 1e-14
     assert rho.eigenvalues().min() > -1e-14
+
+
+@pytest.mark.parametrize("chunk", [fock.TRACE_CHUNK, 1])  # 1: a product per row
+@pytest.mark.parametrize("key", [(6, None, None), (8, 4, None), (8, 3, 1)])
+def test_partial_trace_keeps_the_bits_of_the_per_pattern_loop(rng, monkeypatch, key, chunk):
+    monkeypatch.setattr(fock, "TRACE_CHUNK", chunk)
+    basis = FockBasis(*key)
+    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    # exact and negative zeros, as in a t = 0 product state
+    sparse = np.where(rng.random(basis.dim) < 0.7, -0.0, amps)
+    sparse.imag[::2] = -0.0
+    single = np.zeros(basis.dim, complex)
+    single[basis.dim // 2] = 1.0
+    for a in (amps, sparse, single):
+        psi = StateVector(basis, a)
+        for keep in range(1, basis.mode_count + 1):
+            assert same_bits(partial_trace(psi, keep).elements,
+                             partial_trace_loop(psi, keep).elements), keep
+    layout = fock._trace_layout(*key, 4)
+    assert fock._trace_layout(*key, 4) is layout
+    for arr in (arr for block in layout for arr in block):
+        assert not arr.flags.writeable
 
 
 def test_sector_dimension_and_rank_bound():
