@@ -78,21 +78,26 @@ class EntanglementSpectrum:
         return int(self.levels.size)
 
 
-def entanglement_spectrum(rho: DensityMatrix | np.ndarray) -> EntanglementSpectrum:
-    """Spectrum of -log(rho), truncated at the numerical rank.
+def eigenvalue_spectrum(vals: np.ndarray, label=None) -> EntanglementSpectrum:
+    """Levels -log(lambda) of the eigenvalues above RANK_CUTOFF, ascending.
 
     Eigenvalues at or below RANK_CUTOFF carry no information about the
     state (they are zeros plus rounding) and would inject divergent
     levels, so they are dropped rather than clipped.
     """
+    kept = vals[vals > RANK_CUTOFF]
+    return EntanglementSpectrum(levels=np.sort(-np.log(kept)), label=label)
+
+
+def entanglement_spectrum(rho: DensityMatrix | np.ndarray) -> EntanglementSpectrum:
+    """Spectrum of -log(rho), truncated at the numerical rank."""
     mat = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho)
     vals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
     if vals.size and vals[0] < -1e-8:
         raise DomainError(
             f"state has eigenvalue {vals[0]:.3e}; project it first"
         )
-    kept = vals[vals > RANK_CUTOFF]
-    return EntanglementSpectrum(levels=np.sort(-np.log(kept)))
+    return eigenvalue_spectrum(vals)
 
 
 def spectral_error(
@@ -222,13 +227,9 @@ def sector_spectra(rho: DensityMatrix) -> list[EntanglementSpectrum]:
     spectra = []
     for block in sector_project(rho):
         herm = 0.5 * (block.elements + block.elements.conj().T)
-        vals = np.linalg.eigvalsh(herm)
-        kept = vals[vals > RANK_CUTOFF]
-        if kept.size == 0:
-            continue
-        spectra.append(
-            EntanglementSpectrum(levels=np.sort(-np.log(kept)), label=block.label)
-        )
+        spec = eigenvalue_spectrum(np.linalg.eigvalsh(herm), block.label)
+        if spec.rank:
+            spectra.append(spec)
     return spectra
 
 

@@ -33,6 +33,7 @@ from .entanglement import (
     RANK_CUTOFF,
     EntanglementSpectrum,
     StatisticsUnavailableError,
+    eigenvalue_spectrum,
     entanglement_spectrum,
     gap_statistics,
     non_gaussianity,
@@ -209,12 +210,14 @@ def _sector_spectra_doc(rho: DensityMatrix) -> list[dict]:
             for spec in sector_spectra(rho)]
 
 
-def _recon_task(task):
-    config, qdir, rdir, iu, member, it = task
-    tag = snapshot_tag(iu, member, it)
-    rho_exact, state_header = load_density_matrix(
-        os.path.join(qdir, f"{tag}_state.json"))
-    c2, c4, _ = load_correlations(os.path.join(qdir, f"{tag}_corr.json"))
+def analyze_snapshot(c2, c4, rho_exact: DensityMatrix) -> dict:
+    """The physics fields of a recon document: (C2, C4) rebuilt, set against rho.
+
+    Each spectrum is read once: the exact one by one ``eigvalsh``, the
+    Gaussian one from its product weights, and the projected one and the
+    assembled state's minimum eigenvalue from the one ``eigh`` of
+    :func:`project_positive`.
+    """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AnsatzValidityWarning)
         recon = reconstruct_state(c2, c4)
@@ -222,44 +225,51 @@ def _recon_task(task):
                  for w in caught)
 
     c2_assembled = measure_two_point(recon.assembled)
-    residual_c2 = float(np.abs(c2_assembled.entries - c2.entries).max())
-    residual_c4 = float(np.abs(
+    residual_c4 = np.abs(
         measure_four_point_connected(recon.assembled, c2_assembled).entries
-        - c4.entries).max())
-
+        - c4.entries).max()
     spec_exact = entanglement_spectrum(rho_exact)
-    spec_gauss = entanglement_spectrum(recon.gaussian_matrix)
-    spec_proj = entanglement_spectrum(recon.projected)
     theta_exact = non_gaussianity(rho_exact)
     theta_recon = non_gaussianity(recon.projected)
-    negativity = float(np.linalg.eigvalsh(recon.assembled.elements).min())
+    return {
+        "theta_exact": float(theta_exact),
+        "theta_recon": float(theta_recon),
+        "one_minus_f_exact": float(math.sin(theta_exact) ** 2),
+        "one_minus_f_recon": float(math.sin(theta_recon) ** 2),
+        "residual_c2": float(np.abs(c2_assembled.entries - c2.entries).max()),
+        "residual_c4": float(residual_c4),
+        "max_abs_c4": float(c4.max_abs()),
+        "ansatz_warning": bool(warned),
+        "assembled_min_eigenvalue": float(recon.assembled_eigenvalues[0]),
+        "error_indices": list(DEFAULT_ERROR_INDICES),
+        "delta_gaussian": spectral_error(
+            spec_exact, eigenvalue_spectrum(recon.gaussian.weights)),
+        "delta_projected": spectral_error(
+            spec_exact, eigenvalue_spectrum(recon.projected_eigenvalues)),
+        "spectrum_exact": _sector_spectra_doc(rho_exact),
+        "spectrum_recon": _sector_spectra_doc(recon.projected),
+    }
 
-    prov = state_header.get("provenance", {})
+
+def _recon_task(task):
+    config, qdir, rdir, iu, member, it = task
+    tag = snapshot_tag(iu, member, it)
+    rho_exact, state_header = load_density_matrix(
+        os.path.join(qdir, f"{tag}_state.json"))
+    c2, c4, _ = load_correlations(os.path.join(qdir, f"{tag}_corr.json"))
+    u, t = config.u_values[iu], config.times[it]
     doc = {
         "header": serialize.make_header(
             "reconstruction", rho_exact.basis.mode_count,
             tolerances={"clamp": OCCUPATION_CLAMP,
                         "rank_cutoff": RANK_CUTOFF},
-            provenance=prov,
+            provenance=state_header.get("provenance", {}),
         ),
-        "u": float(config.u_values[iu]),
-        "t": float(config.times[it]),
-        "tau": float(config.u_values[iu] * config.times[it]),
+        "u": float(u),
+        "t": float(t),
+        "tau": float(u * t),
         "member": member,
-        "theta_exact": float(theta_exact),
-        "theta_recon": float(theta_recon),
-        "one_minus_f_exact": float(math.sin(theta_exact) ** 2),
-        "one_minus_f_recon": float(math.sin(theta_recon) ** 2),
-        "residual_c2": residual_c2,
-        "residual_c4": residual_c4,
-        "max_abs_c4": float(c4.max_abs()),
-        "ansatz_warning": bool(warned),
-        "assembled_min_eigenvalue": negativity,
-        "error_indices": list(DEFAULT_ERROR_INDICES),
-        "delta_gaussian": spectral_error(spec_exact, spec_gauss),
-        "delta_projected": spectral_error(spec_exact, spec_proj),
-        "spectrum_exact": _sector_spectra_doc(rho_exact),
-        "spectrum_recon": _sector_spectra_doc(recon.projected),
+        **analyze_snapshot(c2, c4, rho_exact),
     }
     name = f"{tag}_recon.json"
     serialize.dump_json(os.path.join(rdir, name), doc)

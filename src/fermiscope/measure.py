@@ -49,7 +49,7 @@ from .fock import (
     DensityMatrix,
     DomainError,
     FockBasis,
-    ladder_map,
+    _chain_table,
     quadratic_operator,
 )
 
@@ -102,33 +102,19 @@ def pair_operator(basis: FockBasis, pair: tuple[int, int], axis: str) -> np.ndar
     return quadratic_operator(basis, h)
 
 
-@lru_cache(maxsize=512)
-def _doublets(mode_count: int, sector, sz_twice, pair: tuple[int, int]):
-    """(sel, partner, sign) of c+_j c_i: the doublets a pulse on (i, j) mixes.
-
-    Read from ``ladder_map`` once per basis and pair, and read-only.
-    """
-    basis = FockBasis(mode_count, sector, sz_twice)
-    i, j = pair
-    target, sel, partner, sign = ladder_map(basis, ((j, "create"), (i, "annihilate")))
-    if target is not basis and sel.size:
-        raise DomainError(
-            "rotation partner states fall outside the basis; use a full or "
-            "fixed-N basis"
-        )
-    for table in (sel, partner, sign):
-        table.flags.writeable = False
-    return sel, partner, sign
-
-
 def _pulse(basis: FockBasis, rot: TunnelingRotation):
     """(sel, partner, c, u_sp, u_ps): U is [[c, u_sp], [u_ps, c]] on each doublet.
 
     The generator squares to 1/4 on each partner doublet of c+_j c_i, so
     U = cos(t/2) - i sin(t/2) (2S) there.
     """
-    sel, partner, sign = _doublets(basis.mode_count, basis.sector,
-                                   basis.sz_twice, rot.pair)
+    i, j = rot.pair
+    target, sel, partner, sign = _chain_table(
+        basis.mode_count, basis.sector, basis.sz_twice,
+        ((j, "create"), (i, "annihilate")))
+    if sel.size and (target.sector, target.sz_twice) != (basis.sector, basis.sz_twice):
+        raise DomainError("rotation partner states fall outside the basis; "
+                          "use a full or fixed-N basis")
     c = math.cos(0.5 * rot.angle)
     s = math.sin(0.5 * rot.angle)
     if rot.axis == "x":

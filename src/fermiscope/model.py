@@ -32,7 +32,6 @@ from .fock import (
     OccupationBitstring,
     StateVector,
     _chain_table,
-    ladder_map,
     max_reduced_rank,
     partial_trace,
 )
@@ -122,7 +121,8 @@ def hop_matrix(basis: FockBasis, i: int, j: int):
         raise DomainError("use diagonal occupations for i == j")
     import scipy.sparse
 
-    target, cols, rows, signs = ladder_map(basis, ((i, "create"), (j, "annihilate")))
+    target, cols, rows, signs = _chain_table(
+        basis.mode_count, basis.sector, basis.sz_twice, ((i, "create"), (j, "annihilate")))
     return scipy.sparse.coo_matrix(
         (signs.astype(np.complex128), (rows, cols)), shape=(target.dim, basis.dim))
 

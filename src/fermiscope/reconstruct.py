@@ -310,21 +310,19 @@ def project_to_simplex(values: np.ndarray) -> np.ndarray:
     return np.maximum(v + shift, 0.0)
 
 
-def project_positive(rho: np.ndarray | DensityMatrix):
+def project_positive(rho: np.ndarray):
     """Closest density matrix: project the spectrum onto the simplex.
 
-    Eigenvectors are untouched, so operators diagonal in the same basis
-    stay diagonal in it.
+    Returns (matrix, w, w_proj): the projected matrix and the ascending
+    eigenvalues of the Hermitian part of ``rho`` before and after the
+    projection, read from one ``eigh``.  Eigenvectors are untouched, so
+    operators diagonal in the same basis stay diagonal in it.
     """
-    mat = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    herm = 0.5 * (mat + mat.conj().T)
+    herm = 0.5 * (rho + rho.conj().T)
     w, v = np.linalg.eigh(herm)
     w_proj = project_to_simplex(w)
     out = (v * w_proj[None, :]) @ v.conj().T
-    out = 0.5 * (out + out.conj().T)
-    if isinstance(rho, DensityMatrix):
-        return DensityMatrix(rho.basis, out)
-    return out
+    return 0.5 * (out + out.conj().T), w, w_proj
 
 
 def mode_rotation_unitary(frame: DiagonalFrame) -> np.ndarray:
@@ -361,17 +359,19 @@ def mode_rotation_unitary(frame: DiagonalFrame) -> np.ndarray:
 class ReconstructedState:
     """Reconstruction output: Gaussian part, correction, and combinations.
 
-    ``assembled`` and ``projected`` (and ``gaussian_matrix``) live in the
-    physical mode basis; ``gaussian`` and ``correction`` keep their natural
-    frame-diagonal representation.
+    ``assembled`` and ``projected`` live in the physical mode basis, with
+    their ascending eigenvalues alongside; ``gaussian`` and ``correction``
+    keep their natural frame-diagonal representation, so the Gaussian
+    state's eigenvalues are its weights.
     """
 
     frame: DiagonalFrame
     gaussian: GaussianState
     correction: NonGaussianCorrection
-    gaussian_matrix: DensityMatrix
     assembled: DensityMatrix
     projected: DensityMatrix
+    assembled_eigenvalues: np.ndarray
+    projected_eigenvalues: np.ndarray
 
 
 def reconstruct_state(
@@ -386,18 +386,18 @@ def reconstruct_state(
     correction = delta_rho(c4_frame, frame)
     basis = FockBasis(frame.n_modes)
     u = mode_rotation_unitary(frame)
-    gauss_phys = (u * gauss.weights[None, :]) @ u.conj().T
     assembled_frame = np.diag(gauss.weights).astype(complex) + correction.elements
     assembled_phys = u @ assembled_frame @ u.conj().T
     assembled_phys = 0.5 * (assembled_phys + assembled_phys.conj().T)
-    projected = project_positive(assembled_phys)
+    projected, w, w_proj = project_positive(assembled_phys)
     return ReconstructedState(
         frame=frame,
         gaussian=gauss,
         correction=correction,
-        gaussian_matrix=DensityMatrix(basis, gauss_phys),
         assembled=DensityMatrix(basis, assembled_phys),
         projected=DensityMatrix(basis, projected),
+        assembled_eigenvalues=w,
+        projected_eigenvalues=w_proj,
     )
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -18,9 +19,26 @@ from fermiscope.fock import (
     ladder_matrix,
     popcount,
 )
-from fermiscope.correlations import FourPointTensor, TwoPointMatrix
+from fermiscope.correlations import (
+    FourPointTensor,
+    TwoPointMatrix,
+    measure_four_point_connected,
+    measure_two_point,
+)
+from fermiscope.entanglement import (
+    DEFAULT_ERROR_INDICES,
+    entanglement_spectrum,
+    non_gaussianity,
+    sector_spectra,
+    spectral_error,
+)
 from fermiscope.measure import CoverageError, apply_rotation
-from fermiscope.reconstruct import _between_mask
+from fermiscope.reconstruct import (
+    AnsatzValidityWarning,
+    _between_mask,
+    mode_rotation_unitary,
+    reconstruct_state,
+)
 
 
 def hamming_distance(m: OccupationBitstring, n: OccupationBitstring) -> int:
@@ -493,3 +511,54 @@ def estimate_correlations_loop(plan, records):
                        + np.einsum("ik,jl->ijkl", se2**2, a2**2))
     se_conn = np.sqrt(se4**2 + se_prod1**2 + se_prod2**2)
     return TwoPointMatrix(entries=c2), se2, FourPointTensor(entries=connected), se_conn
+
+
+def recon_fields_rediagonalized(c2, c4, rho_exact: DensityMatrix) -> dict:
+    """The physics fields of a recon document with every spectrum diagonalized anew.
+
+    The Gaussian state is rebuilt in the physical basis as u diag(w) u†
+    and diagonalized back, and the assembled and projected states are
+    diagonalized once more after the ``eigh`` of the positivity
+    projection: five full diagonalizations where two suffice.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", AnsatzValidityWarning)
+        recon = reconstruct_state(c2, c4)
+    warned = any(issubclass(w.category, AnsatzValidityWarning) for w in caught)
+
+    c2_assembled = measure_two_point(recon.assembled)
+    residual_c2 = float(np.abs(c2_assembled.entries - c2.entries).max())
+    residual_c4 = float(np.abs(
+        measure_four_point_connected(recon.assembled, c2_assembled).entries
+        - c4.entries).max())
+
+    u = mode_rotation_unitary(recon.frame)
+    gaussian_matrix = (u * recon.gaussian.weights[None, :]) @ u.conj().T
+    spec_exact = entanglement_spectrum(rho_exact)
+    spec_gauss = entanglement_spectrum(gaussian_matrix)
+    spec_proj = entanglement_spectrum(recon.projected)
+    theta_exact = non_gaussianity(rho_exact)
+    theta_recon = non_gaussianity(recon.projected)
+    negativity = float(np.linalg.eigvalsh(recon.assembled.elements).min())
+
+    def sectors(rho):
+        return [{"n": spec.label.n, "m": spec.label.m, "s": spec.label.s,
+                 "levels": [float(x) for x in spec.levels]}
+                for spec in sector_spectra(rho)]
+
+    return {
+        "theta_exact": float(theta_exact),
+        "theta_recon": float(theta_recon),
+        "one_minus_f_exact": float(math.sin(theta_exact) ** 2),
+        "one_minus_f_recon": float(math.sin(theta_recon) ** 2),
+        "residual_c2": residual_c2,
+        "residual_c4": residual_c4,
+        "max_abs_c4": float(c4.max_abs()),
+        "ansatz_warning": bool(warned),
+        "assembled_min_eigenvalue": negativity,
+        "error_indices": list(DEFAULT_ERROR_INDICES),
+        "delta_gaussian": spectral_error(spec_exact, spec_gauss),
+        "delta_projected": spectral_error(spec_exact, spec_proj),
+        "spectrum_exact": sectors(rho_exact),
+        "spectrum_recon": sectors(recon.projected),
+    }

@@ -22,6 +22,7 @@ from fermiscope.correlations import (
     measure_two_point,
 )
 from fermiscope.entanglement import (
+    eigenvalue_spectrum,
     entanglement_spectrum,
     gap_statistics,
     reference_distribution,
@@ -127,7 +128,7 @@ def test_c02_perturbative_order_scaling():
             c4 = measure_four_point_connected(rho, c2)
             rec = _quiet_reconstruct(c2, c4)
             e_exact = entanglement_spectrum(rho).levels[0]
-            e_gauss = entanglement_spectrum(rec.gaussian_matrix).levels[0]
+            e_gauss = eigenvalue_spectrum(rec.gaussian.weights).levels[0]
             e_proj = entanglement_spectrum(rec.projected).levels[0]
             d_gauss[m, iu] = abs(e_gauss - e_exact)
             d_proj[m, iu] = abs(e_proj - e_exact)

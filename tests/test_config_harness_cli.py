@@ -4,12 +4,13 @@ import math
 import os
 import shutil
 import stat
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from fermiscope import cli, fock, harness, measure, model, serialize
+from fermiscope import cli, fock, harness, measure, serialize
 from fermiscope.config import (
     ConfigWarning,
     RunConfig,
@@ -17,11 +18,14 @@ from fermiscope.config import (
     load_config,
     save_config,
 )
+from fermiscope.correlations import load_correlations
 from fermiscope.fock import CapacityError, DomainError
 from fermiscope.model import HubbardParams
+from fermiscope.reconstruct import load_density_matrix
 from fermiscope.serialize import load_json, sha256_of_file
 
 from conftest import mini_config
+from oracles import recon_fields_rediagonalized, same_bits
 
 
 def test_default_config_shape():
@@ -220,18 +224,81 @@ def test_quench_builds_ladder_tables_once_per_basis(tmp_path, monkeypatch):
         calls.append(ops)
         return real(basis, ops)
 
-    for module in (fock, model):
-        monkeypatch.setattr(module, "ladder_map", counting)
+    # every module that holds the kernel, wherever it was imported
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fermiscope") and getattr(module, "ladder_map", None) is real:
+            monkeypatch.setattr(module, "ladder_map", counting)
     counts = []
-    for times in ((1.0, 3.0), (0.5, 1.0, 2.0, 3.0)):
+    for k, change in enumerate(({}, {"times": (0.5, 1.0, 2.0, 3.0)},
+                                {"u_values": (0.05, 0.2)})):
         fock._hop_tables.cache_clear()
         fock._chain_table.cache_clear()
         calls.clear()
-        harness.cmd_quench(mini_config(str(tmp_path / str(len(times))))
-                           .override(times=times))
+        harness.cmd_quench(mini_config(str(tmp_path / str(k))).override(**change))
         counts.append(len(calls))
-    # twice the snapshots, the same tables
-    assert counts[0] == counts[1] > 0
+    # twice the snapshots or twice the interactions, the same tables
+    assert counts[0] == counts[1] == counts[2] > 0
+
+
+def _mini_snapshots(config):
+    """(task, C2, C4, rho) of every quench snapshot of ``config``."""
+    qdir = os.path.join(config.out_dir, "quench")
+    for iu in range(len(config.u_values)):
+        for m in range(config.ensemble_size):
+            for it in range(len(config.times)):
+                tag = harness.snapshot_tag(iu, m, it)
+                rho, _ = load_density_matrix(os.path.join(qdir, f"{tag}_state.json"))
+                c2, c4, _ = load_correlations(os.path.join(qdir, f"{tag}_corr.json"))
+                yield (config, qdir, config.out_dir, iu, m, it), c2, c4, rho
+
+
+def test_snapshot_analysis_matches_the_rediagonalizing_oracle(tmp_path):
+    config = mini_config(str(tmp_path))
+    harness.cmd_quench(config)
+    moved = ("delta_gaussian", "delta_projected", "assembled_min_eigenvalue")
+    count = 0
+    for _, c2, c4, rho in _mini_snapshots(config):
+        got = harness.analyze_snapshot(c2, c4, rho)
+        want = recon_fields_rediagonalized(c2, c4, rho)
+        assert sorted(got) == sorted(want)
+        for key in set(want) - set(moved):
+            if key.startswith("spectrum_"):
+                assert [(s["n"], s["m"], s["s"]) for s in got[key]] == \
+                    [(s["n"], s["m"], s["s"]) for s in want[key]]
+                assert all(same_bits(a["levels"], b["levels"])
+                           for a, b in zip(got[key], want[key])), key
+            else:
+                assert same_bits(got[key], want[key]), key
+        # levels read from known eigenvalues move the spectral errors by
+        # far less than the benchmark's 1e-9 + 1e-6 |ref| tolerance
+        for key in moved[:2]:
+            for a, b in zip(got[key], want[key], strict=True):
+                assert (a is None) == (b is None), key
+                if b is not None:
+                    assert abs(a - b) <= 0.01 * (1e-9 + 1e-6 * abs(b)), key
+        assert abs(got[moved[2]] - want[moved[2]]) <= 1e-15
+        count += 1
+    assert count == 4
+
+
+def test_recon_task_diagonalizes_each_state_once(tmp_path, monkeypatch):
+    config = mini_config(str(tmp_path))
+    harness.cmd_quench(config)
+    dim = 1 << config.subsystem_modes
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counting(a, *args, _real=real, **kwargs):
+            if np.shape(a) == (dim, dim):
+                calls.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    task, *_ = next(_mini_snapshots(config))
+    harness._recon_task(task)
+    # the exact spectrum, and the assembled state's eigh in project_positive
+    assert len(calls) == 2
 
 
 def test_parallel_run_matches_serial(tmp_path):

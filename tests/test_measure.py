@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fermiscope import measure
+from fermiscope import fock, measure
 from fermiscope.correlations import measure_four_point_connected, measure_two_point
 from fermiscope.fock import CapacityError, DensityMatrix, DomainError, FockBasis
 from fermiscope.measure import (
@@ -256,11 +256,12 @@ def test_estimator_rejects_malformed_records(case):
 
 
 def test_doublet_tables_are_shared_and_read_only():
-    basis = FockBasis(6, 3)
-    a = measure._doublets(6, 3, None, (1, 4))
-    assert measure._doublets(basis.mode_count, basis.sector, basis.sz_twice, (1, 4)) is a
-    for table in a:
-        assert not table.flags.writeable
+    # a pulse on (1, 4) mixes the doublets of the shared c+_4 c_1 table
+    _, sel, partner, _ = fock._chain_table(6, 3, None, ((4, "create"), (1, "annihilate")))
+    for axis in ("x", "y"):
+        got = measure._pulse(FockBasis(6, 3), TunnelingRotation((1, 4), axis, 0.3))
+        assert got[0] is sel and got[1] is partner
+    assert not sel.flags.writeable and not partner.flags.writeable
     # a list pair is stored as a tuple, so its rotation can key a group
     rot = TunnelingRotation([1, 4], "x", 0.3)
     assert rot.pair == (1, 4) and hash(rot) == hash(TunnelingRotation((1, 4), "x", 0.3))

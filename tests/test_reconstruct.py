@@ -185,10 +185,14 @@ def test_positive_projection_moves_spectrum_to_simplex(rng):
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     herm = 0.5 * (a + a.conj().T)
     herm = herm / np.abs(np.trace(herm))
-    out = project_positive(herm)
+    out, w, w_proj = project_positive(herm)
     w_in = np.linalg.eigvalsh(herm)
     w_out = np.linalg.eigvalsh(out)
     assert np.abs(np.sort(w_out) - np.sort(project_to_simplex(w_in))).max() < 1e-12
+    # the returned eigenvalues are those of the input and of the output
+    assert np.abs(w - w_in).max() < 1e-12
+    assert np.abs(w_proj - w_out).max() < 1e-12
+    assert np.all(np.diff(w_proj) >= 0.0)
 
 
 def test_mode_rotation_unitary_is_unitary_and_consistent(rng):
