@@ -7,7 +7,9 @@ The objects of interest are
 
 i.e. the one-body correlation matrix and the *connected* two-body
 correlator, which vanishes identically on number-conserving Gaussian
-states.  Both can be evaluated on pure states or density matrices.
+states.  ``measure_two_point`` and ``measure_four_point_connected`` take
+density matrices; a pure state's moments come from
+``subsystem_correlations``, which lowers the state instead.
 
 Diagonalizing C2 defines the natural-orbital frame: new annihilators
 d_p = sum_b V_bp c_b with <d†_p d_q> = [V† C2 V]_pq = delta_pq g_p,
@@ -18,6 +20,7 @@ factor of the rotation per index (conjugated on the creation slots).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -100,123 +103,113 @@ class FourPointTensor:
             raise DomainError("four-point tensor breaks Hermiticity")
 
 
-def _annihilated_vectors(psi: StateVector, n: int) -> list[StateVector | None]:
-    """c_j |psi> for the leading ``n`` modes j, in the sector-lowered basis."""
-    basis = psi.basis
-    if basis.sector == 0:
-        return [None] * n
+def _lowered_rows(basis: FockBasis, amps: np.ndarray, n: int):
+    """(target basis, out) with out[j] = c_j applied to every state of
+    ``amps`` (amplitudes along its last axis), for the leading ``n`` modes j.
+
+    A fixed-(N, 2·Sz) state is lowered within fixed N, so every c_j lands
+    in one basis.
+    """
     if basis.sz_twice is not None:
-        # lower within fixed N, so every c_j |psi> lands in one basis
         fixed_n = FockBasis(basis.mode_count, basis.sector)
-        amps = np.zeros(fixed_n.dim, dtype=np.complex128)
-        amps[fixed_n.indices_of(basis.states)] = psi.amplitudes
-        psi, basis = StateVector(fixed_n, amps), fixed_n
-    out = []
+        full = np.zeros(amps.shape[:-1] + (fixed_n.dim,), dtype=np.complex128)
+        full[..., fixed_n.indices_of(basis.states)] = amps
+        basis, amps = fixed_n, full
+    out = None
     for j in range(n):
         target, cols, rows, signs = _chain_table(
-            basis.mode_count, basis.sector, basis.sz_twice, ((j, "annihilate"),))
-        vec = np.zeros(target.dim, dtype=np.complex128)
-        vec[rows] = signs * psi.amplitudes[cols]
-        out.append(StateVector(target, vec))
-    return out
+            basis.mode_count, basis.sector, None, ((j, "annihilate"),))
+        if out is None:
+            out = np.zeros((n, *amps.shape[:-1], target.dim), dtype=np.complex128)
+        out[j][..., rows] = signs * amps[..., cols]
+    return target, out
 
 
-def _two_point_pure(psi: StateVector, n: int) -> np.ndarray:
-    lowered = _annihilated_vectors(psi, n)
-    c2 = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        if lowered[i] is None:
-            continue
-        for j in range(i, n):
-            val = np.vdot(lowered[i].amplitudes, lowered[j].amplitudes)
-            c2[i, j] = val
-            c2[j, i] = np.conj(val)
-    return c2
-
-
-def _trace_chain(rho: DensityMatrix, ops) -> complex:
-    """Tr[rho * O_1 O_2 ... O_k] with ops written left to right."""
-    basis = rho.basis
-    target, cols, rows, signs = _chain_table(
-        basis.mode_count, basis.sector, basis.sz_twice, tuple(ops))
-    if cols.size == 0:
-        return 0.0
-    if (target.sector, target.sz_twice) != (basis.sector, basis.sz_twice):
-        raise DomainError("ladder chain leaves the basis")
-    return complex((signs * rho.elements[cols, rows]).sum())
-
-
-def measure_two_point(state: StateVector | DensityMatrix) -> TwoPointMatrix:
-    """C2_ij = <c†_i c_j> of a pure state or density matrix."""
-    if isinstance(state, StateVector):
-        return TwoPointMatrix(_two_point_pure(state, state.basis.mode_count))
-    n = state.basis.mode_count
-    c2 = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(i, n):
-            val = _trace_chain(state, ((i, "create"), (j, "annihilate")))
-            c2[i, j] = val
-            c2[j, i] = np.conj(val)
-    return TwoPointMatrix(c2)
-
-
-def measure_four_point_connected(
-    state: StateVector | DensityMatrix,
-    two_point: TwoPointMatrix | None = None,
-) -> FourPointTensor:
-    """Connected C4 with the Gaussian (Wick) part subtracted.
-
-    On a pure state only the leading modes that ``two_point`` spans are lowered.
-    """
-    c2 = (two_point or measure_two_point(state)).entries
-    n = c2.shape[0]
-    raw = np.zeros((n, n, n, n), dtype=np.complex128)
-    if isinstance(state, StateVector):
-        sector = state.basis.sector
-        if sector is None or sector >= 2:
-            # d[a, b] = c_a c_b |psi>, sized by the first doubly lowered vector
-            d = None
-            for b, vb in enumerate(_annihilated_vectors(state, n)):
-                inner = _annihilated_vectors(vb, n)
-                if d is None:
-                    d = np.zeros((n, n, inner[0].basis.dim), dtype=np.complex128)
-                for a in range(n):
-                    if a != b:
-                        d[a, b] = inner[a].amplitudes
-            # <c†_i c†_j c_k c_l> = <(c_j c_i) psi | (c_k c_l) psi>
-            raw = np.einsum("jix,klx->ijkl", d.conj(), d)
-    else:
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                for k in range(n):
-                    for l in range(k + 1, n):
-                        val = _trace_chain(
-                            state,
-                            ((i, "create"), (j, "create"),
-                             (k, "annihilate"), (l, "annihilate")),
-                        )
-                        raw[i, j, k, l] = val
-                        raw[i, j, l, k] = -val
-    connected = (
-        raw
-        - np.einsum("il,jk->ijkl", c2, c2)
-        + np.einsum("ik,jl->ijkl", c2, c2)
-    )
-    return FourPointTensor(connected)
+def connected_four_point(raw: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Subtract the Wick part from raw <c†_i c†_j c_k c_l>."""
+    return raw - np.einsum("il,jk->ijkl", c2, c2) + np.einsum("ik,jl->ijkl", c2, c2)
 
 
 def subsystem_correlations(psi: StateVector, n_keep: int):
     """C2 and connected C4 of a pure state on its leading ``n_keep`` modes.
 
     Moments whose indices all lie in the subsystem equal the reduced-state
-    moments, so they come straight from ``psi`` without a density matrix.
+    moments, so they come straight from ``psi`` without a density matrix:
+    ``psi`` is lowered once by each c_b, and all of them once more by each c_a.
     """
     if not 0 < n_keep <= psi.basis.mode_count:
         raise DomainError(f"cannot keep {n_keep} of {psi.basis.mode_count} modes")
-    c2 = TwoPointMatrix(_two_point_pure(psi, n_keep))
-    return c2, measure_four_point_connected(psi, c2)
+    n, sector = n_keep, psi.basis.sector
+    c2 = np.zeros((n, n), dtype=np.complex128)
+    raw = np.zeros((n, n, n, n), dtype=np.complex128)
+    if sector != 0:
+        target, lowered = _lowered_rows(psi.basis, psi.amplitudes, n)
+        for i in range(n):
+            for j in range(i, n):
+                val = np.vdot(lowered[i], lowered[j])
+                c2[i, j] = val
+                c2[j, i] = np.conj(val)
+        if sector is None or sector >= 2:
+            # d[a, b] = c_a c_b |psi>, with d[b, b] = +0
+            d = _lowered_rows(target, lowered, n)[1]
+            d[range(n), range(n)] = 0.0
+            # <c†_i c†_j c_k c_l> = <(c_j c_i) psi | (c_k c_l) psi>
+            raw = np.einsum("jix,klx->ijkl", d.conj(), d)
+    return TwoPointMatrix(c2), FourPointTensor(connected_four_point(raw, c2))
+
+
+def _trace_chain(rho: DensityMatrix, ops) -> complex:
+    """Tr[rho * O_1 O_2 ... O_k] with ops written left to right.
+
+    A chain into another (N, 2·Sz) block meets no element of ``rho``: 0.
+    """
+    basis = rho.basis
+    target, cols, rows, signs = _chain_table(
+        basis.mode_count, basis.sector, basis.sz_twice, tuple(ops))
+    if cols.size == 0 or (target.sector, target.sz_twice) != (basis.sector, basis.sz_twice):
+        return 0.0
+    return complex((signs * rho.elements[cols, rows]).sum())
+
+
+def _density_only(state):
+    if not isinstance(state, DensityMatrix):
+        raise DomainError("measure density matrices here; a pure state's moments "
+                          "come from subsystem_correlations")
+
+
+def measure_two_point(rho: DensityMatrix) -> TwoPointMatrix:
+    """C2_ij = <c†_i c_j> of a density matrix."""
+    _density_only(rho)
+    n = rho.basis.mode_count
+    c2 = np.zeros((n, n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(i, n):
+            val = _trace_chain(rho, ((i, "create"), (j, "annihilate")))
+            c2[i, j] = val
+            c2[j, i] = np.conj(val)
+    return TwoPointMatrix(c2)
+
+
+def measure_four_point_connected(
+    rho: DensityMatrix,
+    two_point: TwoPointMatrix | None = None,
+) -> FourPointTensor:
+    """Connected C4 of a density matrix with the Gaussian (Wick) part subtracted.
+
+    Each chain with i < j and k < l is traced once; its other three index
+    orders are exact negations.
+    """
+    _density_only(rho)
+    c2 = (two_point or measure_two_point(rho)).entries
+    n = c2.shape[0]
+    raw = np.zeros((n, n, n, n), dtype=np.complex128)
+    for i, j in combinations(range(n), 2):
+        for k, l in combinations(range(n), 2):
+            val = _trace_chain(
+                rho, ((i, "create"), (j, "create"), (k, "annihilate"), (l, "annihilate")))
+            raw[i, j, k, l] = raw[j, i, l, k] = val
+            raw[j, i, k, l] = raw[i, j, l, k] = -val
+    return FourPointTensor(connected_four_point(raw, c2))
 
 
 @dataclass

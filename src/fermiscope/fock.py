@@ -323,7 +323,7 @@ def _pair_tables(mode_count):
     return _frozen(tuple(np.concatenate(arr) for arr in zip(*parts)))
 
 
-@functools.lru_cache(maxsize=4096)  # holds all 1604 C2/C4 chains of 8 modes
+@functools.lru_cache(maxsize=4096)  # holds all 820 C2/C4 chains of 8 modes
 def _chain_table(mode_count, sector, sz_twice, ops):
     """:func:`ladder_map` of one chain with read-only arrays, built once."""
     target, *table = ladder_map(FockBasis(mode_count, sector, sz_twice), ops)

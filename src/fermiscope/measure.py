@@ -43,7 +43,7 @@ from itertools import combinations, product
 import numpy as np
 
 from . import serialize
-from .correlations import FourPointTensor, TwoPointMatrix
+from .correlations import FourPointTensor, TwoPointMatrix, connected_four_point
 from .fock import (
     CapacityError,
     DensityMatrix,
@@ -519,7 +519,7 @@ def estimate_correlations(plan: MeasurementPlan, records):
     raw = 0.5 * (raw + raw.transpose(3, 2, 1, 0).conj())
     se4 = 0.5 * np.sqrt(se4**2 + se4.transpose(3, 2, 1, 0) ** 2)
 
-    connected = raw - np.einsum("il,jk->ijkl", c2, c2) + np.einsum("ik,jl->ijkl", c2, c2)
+    connected = connected_four_point(raw, c2)
     a2, v2 = np.abs(c2) ** 2, se2**2
     se_prod1, se_prod2 = (np.sqrt(np.einsum(f, a2, v2) + np.einsum(f, v2, a2))
                           for f in ("il,jk->ijkl", "ik,jl->ijkl"))

@@ -110,9 +110,9 @@ def _check_partial_trace() -> tuple[float, str]:
     rho = partial_trace(psi, 4)
     worst = abs(rho.trace - 1.0)
     worst = max(worst, float(max(0.0, -np.linalg.eigvalsh(rho.elements).min())))
-    sliced = measure_two_point(psi).entries[:4, :4]
+    lowered = subsystem_correlations(psi, 4)[0].entries
     reduced = measure_two_point(rho).entries
-    worst = max(worst, float(np.abs(sliced - reduced).max()))
+    worst = max(worst, float(np.abs(lowered - reduced).max()))
     return worst, "trace, positivity, moment slicing"
 
 

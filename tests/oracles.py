@@ -15,6 +15,7 @@ from fermiscope.fock import (
     FockBasis,
     OccupationBitstring,
     StateVector,
+    _chain_table,
     ladder_map,
     ladder_matrix,
     popcount,
@@ -22,6 +23,7 @@ from fermiscope.fock import (
 from fermiscope.correlations import (
     FourPointTensor,
     TwoPointMatrix,
+    _trace_chain,
     measure_four_point_connected,
     measure_two_point,
 )
@@ -111,6 +113,78 @@ def trace_chain_dense(rho, ops) -> complex:
     for mode, kind in ops:
         prod = prod @ ladder_matrix(rho.basis, mode, kind)
     return complex(np.trace(rho.elements @ prod))
+
+
+def _annihilated_vectors(psi: StateVector, n: int) -> list[StateVector | None]:
+    """c_j |psi> for the leading ``n`` modes j, in the sector-lowered basis."""
+    basis = psi.basis
+    if basis.sector == 0:
+        return [None] * n
+    if basis.sz_twice is not None:
+        # lower within fixed N, so every c_j |psi> lands in one basis
+        fixed_n = FockBasis(basis.mode_count, basis.sector)
+        amps = np.zeros(fixed_n.dim, dtype=np.complex128)
+        amps[fixed_n.indices_of(basis.states)] = psi.amplitudes
+        psi, basis = StateVector(fixed_n, amps), fixed_n
+    out = []
+    for j in range(n):
+        target, cols, rows, signs = _chain_table(
+            basis.mode_count, basis.sector, basis.sz_twice, ((j, "annihilate"),))
+        vec = np.zeros(target.dim, dtype=np.complex128)
+        vec[rows] = signs * psi.amplitudes[cols]
+        out.append(StateVector(target, vec))
+    return out
+
+
+def subsystem_correlations_two_pass(psi: StateVector, n: int):
+    """(C2, connected C4) arrays of ``psi`` on its leading ``n`` modes, lowering
+    ``psi`` once for C2 and once more for C4, one ``StateVector`` per mode."""
+    lowered = _annihilated_vectors(psi, n)
+    c2 = np.zeros((n, n), dtype=np.complex128)
+    for i in range(n):
+        if lowered[i] is None:
+            continue
+        for j in range(i, n):
+            val = np.vdot(lowered[i].amplitudes, lowered[j].amplitudes)
+            c2[i, j] = val
+            c2[j, i] = np.conj(val)
+    raw = np.zeros((n, n, n, n), dtype=np.complex128)
+    sector = psi.basis.sector
+    if sector is None or sector >= 2:
+        # d[a, b] = c_a c_b |psi>, sized by the first doubly lowered vector
+        d = None
+        for b, vb in enumerate(_annihilated_vectors(psi, n)):
+            inner = _annihilated_vectors(vb, n)
+            if d is None:
+                d = np.zeros((n, n, inner[0].basis.dim), dtype=np.complex128)
+            for a in range(n):
+                if a != b:
+                    d[a, b] = inner[a].amplitudes
+        # <c†_i c†_j c_k c_l> = <(c_j c_i) psi | (c_k c_l) psi>
+        raw = np.einsum("jix,klx->ijkl", d.conj(), d)
+    connected = (raw
+                 - np.einsum("il,jk->ijkl", c2, c2)
+                 + np.einsum("ik,jl->ijkl", c2, c2))
+    return c2, connected
+
+
+def four_point_all_orders(rho: DensityMatrix, c2: np.ndarray) -> np.ndarray:
+    """Connected C4 of ``rho`` tracing every chain with i != j and k < l."""
+    n = c2.shape[0]
+    raw = np.zeros((n, n, n, n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for k in range(n):
+                for l in range(k + 1, n):
+                    val = _trace_chain(rho, ((i, "create"), (j, "create"),
+                                             (k, "annihilate"), (l, "annihilate")))
+                    raw[i, j, k, l] = val
+                    raw[i, j, l, k] = -val
+    return (raw
+            - np.einsum("il,jk->ijkl", c2, c2)
+            + np.einsum("ik,jl->ijkl", c2, c2))
 
 
 def _parity(bits: np.ndarray) -> np.ndarray:

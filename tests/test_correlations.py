@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -29,49 +30,62 @@ from fermiscope.model import (
 )
 from fermiscope.validate import random_frame, random_mixed_state, random_valid_tensor
 
-from conftest import bell_pair, pure_density, quench_snapshot
-from oracles import expectation_chain, same_bits, trace_chain_dense, trace_chain_walk
+from conftest import bell_pair, paired_state, pure_density, quench_snapshot
+from oracles import (
+    expectation_chain,
+    four_point_all_orders,
+    same_bits,
+    subsystem_correlations_two_pass,
+    trace_chain_dense,
+    trace_chain_walk,
+)
 
 
 def test_two_point_of_vacuum_and_single_mode():
     basis = FockBasis(2)
     vac = StateVector(basis, np.array([1, 0, 0, 0], complex))
-    assert np.abs(measure_two_point(vac).entries).max() == 0.0
+    assert np.abs(subsystem_correlations(vac, 2)[0].entries).max() == 0.0
     one = StateVector(basis, np.array([0, 1, 0, 0], complex))  # |10>
-    assert np.allclose(measure_two_point(one).entries, np.diag([1.0, 0.0]))
+    assert np.allclose(subsystem_correlations(one, 2)[0].entries, np.diag([1.0, 0.0]))
 
 
 def test_two_point_of_bell_pair():
-    c2 = measure_two_point(bell_pair()).entries
+    c2 = subsystem_correlations(bell_pair(), 2)[0].entries
     assert np.abs(c2 - 0.5 * np.ones((2, 2))).max() < 1e-14
 
 
 def test_two_point_density_matrix_path_agrees():
     psi = bell_pair()
-    a = measure_two_point(psi).entries
+    a = subsystem_correlations(psi, 2)[0].entries
     b = measure_two_point(pure_density(psi)).entries
     assert np.abs(a - b).max() < 1e-14
 
 
 def test_trace_counts_particles():
     psi = bell_pair()
-    assert np.trace(measure_two_point(psi).entries).real == pytest.approx(1.0)
+    assert np.trace(subsystem_correlations(psi, 2)[0].entries).real == pytest.approx(1.0)
 
 
 def test_connected_four_point_vanishes_on_determinant():
     params = HubbardParams(sites=3)
     occ = OccupationBitstring.from_string("101000")
     psi = plane_wave_state(params, occ)
-    c4 = measure_four_point_connected(psi)
+    c4 = subsystem_correlations(psi, params.n_modes)[1]
     assert c4.max_abs() < 1e-12
 
 
 def test_four_point_accepts_precomputed_two_point():
-    psi = bell_pair()
-    c2 = measure_two_point(psi)
-    a = measure_four_point_connected(psi).entries
-    b = measure_four_point_connected(psi, c2).entries
+    rho = pure_density(paired_state())
+    c2 = measure_two_point(rho)
+    a = measure_four_point_connected(rho).entries
+    b = measure_four_point_connected(rho, c2).entries
     assert np.abs(a - b).max() < 1e-14
+
+
+def test_density_kernels_refuse_pure_states():
+    for measure in (measure_two_point, measure_four_point_connected):
+        with pytest.raises(DomainError, match="subsystem_correlations"):
+            measure(bell_pair())
 
 
 def test_two_point_validation():
@@ -180,10 +194,9 @@ def test_subsystem_correlations_equal_sliced_full_tensors(sites, keep_sites, see
     psi = evolve(initial_state(params, spec), ham, 3.0)
     k = 2 * keep_sites
     c2, c4 = subsystem_correlations(psi, k)
-    assert np.array_equal(c2.entries, measure_two_point(psi).entries[:k, :k])
-    assert np.array_equal(
-        c4.entries,
-        measure_four_point_connected(psi).entries[:k, :k, :k, :k])
+    full_c2, full_c4 = subsystem_correlations(psi, 2 * sites)
+    assert np.array_equal(c2.entries, full_c2.entries[:k, :k])
+    assert np.array_equal(c4.entries, full_c4.entries[:k, :k, :k, :k])
     with pytest.raises(DomainError):
         subsystem_correlations(psi, 2 * sites + 1)
 
@@ -273,8 +286,23 @@ def test_chain_tables_reject_chains_that_leave_the_basis():
     basis = FockBasis(4, 2, sz_twice=0)
     rho = DensityMatrix(basis, np.eye(basis.dim) / basis.dim)
     assert correlations._trace_chain(rho, ((0, "create"), (2, "annihilate"))) == 0.0
-    with pytest.raises(DomainError, match="leaves the basis"):
-        correlations._trace_chain(rho, ((0, "create"), (1, "annihilate")))
+    # a spin flip leads into another 2*Sz block, where rho has no element
+    assert correlations._trace_chain(rho, ((0, "create"), (1, "annihilate"))) == 0.0
+
+
+@pytest.mark.parametrize("key", [(6, 3, 1), (8, 4, 0), (6, 2, -2)])
+def test_fixed_sz_density_moments_match_the_pure_state(rng, key):
+    basis = FockBasis(*key)
+    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    psi = StateVector(basis, amps).normalized()
+    rho = pure_density(psi)
+    c2 = measure_two_point(rho)
+    c4 = measure_four_point_connected(rho, c2)
+    want_c2, want_c4 = subsystem_correlations(psi, basis.mode_count)
+    assert np.abs(c2.entries - want_c2.entries).max() < 1e-13
+    assert np.abs(c4.entries - want_c4.entries).max() < 1e-13
+    # the spin-flip moments c†_up c_down are exactly zero on both routes
+    assert c2.entries[0, 1] == want_c2.entries[0, 1] == 0.0
 
 
 def test_dense_oracle_matches_expectation_chain(rng):
@@ -297,8 +325,8 @@ def test_chain_tables_are_shared_and_read_only():
         a[3][0] = 0.0
     # the cache holds every C2 and C4 chain of an 8-mode subsystem at once
     n = 8
-    chains = n * (n + 1) // 2 + n * (n - 1) * n * (n - 1) // 2
-    assert chains == 1604
+    chains = n * (n + 1) // 2 + math.comb(n, 2) ** 2
+    assert chains == 820
     assert correlations._chain_table.cache_info().maxsize >= chains
 
 
@@ -315,4 +343,98 @@ def test_evicting_chain_tables_keeps_values(monkeypatch):
         assert same_bits(c2.entries, w2)
         assert same_bits(measure_four_point_connected(rho, c2).entries, w4)
     assert tiny.cache_info().currsize == 2
-    assert tiny.cache_info().misses == 2 * (10 + 72)  # every table rebuilt
+    assert tiny.cache_info().misses == 2 * (10 + 36)  # every table rebuilt
+
+
+def _counting_chain_table(monkeypatch, module):
+    """Count the ``_chain_table`` lookups that ``module`` makes."""
+    calls = []
+    table = module._chain_table
+
+    def counted(*key):
+        calls.append(key)
+        return table(*key)
+
+    monkeypatch.setattr(module, "_chain_table", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_modes", [4, 6])
+def test_density_four_point_traces_each_index_pair_once(monkeypatch, n_modes):
+    rho = random_mixed_state(np.random.default_rng(n_modes), n_modes)
+    c2 = measure_two_point(rho)
+    calls = _counting_chain_table(monkeypatch, correlations)
+    measure_four_point_connected(rho, c2)
+    assert len(calls) == math.comb(n_modes, 2) ** 2  # 36 at 4 modes
+    assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("key", [(8, None, None), (8, 4, None), (8, 4, 0)])
+def test_subsystem_correlations_lower_the_state_once(monkeypatch, rng, key):
+    import oracles
+
+    basis = FockBasis(*key)
+    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    psi = StateVector(basis, amps).normalized()
+    n = 6
+    calls = _counting_chain_table(monkeypatch, correlations)
+    subsystem_correlations(psi, n)
+    assert len(calls) == 2 * n  # each c_j once on psi, once on all c_b psi
+    # the two-pass lowering it replaced lowers psi a second time for C4
+    calls = _counting_chain_table(monkeypatch, oracles)
+    oracles.subsystem_correlations_two_pass(psi, n)
+    assert len(calls) == 2 * n + n * n
+
+
+def _pure_cases():
+    """(state, kept modes) over unfiltered, fixed-N and fixed-(N, 2*Sz)
+    bases, sectors 0 and 1 included, some with exactly zero amplitudes."""
+    rng = np.random.default_rng(41)
+    keys = [(4, None, None), (6, None, None), (6, 0, None), (6, 1, None),
+            (6, 3, None), (8, 4, None), (6, 3, 1), (8, 4, 0), (6, 2, -2),
+            (6, 1, 1), (6, 0, 0)]
+    cases = []
+    for key in keys:
+        basis = FockBasis(*key)
+        amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        amps[rng.random(basis.dim) < 0.4] = 0.0
+        amps[0] = 1.0
+        psi = StateVector(basis, amps).normalized()
+        for keep in sorted({1, basis.mode_count // 2, basis.mode_count}):
+            cases.append((psi, keep))
+    return cases
+
+
+def test_pure_lowering_matches_the_two_pass_oracle_bit_for_bit():
+    zeros = 0
+    for psi, keep in _pure_cases():
+        c2, c4 = subsystem_correlations(psi, keep)
+        want_c2, want_c4 = subsystem_correlations_two_pass(psi, keep)
+        assert same_bits(c2.entries, want_c2), (psi.basis.sector, keep)
+        assert same_bits(c4.entries, want_c4), (psi.basis.sector, keep)
+        zeros += int((c4.entries == 0).sum())
+    assert zeros > 0
+
+
+def _density_cases():
+    """Random, diagonal, rank-1 and sparse states on unfiltered and fixed-N bases."""
+    rng = np.random.default_rng(43)
+    for key in [(4, None), (4, 2), (6, None), (6, 3), (6, 1)]:
+        basis = FockBasis(*key)
+        d = basis.dim
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        sparse = a * (rng.random((d, d)) < 0.2)
+        for mat in (a @ a.conj().T, np.diag(rng.random(d)), np.outer(v, v.conj()),
+                    sparse @ sparse.conj().T + np.diag(rng.random(d))):
+            yield DensityMatrix(basis, mat / np.trace(mat).real)
+
+
+def test_density_four_point_matches_the_all_orders_oracle_bit_for_bit():
+    zeros = 0
+    for rho in _density_cases():
+        c2 = measure_two_point(rho)
+        c4 = measure_four_point_connected(rho, c2).entries
+        assert same_bits(c4, four_point_all_orders(rho, c2.entries))
+        zeros += int((c4 == 0).sum())
+    assert zeros > 0

@@ -153,6 +153,21 @@ def test_reconstruction_reproduces_correlations(sites, u, t, keep):
     assert rec.projected.trace == pytest.approx(1.0)
 
 
+@settings(max_examples=8)
+@given(st.sampled_from([4, 6]), st.floats(1e-5, 1e-3), st.integers(0, 2**32 - 1))
+def test_reconstruction_reproduces_random_correlations(n_modes, scale, seed):
+    rng = np.random.default_rng(seed)
+    frame = random_frame(rng, n_modes)
+    v = frame.rotation
+    c2 = TwoPointMatrix((v * frame.occupations[None, :]) @ v.conj().T)
+    c4 = random_valid_tensor(rng, n_modes, scale=scale)
+    rec = reconstruct_state(c2, c4)
+    c2_back = measure_two_point(rec.assembled)
+    c4_back = measure_four_point_connected(rec.assembled, c2_back)
+    assert np.abs(c2_back.entries - c2.entries).max() <= 1e-10
+    assert np.abs(c4_back.entries - c4.entries).max() <= 1e-10
+
+
 def test_large_correction_warns(rng):
     _, c2, _ = quench_snapshot(4, 0.05, 4.0, 4, seed=31)
     loud = random_valid_tensor(rng, 4, scale=0.5)
