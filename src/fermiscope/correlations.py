@@ -25,7 +25,6 @@ from itertools import combinations
 import numpy as np
 
 from .fock import DensityMatrix, DomainError, FockBasis, StateVector, _chain_table
-from . import serialize
 
 HERMITICITY_TOL = 1e-8
 OCCUPATION_CLAMP = 1e-10
@@ -289,44 +288,3 @@ def rotate_four_point(c4: FourPointTensor, frame: DiagonalFrame) -> FourPointTen
     t = np.tensordot(t, v, axes=([0], [0]))          # d p q r
     t = np.tensordot(t, v, axes=([0], [0]))          # p q r s
     return FourPointTensor(t)
-
-
-def save_correlations(
-    path: str,
-    c2: TwoPointMatrix,
-    c4: FourPointTensor | None = None,
-    provenance: dict | None = None,
-):
-    """Write correlations as JSON with [re, im] pairs and a convention header."""
-    doc = {
-        "header": serialize.make_header(
-            "correlations",
-            c2.n_modes,
-            tolerances={
-                "hermiticity": HERMITICITY_TOL,
-                "occupation_clamp": OCCUPATION_CLAMP,
-            },
-            provenance=provenance,
-        ),
-        "two_point": serialize.complex_to_nested(c2.entries),
-    }
-    if c4 is not None:
-        if c4.n_modes != c2.n_modes:
-            raise DomainError("C2/C4 mode counts differ")
-        doc["four_point"] = serialize.complex_to_nested(c4.entries)
-    serialize.dump_json(path, doc)
-
-
-def load_correlations(path: str):
-    """Read back (TwoPointMatrix, FourPointTensor | None, header)."""
-    doc = serialize.load_json(path)
-    header = doc["header"]
-    serialize.check_header(header, "correlations")
-    n = header["n_modes"]
-    c2 = TwoPointMatrix(serialize.nested_to_complex(doc["two_point"], (n, n)))
-    c4 = None
-    if "four_point" in doc:
-        c4 = FourPointTensor(
-            serialize.nested_to_complex(doc["four_point"], (n, n, n, n))
-        )
-    return c2, c4, header

@@ -22,10 +22,10 @@ from . import serialize
 from .config import RunConfig
 from .correlations import (
     OCCUPATION_CLAMP,
-    load_correlations,
+    FourPointTensor,
+    TwoPointMatrix,
     measure_four_point_connected,
     measure_two_point,
-    save_correlations,
     subsystem_correlations,
 )
 from .entanglement import (
@@ -40,8 +40,8 @@ from .entanglement import (
     sector_spectra,
     spectral_error,
 )
-from .fock import CapacityError, DensityMatrix, sector_dimension
-from .fock import partial_trace
+from .fock import CapacityError, DensityMatrix, DomainError, FockBasis
+from .fock import partial_trace, sector_dimension
 from .measure import estimate_correlations, plan_bases, run_plan, save_shot_records
 from .model import (
     build_hamiltonian,
@@ -50,12 +50,7 @@ from .model import (
     prepare_position_quench,
     select_initial_state,
 )
-from .reconstruct import (
-    AnsatzValidityWarning,
-    load_density_matrix,
-    reconstruct_state,
-    save_density_matrix,
-)
+from .reconstruct import AnsatzValidityWarning, reconstruct_state
 
 CAPACITY_LIMIT = 1 << 22
 FIG2_TIME_ANCHOR = 10.0
@@ -129,7 +124,7 @@ def _quench_task(task):
 
 
 def _member_snapshots(config, out_dir, iu, member, spec, ham):
-    """All snapshots of one (interaction, member) pair."""
+    """All snapshots of one (interaction, member) pair, as one trajectory."""
     u = config.u_values[iu]
     if spec.kind == "position":
         psi = prepare_position_quench(config.model, spec,
@@ -137,15 +132,16 @@ def _member_snapshots(config, out_dir, iu, member, spec, ham):
     else:
         psi = initial_state(config.model, spec)
     keep = config.subsystem_modes
-    names = []
+    snapshots, provenance = [], []
     t_prev = 0.0
-    for it, t in enumerate(config.times):
+    for t in config.times:
         if t != t_prev:
             psi = evolve(psi, ham, t - t_prev)
             t_prev = t
         rho = partial_trace(psi, keep)
         c2, c4 = subsystem_correlations(psi, keep)
-        prov = {
+        snapshots.append((rho, c2, c4))
+        provenance.append({
             "u": float(u),
             "t": float(t),
             "member": member,
@@ -153,16 +149,64 @@ def _member_snapshots(config, out_dir, iu, member, spec, ham):
             "kind": spec.kind,
             "occupation": str(spec.occupation),
             "max_abs_c4": float(c4.max_abs()),
-        }
-        tag = snapshot_tag(iu, member, it)
-        state_name = f"{tag}_state.json"
-        corr_name = f"{tag}_corr.json"
-        save_density_matrix(os.path.join(out_dir, state_name), rho,
-                            provenance=prov)
-        save_correlations(os.path.join(out_dir, corr_name), c2, c4,
-                          provenance=prov)
-        names.extend((state_name, corr_name))
-    return names
+        })
+    return save_trajectory(out_dir, iu, member, config.times, snapshots,
+                           provenance)
+
+
+def _trajectory_dtype(n_modes: int) -> np.dtype:
+    """One snapshot record: the reduced state, C2 and connected C4."""
+    n, dim = n_modes, 1 << n_modes
+    return np.dtype([("rho", np.complex128, (dim, dim)),
+                     ("c2", np.complex128, (n, n)),
+                     ("c4", np.complex128, (n, n, n, n))])
+
+
+def save_trajectory(qdir: str, iu: int, member: int, times, snapshots,
+                    provenance: list[dict]) -> list[str]:
+    """Write one (u, member) trajectory and return its two file names.
+
+    ``u{iu}_m{member}.npy`` stacks one (rho, C2, C4) record per time, bit
+    for bit; ``u{iu}_m{member}.json`` holds the header, times and provenance.
+    """
+    n = snapshots[0][0].basis.mode_count
+    records = np.zeros(len(times), _trajectory_dtype(n))
+    for it, (rho, c2, c4) in enumerate(snapshots):
+        if rho.basis.mode_count != n or c2.n_modes != n or c4.n_modes != n:
+            raise DomainError(f"snapshot {it} does not have {n} modes")
+        records[it] = (rho.elements, c2.entries, c4.entries)
+    stem = os.path.join(qdir, f"u{iu}_m{member}")
+    serialize.dump_npy(stem + ".npy", records)
+    serialize.dump_json(stem + ".json", {
+        "header": serialize.make_header("trajectory", n),
+        "times": [float(t) for t in times],
+        "provenance": provenance,
+    })
+    return [os.path.basename(stem) + ext for ext in (".json", ".npy")]
+
+
+def load_snapshot(qdir: str, iu: int, member: int, it: int):
+    """(rho, C2, C4, provenance) of snapshot ``it``, reading only its record.
+
+    A header, payload or ``it`` that does not match raises ValueError
+    (DomainError for ``it``) naming the file.
+    """
+    stem = os.path.join(qdir, f"u{iu}_m{member}")
+    doc = serialize.load_json(stem + ".json")
+    try:
+        serialize.check_header(doc["header"], "trajectory")
+    except ValueError as exc:
+        raise ValueError(f"{stem}.json: {exc}") from exc
+    n, count = doc["header"]["n_modes"], len(doc["times"])
+    if not 0 <= it < count:
+        raise DomainError(f"{stem}.json: time index {it} outside its "
+                          f"{count} snapshots")
+    record = serialize.load_npy_record(stem + ".npy", _trajectory_dtype(n),
+                                       count, it)
+    return (DensityMatrix(FockBasis(n), record["rho"].copy()),
+            TwoPointMatrix(record["c2"].copy()),
+            FourPointTensor(record["c4"].copy()),
+            doc["provenance"][it])
 
 
 def cmd_quench(config: RunConfig) -> str:
@@ -254,16 +298,14 @@ def analyze_snapshot(c2, c4, rho_exact: DensityMatrix) -> dict:
 def _recon_task(task):
     config, qdir, rdir, iu, member, it = task
     tag = snapshot_tag(iu, member, it)
-    rho_exact, state_header = load_density_matrix(
-        os.path.join(qdir, f"{tag}_state.json"))
-    c2, c4, _ = load_correlations(os.path.join(qdir, f"{tag}_corr.json"))
+    rho_exact, c2, c4, provenance = load_snapshot(qdir, iu, member, it)
     u, t = config.u_values[iu], config.times[it]
     doc = {
         "header": serialize.make_header(
             "reconstruction", rho_exact.basis.mode_count,
             tolerances={"clamp": OCCUPATION_CLAMP,
                         "rank_cutoff": RANK_CUTOFF},
-            provenance=state_header.get("provenance", {}),
+            provenance=provenance,
         ),
         "u": float(u),
         "t": float(t),
@@ -300,15 +342,15 @@ def cmd_reconstruct(config: RunConfig) -> str:
 def cmd_measure(config: RunConfig, iu: int = 0, member: int = 0,
                 it: int | None = None) -> str:
     """Simulate the sampling protocol on one stored snapshot."""
-    qdir = _quench_dir(config)
     it = len(config.times) - 1 if it is None else it
+    for name, index, size in (("u_index", iu, len(config.u_values)),
+                              ("member", member, config.ensemble_size),
+                              ("time_index", it, len(config.times))):
+        if not 0 <= index < size:
+            raise DomainError(f"{name} {index} outside 0..{size - 1}")
     tag = snapshot_tag(iu, member, it)
-    state_path = os.path.join(qdir, f"{tag}_state.json")
-    if not os.path.isfile(state_path):
-        raise FileNotFoundError(f"missing snapshot {state_path}")
-    rho, _ = load_density_matrix(state_path)
-    c2_exact, c4_exact, _ = load_correlations(
-        os.path.join(qdir, f"{tag}_corr.json"))
+    rho, c2_exact, c4_exact, _ = load_snapshot(_quench_dir(config), iu,
+                                               member, it)
 
     mdir = os.path.join(config.out_dir, "measure")
     os.makedirs(mdir, exist_ok=True)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock, serialize
+from . import fock
 from .correlations import (
     DiagonalFrame,
     FourPointTensor,
@@ -399,26 +399,3 @@ def reconstruct_state(
         assembled_eigenvalues=w,
         projected_eigenvalues=w_proj,
     )
-
-
-def save_density_matrix(path: str, rho: DensityMatrix, provenance: dict | None = None):
-    doc = {
-        "header": serialize.make_header(
-            "state",
-            rho.basis.mode_count,
-            tolerances={"hermiticity": 1e-12},
-            provenance=provenance,
-        ),
-        "elements": serialize.complex_to_nested(rho.elements),
-    }
-    serialize.dump_json(path, doc)
-
-
-def load_density_matrix(path: str) -> tuple[DensityMatrix, dict]:
-    doc = serialize.load_json(path)
-    header = doc["header"]
-    serialize.check_header(header, "state")
-    n = header["n_modes"]
-    basis = FockBasis(n)
-    mat = serialize.nested_to_complex(doc["elements"], (basis.dim, basis.dim))
-    return DensityMatrix(basis, mat), header

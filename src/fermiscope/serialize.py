@@ -1,15 +1,16 @@
-"""Shared JSON/CSV plumbing: complex arrays, atomic writes, manifests.
+"""Shared JSON/CSV/.npy plumbing: complex arrays, atomic writes, manifests.
 
-Complex numbers are stored as two-element [re, im] lists; arrays nest
-row-major, innermost axis last.  All writers go through an atomic
-temp-then-rename so interrupted runs never leave half files, and all
-documents carry a header naming the sign convention so files are
-self-describing.
+JSON stores complex numbers as [re, im] pairs, nested row-major; bulk
+arrays go to version 1.0 .npy files, every bit and no pickles.  All
+writers go through one atomic temp-then-rename so interrupted runs never
+leave half files, and all documents carry a header naming the sign
+convention so files are self-describing.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -24,16 +25,6 @@ def complex_to_nested(a: np.ndarray):
     a = np.asarray(a, dtype=np.complex128)
     stacked = np.stack([a.real, a.imag], axis=-1)
     return stacked.tolist()
-
-
-def nested_to_complex(data, shape=None) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.shape[-1] != 2:
-        raise ValueError("complex payload must end in [re, im] pairs")
-    out = arr[..., 0] + 1j * arr[..., 1]
-    if shape is not None and out.shape != tuple(shape):
-        raise ValueError(f"payload shape {out.shape} != declared {tuple(shape)}")
-    return out
 
 
 def make_header(kind: str, n_modes: int, tolerances: dict | None = None,
@@ -59,13 +50,14 @@ def check_header(header: dict, kind: str):
         raise ValueError(f"unsupported sign convention {conv!r}")
 
 
-def atomic_write_text(path: str, text: str):
+def atomic_write_text(path: str, data: str | bytes):
+    """Write ``data`` (a str as UTF-8) to ``path`` through a temp file and a rename."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
         os.umask(umask := os.umask(0o022))  # mkstemp made it 0600: use open()'s mode
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
@@ -84,6 +76,36 @@ def dump_json(path: str, document: dict):
 def load_json(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
+
+
+def dump_npy(path: str, array: np.ndarray):
+    """``array`` as a version 1.0 .npy file, refusing object payloads."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array, version=(1, 0), allow_pickle=False)
+    atomic_write_text(path, buf.getvalue())
+
+
+def load_npy_record(path: str, dtype: np.dtype, count: int, index: int):
+    """Record ``index`` of a .npy file that must hold ``count`` ``dtype`` records.
+
+    Only the header and that record are read.  Any other version, dtype
+    (object ones included, so no pickle is ever read), shape or file size
+    raises ValueError naming the file.
+    """
+    with open(path, "rb") as fh:
+        try:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                raise ValueError("not a version 1.0 .npy file")
+            shape, fortran, got = np.lib.format.read_array_header_1_0(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        if got != dtype or shape != (count,) or fortran:
+            raise ValueError(f"{path}: holds {shape} of {got}, expected "
+                             f"({count},) of {dtype}")
+        size = os.fstat(fh.fileno()).st_size
+        if size != fh.tell() + count * dtype.itemsize:
+            raise ValueError(f"{path}: {size} bytes do not hold {count} records")
+        return np.fromfile(fh, dtype, count=1, offset=index * dtype.itemsize)[0]
 
 
 def to_json_line(document: dict) -> str:

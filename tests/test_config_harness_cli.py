@@ -18,10 +18,9 @@ from fermiscope.config import (
     load_config,
     save_config,
 )
-from fermiscope.correlations import load_correlations
-from fermiscope.fock import CapacityError, DomainError
+from fermiscope.correlations import FourPointTensor, TwoPointMatrix
+from fermiscope.fock import CapacityError, DensityMatrix, DomainError, FockBasis
 from fermiscope.model import HubbardParams
-from fermiscope.reconstruct import load_density_matrix
 from fermiscope.serialize import load_json, sha256_of_file
 
 from conftest import mini_config
@@ -147,8 +146,8 @@ def test_pipeline_end_to_end(tmp_path):
     config = mini_config(str(tmp_path))
     qman = harness.cmd_quench(config)
     qdir = os.path.dirname(qman)
-    states = sorted(f for f in os.listdir(qdir) if f.endswith("_state.json"))
-    assert len(states) == 4  # 1 u x 2 members x 2 times
+    assert sorted(f for f in os.listdir(qdir) if f.startswith("u")) == [
+        "u0_m0.json", "u0_m0.npy", "u0_m1.json", "u0_m1.npy"]  # 1 u x 2 members
     members = load_json(os.path.join(qdir, "initial_states.json"))["members"]
     assert len(members) == 2
 
@@ -206,14 +205,34 @@ def test_outputs_get_the_mode_open_would_give(tmp_path):
     try:
         for umask in (0o022, 0o077):
             os.umask(umask)
-            written, opened = tmp_path / f"w{umask:o}", tmp_path / f"o{umask:o}"
-            serialize.atomic_write_text(str(written), "x\n")
+            opened = tmp_path / f"o{umask:o}"
             with open(opened, "w") as fh:
                 fh.write("x\n")
-            mode = stat.S_IMODE(os.stat(written).st_mode)
-            assert mode == stat.S_IMODE(os.stat(opened).st_mode) == 0o666 & ~umask
+            text, raw, npy = (tmp_path / f"{kind}{umask:o}"
+                              for kind in ("text", "raw", "npy"))
+            serialize.atomic_write_text(str(text), "x\n")
+            serialize.atomic_write_text(str(raw), b"\x00\xff")
+            serialize.dump_npy(str(npy), np.zeros(2, complex))
+            assert raw.read_bytes() == b"\x00\xff"
+            for written in (text, raw, npy):
+                mode = stat.S_IMODE(os.stat(written).st_mode)
+                assert mode == stat.S_IMODE(os.stat(opened).st_mode) == 0o666 & ~umask
     finally:
         os.umask(old)
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "out.json")
+    with pytest.raises(UnicodeEncodeError):  # raised inside the temp file
+        serialize.atomic_write_text(path, "x\ud800")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(serialize.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        serialize.atomic_write_text(path, b"written in full")
+    assert os.listdir(tmp_path) == []
 
 
 def test_quench_builds_ladder_tables_once_per_basis(tmp_path, monkeypatch):
@@ -246,9 +265,7 @@ def _mini_snapshots(config):
     for iu in range(len(config.u_values)):
         for m in range(config.ensemble_size):
             for it in range(len(config.times)):
-                tag = harness.snapshot_tag(iu, m, it)
-                rho, _ = load_density_matrix(os.path.join(qdir, f"{tag}_state.json"))
-                c2, c4, _ = load_correlations(os.path.join(qdir, f"{tag}_corr.json"))
+                rho, c2, c4, _ = harness.load_snapshot(qdir, iu, m, it)
                 yield (config, qdir, config.out_dir, iu, m, it), c2, c4, rho
 
 
@@ -301,6 +318,83 @@ def test_recon_task_diagonalizes_each_state_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def _two_snapshot_trajectory():
+    """A fixed two-mode trajectory of two snapshots, some zeros negative."""
+    rho = np.diag([0.5, 0.25, 0.125, 0.125]).astype(complex)
+    c2 = np.array([[0.375, 0.125j], [-0.125j, 0.25]])
+    c4 = np.arange(16).reshape((2,) * 4) * (0.5 - 0.25j) / 64
+    snapshots = [(DensityMatrix(FockBasis(2), m), TwoPointMatrix(a), FourPointTensor(b))
+                 for m, a, b in ((rho, c2, c4), (rho[::-1, ::-1], c2.T, -c4))]
+    return (0.0, 1.5), snapshots, [{"t": 0.0}, {"t": 1.5}]
+
+
+def test_trajectory_round_trips_and_pins_its_payload_bytes(tmp_path):
+    times, snapshots, provenance = _two_snapshot_trajectory()
+    assert harness.save_trajectory(str(tmp_path), 3, 1, times, snapshots,
+                                   provenance) == ["u3_m1.json", "u3_m1.npy"]
+    for it, want in enumerate(snapshots):
+        *got, prov = harness.load_snapshot(str(tmp_path), 3, 1, it)
+        assert prov == provenance[it]
+        assert same_bits(got[0].elements, want[0].elements)
+        assert same_bits(got[1].entries, want[1].entries)
+        assert same_bits(got[2].entries, want[2].entries)
+    # another .npy header layout would break byte-identical reruns
+    assert sha256_of_file(str(tmp_path / "u3_m1.npy")) == (
+        "273fff526c261f0bedaf5d49828efb970149c160f15499a7822b0b33c7214339")
+    with pytest.raises(DomainError):
+        harness.save_trajectory(str(tmp_path), 0, 0, times[:1],
+                                [(*snapshots[0][:2], FourPointTensor(np.zeros((3,) * 4)))],
+                                provenance[:1])
+
+
+def test_load_snapshot_names_the_file_it_rejects(tmp_path):
+    times, snapshots, provenance = _two_snapshot_trajectory()
+    qdir = str(tmp_path)
+    harness.save_trajectory(qdir, 0, 0, times, snapshots, provenance)
+    npy, doc = tmp_path / "u0_m0.npy", tmp_path / "u0_m0.json"
+    good_npy, good_doc = npy.read_bytes(), load_json(str(doc))
+
+    def rejected(error, path):
+        with pytest.raises(error) as info:
+            harness.load_snapshot(qdir, 0, 0, 1)
+        assert str(path) in str(info.value)
+        npy.write_bytes(good_npy)
+        serialize.dump_json(str(doc), good_doc)
+
+    for cut in (4, 100, len(good_npy) - 16):  # magic, header, last record
+        npy.write_bytes(good_npy[:cut])
+        rejected(ValueError, npy)
+    for array in (np.zeros(2, complex),  # another dtype
+                  np.zeros(2, harness._trajectory_dtype(3)),  # another n_modes
+                  np.zeros(1, harness._trajectory_dtype(2))):  # one record
+        serialize.dump_npy(str(npy), array)
+        rejected(ValueError, npy)
+    with open(npy, "wb") as fh:  # pickled objects are refused unread
+        np.lib.format.write_array(fh, np.array([{}, {}]), version=(1, 0))
+    rejected(ValueError, npy)
+    for key, value in (("format", "fermiscope-state"), ("convention", "ascending-JW")):
+        serialize.dump_json(str(doc), {**good_doc,
+                                       "header": {**good_doc["header"], key: value}})
+        rejected(ValueError, doc)
+    with pytest.raises(DomainError, match="u0_m0.json"):
+        harness.load_snapshot(qdir, 0, 0, 2)
+    npy.unlink()
+    rejected(FileNotFoundError, npy)
+    doc.unlink()
+    rejected(FileNotFoundError, doc)
+
+
+def test_measure_rejects_indices_outside_the_grids(tmp_path):
+    config = mini_config(str(tmp_path))  # no quench: nothing can be read
+    for kwargs, name in (({"iu": -1}, "u_index"), ({"iu": 1}, "u_index"),
+                         ({"member": -1}, "member"), ({"member": 2}, "member"),
+                         ({"it": -1}, "time_index"), ({"it": 2}, "time_index")):
+        with pytest.raises(DomainError, match=name):
+            harness.cmd_measure(config, **kwargs)
+    with pytest.raises(FileNotFoundError, match="u0_m1.json"):
+        harness.cmd_measure(config, member=1)
+
+
 def test_parallel_run_matches_serial(tmp_path):
     # two interactions, so the two workers each run one per-U task
     serial = mini_config(str(tmp_path / "a")).override(u_values=(0.05, 0.2))
@@ -308,7 +402,7 @@ def test_parallel_run_matches_serial(tmp_path):
     for config in (serial, parallel):
         harness.cmd_quench(config)
         harness.cmd_reconstruct(config)
-    for stage, sample in (("quench", "u1_m1_t1_corr.json"),
+    for stage, sample in (("quench", "u1_m1.npy"),
                           ("recon", "u1_m1_t1_recon.json")):
         names = sorted(os.listdir(tmp_path / "a" / stage))
         assert names == sorted(os.listdir(tmp_path / "b" / stage))

@@ -6,16 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermiscope import correlations
+from fermiscope import correlations, harness
 from fermiscope.correlations import (
     FourPointTensor,
     TwoPointMatrix,
     diagonalize_two_point,
-    load_correlations,
     measure_four_point_connected,
     measure_two_point,
     rotate_four_point,
-    save_correlations,
     subsystem_correlations,
 )
 from fermiscope.fock import DensityMatrix, DomainError, FockBasis, StateVector, partial_trace
@@ -166,23 +164,24 @@ def test_save_load_round_trip(tmp_path, rng):
         (frame.rotation * frame.occupations[None, :]) @ frame.rotation.conj().T
     )
     c4 = random_valid_tensor(rng, 3)
-    path = str(tmp_path / "corr.json")
-    save_correlations(path, c2, c4, provenance={"label": "round-trip"})
-    c2b, c4b, header = load_correlations(path)
+    rho = DensityMatrix(FockBasis(3), np.eye(8) / 8)
+    harness.save_trajectory(str(tmp_path), 0, 0, (0.0,), [(rho, c2, c4)],
+                            [{"label": "round-trip"}])
+    _, c2b, c4b, provenance = harness.load_snapshot(str(tmp_path), 0, 0, 0)
     assert np.array_equal(c2.entries, c2b.entries)
     assert np.array_equal(c4.entries, c4b.entries)
-    assert header["provenance"]["label"] == "round-trip"
+    assert provenance["label"] == "round-trip"
 
 
 def test_snapshot_correlations_round_trip_exactly(tmp_path):
-    _, c2, c4 = quench_snapshot(4, 0.02, 2.0, 4, seed=8)
-    path = str(tmp_path / "corr.json")
-    save_correlations(path, c2, c4, provenance={"t": 2.0})
-    c2b, c4b, header = load_correlations(path)
-    assert np.array_equal(c2b.entries, c2.entries)
-    assert np.array_equal(c4b.entries, c4.entries)
-    assert header["provenance"]["t"] == 2.0
-    with open(path) as fh:
+    rho, c2, c4 = quench_snapshot(4, 0.02, 2.0, 4, seed=8)
+    harness.save_trajectory(str(tmp_path), 0, 0, (2.0,), [(rho, c2, c4)],
+                            [{"t": 2.0}])
+    _, c2b, c4b, provenance = harness.load_snapshot(str(tmp_path), 0, 0, 0)
+    assert same_bits(c2b.entries, c2.entries)
+    assert same_bits(c4b.entries, c4.entries)
+    assert provenance["t"] == 2.0
+    with open(tmp_path / "u0_m0.json") as fh:
         assert fh.read().count("\n") == 1  # compact: one line per document
 
 
@@ -219,8 +218,10 @@ def test_save_rejects_mismatched_sizes(tmp_path, rng):
     c2 = TwoPointMatrix(
         (frame.rotation * frame.occupations[None, :]) @ frame.rotation.conj().T
     )
+    rho = DensityMatrix(FockBasis(3), np.eye(8) / 8)
     with pytest.raises(DomainError):
-        save_correlations(str(tmp_path / "bad.json"), c2, random_valid_tensor(rng, 4))
+        harness.save_trajectory(str(tmp_path), 0, 0, (0.0,),
+                                [(rho, c2, random_valid_tensor(rng, 4))], [{}])
 
 
 def _dense_moments(rho):

@@ -26,6 +26,7 @@ from fermiscope.model import (
     hop_matrix,
     initial_state,
     momentum_values,
+    number_diagonal,
     plane_wave_state,
     prepare_position_quench,
     select_initial_state,
@@ -142,6 +143,26 @@ def test_chebyshev_output_is_zero_outside_the_support(rng):
     assert np.all(out[support] != 0)
     dense = evolve(psi, ham, 7.0, method="dense").amplitudes
     assert np.abs(dense - out).max() < 1e-9
+
+
+@pytest.mark.parametrize("method", ["dense", "chebyshev"])
+def test_reduced_state_zeros_are_structural(method):
+    # a quench from an occupation pattern keeps N and 2*Sz of the chain
+    params = HubbardParams(sites=5)
+    ham = build_hamiltonian(params.with_interaction(0.1), particles=4)
+    psi = initial_state(params, select_initial_state(params, 4, seed=3))
+    rho = partial_trace(evolve(psi, ham, 5.0, method=method), 4)
+    n, sz = number_diagonal(rho.basis), sz_twice_diagonal(rho.basis)
+    off_n = rho.elements[n[:, None] != n[None, :]]
+    assert np.all(off_n == 0)
+    assert not np.signbit(off_n.view(float)).any()  # +0.0, never -0.0
+    off_sz = rho.elements[(n[:, None] == n[None, :]) & (sz[:, None] != sz[None, :])]
+    assert off_sz.size > 0
+    if method == "chebyshev":  # each 2*Sz block is stepped apart
+        assert np.all(off_sz == 0)
+        assert not np.signbit(off_sz.view(float)).any()
+    else:  # the whole-sector eigenbasis leaks rounding into other blocks
+        assert np.abs(off_sz).max() < 1e-13
 
 
 @pytest.mark.parametrize("method", ["dense", "chebyshev"])

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermiscope import harness
 from fermiscope.correlations import (
     DiagonalFrame,
     FourPointTensor,
@@ -22,12 +23,10 @@ from fermiscope.reconstruct import (
     delta_rho_decomposed,
     gaussian_eh,
     gaussian_state,
-    load_density_matrix,
     mode_rotation_unitary,
     project_positive,
     project_to_simplex,
     reconstruct_state,
-    save_density_matrix,
 )
 from fermiscope.validate import random_frame, random_valid_tensor
 
@@ -244,9 +243,9 @@ def test_mode_rotation_unitary_ignores_numpy_global_rng():
 
 
 def test_density_matrix_round_trip(tmp_path):
-    rho, _, _ = quench_snapshot(4, 0.02, 2.0, 4, seed=8)
-    path = str(tmp_path / "rho.json")
-    save_density_matrix(path, rho, provenance={"t": 2.0})
-    back, header = load_density_matrix(path)
-    assert np.array_equal(back.elements, rho.elements)
-    assert header["provenance"]["t"] == 2.0
+    rho, c2, c4 = quench_snapshot(4, 0.02, 2.0, 4, seed=8)
+    harness.save_trajectory(str(tmp_path), 0, 0, (2.0,), [(rho, c2, c4)],
+                            [{"t": 2.0}])
+    back, _, _, provenance = harness.load_snapshot(str(tmp_path), 0, 0, 0)
+    assert same_bits(back.elements, rho.elements)
+    assert provenance["t"] == 2.0
