@@ -37,14 +37,13 @@ class RunConfig:
     )
     ensemble_size: int = 10
     shots_per_basis: int = 4000
-    measure_order: int = 2
     workers: int = 0
     out_dir: str = "runs"
 
     def __post_init__(self):
         # JSON may give a float or a boolean where an integer belongs
         ints = ["master_seed", "subsystem_sites", "ensemble_size",
-                "shots_per_basis", "measure_order", "workers"]
+                "shots_per_basis", "workers"]
         if self.target_particles is not None:
             ints.append("target_particles")
         for name in ints:
@@ -63,6 +62,8 @@ class RunConfig:
             # incremental evolution in the drivers assumes ordered grids
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise DomainError(f"{name} must be strictly increasing")
+        if self.master_seed < 0:
+            raise DomainError(f"master_seed must be >= 0, not {self.master_seed}")
         if self.ensemble_size < 1:
             raise DomainError("ensemble size must be positive")
         if not 1 <= self.subsystem_sites < self.model.sites:
@@ -82,8 +83,6 @@ class RunConfig:
                               f"not {self.t_free!r}")
         if self.initial_kind == "position" and self.t_free is None:
             raise DomainError("position initial states need t_free")
-        if self.measure_order not in (1, 2):
-            raise DomainError("measure_order must be 1 or 2")
         if self.workers < 0:
             raise DomainError("workers must be >= 0")
         if self.shots_per_basis < 1:

@@ -193,11 +193,11 @@ def load_snapshot(qdir: str, iu: int, member: int, it: int):
     """
     stem = os.path.join(qdir, f"u{iu}_m{member}")
     doc = serialize.load_json(stem + ".json")
-    try:
-        serialize.check_header(doc["header"], "trajectory")
-    except ValueError as exc:
-        raise ValueError(f"{stem}.json: {exc}") from exc
+    serialize.check_header(doc["header"], "trajectory", stem + ".json")
     n, count = doc["header"]["n_modes"], len(doc["times"])
+    if len(doc["provenance"]) != count:
+        raise ValueError(f"{stem}.json: {len(doc['provenance'])} provenance "
+                         f"entries for {count} times")
     if not 0 <= it < count:
         raise DomainError(f"{stem}.json: time index {it} outside its "
                           f"{count} snapshots")
@@ -354,8 +354,7 @@ def cmd_measure(config: RunConfig, iu: int = 0, member: int = 0,
 
     mdir = os.path.join(config.out_dir, "measure")
     os.makedirs(mdir, exist_ok=True)
-    plan = plan_bases(config.subsystem_modes, config.measure_order,
-                      shots_per_basis=config.shots_per_basis)
+    plan = plan_bases(config.subsystem_modes, shots_per_basis=config.shots_per_basis)
     records = run_plan(rho, plan, stat_seed(config, "measure", iu, member, it))
     shots_name = f"shots_{tag}.jsonl"
     save_shot_records(os.path.join(mdir, shots_name), plan, records)
@@ -370,11 +369,10 @@ def cmd_measure(config: RunConfig, iu: int = 0, member: int = 0,
         "two_point": serialize.complex_to_nested(c2_hat.entries),
         "two_point_se": c2_se.tolist(),
         "max_dev_c2": float(np.abs(c2_hat.entries - c2_exact.entries).max()),
+        "four_point": serialize.complex_to_nested(c4_hat.entries),
+        "four_point_se": c4_se.tolist(),
+        "max_dev_c4": float(np.abs(c4_hat.entries - c4_exact.entries).max()),
     }
-    if c4_hat is not None:
-        doc["four_point"] = serialize.complex_to_nested(c4_hat.entries)
-        doc["four_point_se"] = c4_se.tolist()
-        doc["max_dev_c4"] = float(np.abs(c4_hat.entries - c4_exact.entries).max())
     est_name = f"estimate_{tag}.json"
     serialize.dump_json(os.path.join(mdir, est_name), doc)
     manifest = os.path.join(mdir, f"manifest_{tag}.json")

@@ -224,24 +224,15 @@ class MeasurementBasis:
 
 @dataclass
 class MeasurementPlan:
-    """Basis inventory covering all correlators of the requested order."""
+    """Basis inventory covering every C2 and C4 entry."""
 
     n_modes: int
-    order: int
     bases: tuple[MeasurementBasis, ...]
     shots_per_basis: int
-
-    def __post_init__(self):
-        self.index_by_key = {b.key: b.id for b in self.bases}
 
     @property
     def n_bases(self) -> int:
         return len(self.bases)
-
-    def basis(self, key: tuple) -> MeasurementBasis:
-        if key not in self.index_by_key:
-            raise CoverageError(f"plan does not cover {key}")
-        return self.bases[self.index_by_key[key]]
 
     def scaling_report(self) -> dict:
         """Basis counts against the N(N-1) / N(N-1)(N-2)(N-3) budgets."""
@@ -252,7 +243,8 @@ class MeasurementPlan:
         c = math.ceil(overhead / (n * n)) if n else 0
         return {
             "n_modes": n,
-            "order": self.order,
+            # every plan is order 2 (C2 and C4); the key keeps files' bytes
+            "order": 2,
             "total_bases": self.n_bases,
             "pair_bases": pair,
             "quad_bases": quad,
@@ -262,29 +254,24 @@ class MeasurementPlan:
         }
 
 
-def plan_bases(n_modes: int, order: int, shots_per_basis: int = 1000) -> MeasurementPlan:
-    """Enumerate measurement bases for the given correlation order.
+def plan_bases(n_modes: int, shots_per_basis: int = 1000) -> MeasurementPlan:
+    """Enumerate the measurement bases of C2 and C4.
 
-    Order 1 needs both transverse readouts of every pair; order 2 adds,
-    for every 4-subset of modes, its three pairings into two disjoint
-    rotated pairs with all four axis combinations.  Shared-index
-    four-point moments need no bases of their own: they are reductions
-    of the pair bases and the identity basis.
+    Every pair needs both transverse readouts, and every 4-subset of modes
+    its three pairings into two disjoint rotated pairs with all four axis
+    combinations.  Shared-index four-point moments need no bases of their
+    own: they are reductions of the pair bases and the identity basis.
     """
-    if order not in (1, 2):
-        raise DomainError("measurement order must be 1 or 2")
     if n_modes < 2:
         raise DomainError("need at least two modes to measure")
     shots = shots_per_basis
     if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
         raise DomainError(f"shots_per_basis must be an integer >= 1, "
                           f"not {shots_per_basis!r}")
-    n_bases = 1 + n_modes * (n_modes - 1)
-    if order == 2:
-        n_bases += 12 * math.comb(n_modes, 4)
+    n_bases = 1 + n_modes * (n_modes - 1) + 12 * math.comb(n_modes, 4)
     if n_bases > MAX_BASES:
-        raise CapacityError(f"order-{order} plan on {n_modes} modes needs {n_bases} "
-                            f"bases, over the {MAX_BASES}-basis capacity guard")
+        raise CapacityError(f"plan on {n_modes} modes needs {n_bases} bases, "
+                            f"over the {MAX_BASES}-basis capacity guard")
     bases = []
 
     def add(key, rotations):
@@ -295,18 +282,16 @@ def plan_bases(n_modes: int, order: int, shots_per_basis: int = 1000) -> Measure
     for p, q in combinations(range(n_modes), 2):
         for axis in ("x", "y"):
             add(("pair", p, q, axis), [readout_rotation((p, q), axis)])
-    if order == 2:
-        for sub in combinations(range(n_modes), 4):
-            a, b, c, d = sub
-            for (p, q), (r, s) in (((a, b), (c, d)),
-                                   ((a, c), (b, d)),
-                                   ((a, d), (b, c))):
-                for ax1 in ("x", "y"):
-                    for ax2 in ("x", "y"):
-                        add(("pairs", p, q, ax1, r, s, ax2),
-                            [readout_rotation((p, q), ax1),
-                             readout_rotation((r, s), ax2)])
-    return MeasurementPlan(n_modes=n_modes, order=order, bases=tuple(bases),
+    for a, b, c, d in combinations(range(n_modes), 4):
+        for (p, q), (r, s) in (((a, b), (c, d)),
+                               ((a, c), (b, d)),
+                               ((a, d), (b, c))):
+            for ax1 in ("x", "y"):
+                for ax2 in ("x", "y"):
+                    add(("pairs", p, q, ax1, r, s, ax2),
+                        [readout_rotation((p, q), ax1),
+                         readout_rotation((r, s), ax2)])
+    return MeasurementPlan(n_modes=n_modes, bases=tuple(bases),
                            shots_per_basis=shots_per_basis)
 
 
@@ -442,7 +427,7 @@ def _readout(rec: ShotRecord, columns) -> np.ndarray:
 
 def estimate_correlations(plan: MeasurementPlan, records):
     """(TwoPointMatrix, se, FourPointTensor, se) from one pass over the
-    records; the four-point pair is None for an order-1 plan.
+    records.
 
     A raw moment <c+_i c+_j c_k c_l> with i < j, k < l comes from the basis
     pairing (i, k) with (j, l), or from the identity and pair readouts of
@@ -483,8 +468,6 @@ def estimate_correlations(plan: MeasurementPlan, records):
     c2[np.diag_indices(n)], se2[np.diag_indices(n)] = nn[0].diagonal(), nn[1].diagonal()
     lower = np.tril_indices(n, -1)
     c2[lower] = c2.T[lower].conj()
-    if plan.order == 1:
-        return TwoPointMatrix(entries=c2), se2, None, None
 
     # every raw moment with i < j, k < l
     i, j, k, l = np.array([a + b for a, b in product(combinations(range(n), 2), repeat=2)]).T
@@ -538,7 +521,7 @@ def save_shot_records(path: str, plan: MeasurementPlan, records,
         provenance=provenance,
     )
     header["plan"] = {
-        "order": plan.order,
+        "order": 2,  # as in scaling_report
         "n_modes": plan.n_modes,
         "shots_per_basis": plan.shots_per_basis,
         "n_bases": plan.n_bases,
@@ -565,8 +548,10 @@ def load_shot_records(path: str):
     """Inverse of :func:`save_shot_records`; returns (header, records)."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: no shots header")
     header = serialize.from_json_line(lines[0])
-    serialize.check_header(header, "shots")
+    serialize.check_header(header, "shots", path)
     records = []
     for ln in lines[1:]:
         doc = serialize.from_json_line(ln)

@@ -18,6 +18,7 @@ import tempfile
 import numpy as np
 
 CONVENTION = "descending-JW"
+VERSION = 1
 
 
 def complex_to_nested(a: np.ndarray):
@@ -31,7 +32,7 @@ def make_header(kind: str, n_modes: int, tolerances: dict | None = None,
                 provenance: dict | None = None) -> dict:
     header = {
         "format": f"fermiscope-{kind}",
-        "version": 1,
+        "version": VERSION,
         "n_modes": int(n_modes),
         "convention": CONVENTION,
         "tolerances": tolerances or {},
@@ -41,13 +42,18 @@ def make_header(kind: str, n_modes: int, tolerances: dict | None = None,
     return header
 
 
-def check_header(header: dict, kind: str):
+def check_header(header: dict, kind: str, path: str):
+    """Refuse a header of another format, version or sign convention,
+    naming the file ``path`` it was read from."""
     fmt = header.get("format")
     if fmt != f"fermiscope-{kind}":
-        raise ValueError(f"unexpected document format {fmt!r}")
+        raise ValueError(f"{path}: unexpected document format {fmt!r}")
+    version = header.get("version")
+    if version != VERSION:
+        raise ValueError(f"{path}: unsupported {kind} version {version!r}")
     conv = header.get("convention")
     if conv != CONVENTION:
-        raise ValueError(f"unsupported sign convention {conv!r}")
+        raise ValueError(f"{path}: unsupported sign convention {conv!r}")
 
 
 def atomic_write_text(path: str, data: str | bytes):

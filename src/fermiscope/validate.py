@@ -198,7 +198,7 @@ def _check_pulses() -> tuple[float, str]:
 def _check_estimators() -> tuple[float, str]:
     rng = np.random.default_rng(5)
     rho = random_mixed_state(rng, 4)
-    plan = plan_bases(4, order=2)
+    plan = plan_bases(4)
     c2_hat, _, c4_hat, _ = estimate_correlations(plan, exact_records(rho, plan))
     worst = float(np.abs(
         c2_hat.entries - measure_two_point(rho).entries).max())

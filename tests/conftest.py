@@ -44,7 +44,6 @@ def mini_config(out_dir: str) -> RunConfig:
         u_values=(0.05,),
         ensemble_size=2,
         shots_per_basis=300,
-        measure_order=1,
         workers=0,
         out_dir=out_dir,
     )

@@ -482,13 +482,14 @@ def estimate_correlations_loop(plan, records):
             raise CoverageError(f"record for basis {rec.basis_id} carries "
                                 f"key {rec.key}")
         by_id[rec.basis_id] = rec
+    id_of = {b.key: b.id for b in plan.bases}
 
     def record(key):
-        if key not in plan.index_by_key:
+        if key not in id_of:
             raise CoverageError(f"plan does not cover {key}")
-        if plan.index_by_key[key] not in by_id:
+        if id_of[key] not in by_id:
             raise CoverageError(f"no shot record for basis {key}")
-        return by_id[plan.index_by_key[key]]
+        return by_id[id_of[key]]
 
     def pair_moment(first, second, extra_fn=None):
         """<c+_first c_second>, optionally weighted by a diagonal factor."""
@@ -561,8 +562,6 @@ def estimate_correlations_loop(plan, records):
         c2[p, q] = val
         c2[q, p] = np.conj(val)
         se2[p, q] = se2[q, p] = err
-    if plan.order == 1:
-        return TwoPointMatrix(entries=c2), se2, None, None
 
     raw = np.zeros((n, n, n, n), dtype=np.complex128)
     se4 = np.zeros((n, n, n, n))

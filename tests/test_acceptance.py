@@ -394,13 +394,13 @@ def test_c09_measurement_protocol_consistency():
     for shots in shot_grid:
         devs = []
         for rep in range(6):
-            plan = plan_bases(4, 1, shots_per_basis=shots)
+            plan = plan_bases(4, shots_per_basis=shots)
             c2, *_ = estimate_correlations(plan, run_plan(rho, plan, 1000 + rep))
             devs.append(np.abs(c2.entries - exact).max())
         errors.append(np.mean(devs))
     slope = np.polyfit(np.log(shot_grid), np.log(errors), 1)[0]
 
-    plan = plan_bases(4, 1, shots_per_basis=100_000)
+    plan = plan_bases(4, shots_per_basis=100_000)
     c2, se, *_ = estimate_correlations(plan, run_plan(rho, plan, 77))
     dev = np.abs(c2.entries - exact)
     z = np.where(se > 0, dev / np.where(se > 0, se, 1.0), 0.0)
@@ -427,7 +427,6 @@ def test_c10_outputs_are_reproducible(tmp_path):
             u_values=(0.02, 0.05),
             ensemble_size=2,
             shots_per_basis=400,
-            measure_order=1,
             out_dir=out,
         )
         harness.cmd_quench(config)

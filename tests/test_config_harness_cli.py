@@ -47,8 +47,9 @@ def test_config_rejects_unknown_keys(tmp_path):
     path = str(tmp_path / "config.json")
     save_config(path, config)
     good = json.load(open(path))
-    # all but "shots" name numerical settings that are module constants
-    for key in ("shots", "clamp", "warn_threshold", "rank_cutoff",
+    # "shots" names nothing; every plan measures C2 and C4, so "measure_order"
+    # has nothing to choose; the rest name settings that are module constants
+    for key in ("shots", "measure_order", "clamp", "warn_threshold", "rank_cutoff",
                 "degeneracy_tol", "histogram_bins", "bootstrap_resamples"):
         json.dump(dict(good, **{key: 5}), open(path, "w"))
         with pytest.raises(DomainError, match=f"unknown config keys: \\['{key}'\\]"):
@@ -60,8 +61,11 @@ def test_config_guards(tmp_path):
         mini_config(str(tmp_path)).override(times=(2.0, 1.0))
     with pytest.raises(DomainError):
         mini_config(str(tmp_path)).override(u_values=(0.05, 0.05))
-    with pytest.raises(DomainError):
-        mini_config(str(tmp_path)).override(measure_order=3)
+    # a negative seed would fail deep in numpy's SeedSequence
+    with pytest.raises(DomainError, match="master_seed"):
+        mini_config(str(tmp_path)).override(master_seed=-1)
+    with pytest.raises(DomainError, match="master_seed"):
+        cli._resolve_config(cli.build_parser().parse_args(["quench", "--seed", "-1"]))
     with pytest.raises(DomainError):
         mini_config(str(tmp_path)).override(initial_kind="position")
     with pytest.raises(DomainError, match="shots_per_basis"):
@@ -193,7 +197,7 @@ def test_measure_stage_is_reproducible(tmp_path):
     # the shots file is a fixed point of loading and saving
     shots = next(tmp_path.glob("measure/shots_*.jsonl"))
     _, records = measure.load_shot_records(str(shots))
-    plan = measure.plan_bases(config.subsystem_modes, config.measure_order,
+    plan = measure.plan_bases(config.subsystem_modes,
                               shots_per_basis=config.shots_per_basis)
     again = tmp_path / "again.jsonl"
     measure.save_shot_records(str(again), plan, records)
@@ -372,10 +376,14 @@ def test_load_snapshot_names_the_file_it_rejects(tmp_path):
     with open(npy, "wb") as fh:  # pickled objects are refused unread
         np.lib.format.write_array(fh, np.array([{}, {}]), version=(1, 0))
     rejected(ValueError, npy)
-    for key, value in (("format", "fermiscope-state"), ("convention", "ascending-JW")):
+    for key, value in (("format", "fermiscope-state"), ("convention", "ascending-JW"),
+                       ("version", 2)):
         serialize.dump_json(str(doc), {**good_doc,
                                        "header": {**good_doc["header"], key: value}})
         rejected(ValueError, doc)
+    # one provenance entry short of the times
+    serialize.dump_json(str(doc), {**good_doc, "provenance": good_doc["provenance"][:1]})
+    rejected(ValueError, doc)
     with pytest.raises(DomainError, match="u0_m0.json"):
         harness.load_snapshot(qdir, 0, 0, 2)
     npy.unlink()

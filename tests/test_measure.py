@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,8 +97,8 @@ def test_apply_rotation_matches_sparse_oracle_bit_for_bit(rng):
             DensityMatrix(basis, signed),
         ]
         # every basis of the plan: single rotations, and double rotations
-        # once four modes allow an order-2 plan
-        plan = plan_bases(n_modes, 2 if n_modes >= 4 else 1)
+        # once there are four modes
+        plan = plan_bases(n_modes)
         for rho in states:
             for angle in (0.0, 0.4, -2.9):
                 for axis in ("x", "y"):
@@ -108,7 +109,7 @@ def test_apply_rotation_matches_sparse_oracle_bit_for_bit(rng):
     fixed = FockBasis(6, 3)
     a = rng.normal(size=(fixed.dim, fixed.dim)) + 1j * rng.normal(size=(fixed.dim, fixed.dim))
     rho = DensityMatrix(fixed, a @ a.conj().T / np.trace(a @ a.conj().T))
-    for mbasis in plan_bases(6, 2).bases:
+    for mbasis in plan_bases(6).bases:
         assert same_as_oracle(rho, mbasis.rotations), mbasis.key
 
 
@@ -161,12 +162,12 @@ def test_rotated_diagonal_is_the_diagonal_of_apply_rotation_bit_for_bit(rng):
 
 
 def test_plan_weights_match_the_per_basis_loop_bit_for_bit(rng):
-    cases = [(rho, plan_bases(n, 2).bases + tuple(_wide_pulse_bases(n)))
+    cases = [(rho, plan_bases(n).bases + tuple(_wide_pulse_bases(n)))
              for n in (4, 6) for rho in _plan_test_states(rng, n)]
     fixed = FockBasis(6, 3)
     a = rng.normal(size=(fixed.dim, fixed.dim)) + 1j * rng.normal(size=(fixed.dim, fixed.dim))
     cases.append((DensityMatrix(fixed, a @ a.conj().T / np.trace(a @ a.conj().T)),
-                  plan_bases(6, 2).bases))
+                  plan_bases(6).bases))
     for rho, bases in cases:
         weights = measure._born_weights(rho, bases)
         assert len(weights) == len(bases)
@@ -176,7 +177,7 @@ def test_plan_weights_match_the_per_basis_loop_bit_for_bit(rng):
 
 def test_run_plan_matches_sampling_from_the_loop_weights(rng):
     rho = _plan_test_states(rng, 4)[0]
-    plan = plan_bases(4, 2, shots_per_basis=300)
+    plan = plan_bases(4, shots_per_basis=300)
     records = run_plan(rho, plan, 41)
     assert [r.basis_id for r in records] == list(range(plan.n_bases))
     for mbasis, rec in zip(plan.bases, records):
@@ -201,7 +202,7 @@ def test_plan_rotates_each_first_pulse_once(monkeypatch):
     monkeypatch.setattr(measure, "apply_rotation", spy)
     for n_modes in (4, 6):
         pulses.clear()
-        plan = plan_bases(n_modes, 2)
+        plan = plan_bases(n_modes)
         exact_records(random_mixed_state(np.random.default_rng(n_modes), n_modes), plan)
         # one full rotation per (pair, axis), the shared first pulse
         assert len(pulses) == len(set(pulses)) == n_modes * (n_modes - 1)
@@ -212,7 +213,7 @@ def test_plan_rotates_each_first_pulse_once(monkeypatch):
 @given(seed=st.integers(min_value=0, max_value=2**63 - 1))
 def test_exact_records_estimators_are_exact(seed):
     rho = random_mixed_state(np.random.default_rng(seed), 4)
-    plan = plan_bases(4, 2)
+    plan = plan_bases(4)
     records = exact_records(rho, plan)
     c2, _, c4, _ = estimate_correlations(plan, records)
     assert np.abs(c2.entries - measure_two_point(rho).entries).max() < 1e-12
@@ -226,7 +227,7 @@ def test_estimator_matches_loop_oracle_on_sampled_records(n_modes):
     # shot sum is exact and C2/C4 must agree to the sign of each zero; the
     # pairing of each disjoint C4 entry shows here and not on exact records
     rho = random_mixed_state(np.random.default_rng(n_modes), n_modes)
-    plan = plan_bases(n_modes, 2, shots_per_basis=300)
+    plan = plan_bases(n_modes, shots_per_basis=300)
     records = run_plan(rho, plan, 11)
     c2, c2_se, c4, c4_se = estimate_correlations(plan, records)
     w2, w2_se, w4, w4_se = estimate_correlations_loop(plan, records)
@@ -239,7 +240,7 @@ def test_estimator_matches_loop_oracle_on_sampled_records(n_modes):
 @pytest.mark.parametrize("case", ["id past the plan", "negative id",
                                   "repeated basis", "other mode count"])
 def test_estimator_rejects_malformed_records(case):
-    plan = plan_bases(2, 1)
+    plan = plan_bases(2)
     records = exact_records(pure_density(bell_pair()), plan)
     last = records[-1]
     if case == "id past the plan":
@@ -282,18 +283,15 @@ def test_rotation_validation():
         TunnelingRotation((0, 1), "z", 0.3)
 
 
-@pytest.mark.parametrize(
-    "n,order,count",
-    [(2, 1, 3), (4, 1, 13), (4, 2, 25), (6, 2, 211)],
-)
-def test_plan_basis_counts(n, order, count):
-    plan = plan_bases(n, order)
+@pytest.mark.parametrize("n,count", [(2, 3), (4, 25), (6, 211)])
+def test_plan_basis_counts(n, count):
+    plan = plan_bases(n)
     assert plan.n_bases == count
 
 
 def test_plan_overhead_stays_constant():
     for n in (4, 6, 8):
-        report = plan_bases(n, 2).scaling_report()
+        report = plan_bases(n).scaling_report()
         assert report["overhead_coefficient"] == 1
         assert report["quad_bases"] == math.comb(n, 4) * 12
         assert report["pair_budget"] == n * (n - 1)
@@ -301,9 +299,7 @@ def test_plan_overhead_stays_constant():
 
 def test_plan_guards():
     with pytest.raises(DomainError):
-        plan_bases(1, 1)
-    with pytest.raises(DomainError):
-        plan_bases(4, 3)
+        plan_bases(1)
     with pytest.raises(PlanError):
         MeasurementBasis(
             id=0,
@@ -315,17 +311,17 @@ def test_plan_guards():
 @pytest.mark.parametrize("shots", [2.5, 0, True])
 def test_plan_rejects_bad_shots_per_basis(shots):
     with pytest.raises(DomainError, match="shots_per_basis"):
-        plan_bases(2, 1, shots_per_basis=shots)
+        plan_bases(2, shots_per_basis=shots)
     # checked before the capacity guard, so before any basis is built
     with pytest.raises(DomainError, match="shots_per_basis"):
-        plan_bases(10**6, 1, shots_per_basis=shots)
+        plan_bases(10**6, shots_per_basis=shots)
 
 
 def test_plan_lookup_and_coverage():
-    plan = plan_bases(4, 1)
-    assert plan.basis(("pair", 0, 1, "x")).id >= 0
-    with pytest.raises(CoverageError):
-        plan.basis(("pair", 0, 1, "q"))
+    # a basis id indexes plan.bases, and no two bases share a key
+    plan = plan_bases(4)
+    assert [b.id for b in plan.bases] == list(range(plan.n_bases))
+    assert len({b.key for b in plan.bases}) == plan.n_bases
     records = exact_records(pure_density(paired_state()), plan)
     with pytest.raises(CoverageError, match="no shot record"):
         estimate_correlations(plan, records[:3] + records[4:])
@@ -333,17 +329,18 @@ def test_plan_lookup_and_coverage():
 
 def test_exact_records_reproduce_two_point():
     rho = pure_density(bell_pair())
-    plan = plan_bases(2, 1)
-    c2, se, c4, c4_se = estimate_correlations(plan, exact_records(rho, plan))
-    assert c4 is None and c4_se is None
+    plan = plan_bases(2)
+    c2, se, _, _ = estimate_correlations(plan, exact_records(rho, plan))
     assert np.abs(c2.entries - measure_two_point(rho).entries).max() < 1e-12
     assert np.all(se >= 0.0)
 
 
 def test_exact_records_reproduce_four_point(rng):
-    for n_modes in (4, 6):
+    # below four modes the plan has no double-pair bases, and C4 comes from
+    # the identity and pair readouts alone
+    for n_modes in (2, 3, 4, 6):
         rho = random_mixed_state(rng, n_modes)
-        plan = plan_bases(n_modes, 2)
+        plan = plan_bases(n_modes)
         records = exact_records(rho, plan)
         c2, _, c4, _ = estimate_correlations(plan, records)
         assert np.abs(c2.entries - measure_two_point(rho).entries).max() < 1e-12
@@ -354,7 +351,7 @@ def test_exact_records_reproduce_four_point(rng):
 def test_pure_states_are_not_measured():
     # the protocol rotates and samples density matrices only
     psi = paired_state()
-    plan = plan_bases(4, 1, shots_per_basis=10)
+    plan = plan_bases(4, shots_per_basis=10)
     rot = TunnelingRotation((0, 1), "x", 0.3)
     with pytest.raises(DomainError, match="StateVector"):
         apply_rotation(psi, rot)
@@ -368,7 +365,7 @@ def test_pure_states_are_not_measured():
 
 def test_sampling_is_seed_deterministic():
     rho = pure_density(paired_state())
-    plan = plan_bases(4, 1, shots_per_basis=200)
+    plan = plan_bases(4, shots_per_basis=200)
     a = run_plan(rho, plan, 99)
     b = run_plan(rho, plan, 99)
     assert all(_same_record(x, y) for x, y in zip(a, b))
@@ -381,7 +378,7 @@ def test_estimates_tighten_with_shots():
     exact = measure_two_point(rho).entries
     devs = []
     for shots in (200, 20_000):
-        plan = plan_bases(4, 1, shots_per_basis=shots)
+        plan = plan_bases(4, shots_per_basis=shots)
         c2, *_ = estimate_correlations(plan, run_plan(rho, plan, 7))
         devs.append(np.abs(c2.entries - exact).max())
     assert devs[1] < devs[0]
@@ -414,7 +411,7 @@ def test_shot_record_count_validation():
     basis = FockBasis(2)
     nan_state = DensityMatrix(basis, np.full((basis.dim, basis.dim), math.nan))
     with pytest.raises(DomainError, match="sum to nan"):
-        run_plan(nan_state, plan_bases(2, 1, shots_per_basis=10), 0)
+        run_plan(nan_state, plan_bases(2, shots_per_basis=10), 0)
 
 
 def test_basis_seed_is_stable():
@@ -427,7 +424,7 @@ def test_basis_seed_is_stable():
 
 def test_shot_records_round_trip(tmp_path):
     rho = pure_density(paired_state())
-    plan = plan_bases(4, 1, shots_per_basis=150)
+    plan = plan_bases(4, shots_per_basis=150)
     records = run_plan(rho, plan, 5)
     path = str(tmp_path / "shots.jsonl")
     save_shot_records(path, plan, records, provenance={"tag": "demo"})
@@ -443,7 +440,7 @@ def test_shot_records_round_trip(tmp_path):
 
 def test_exact_records_round_trip(tmp_path):
     # Born weights are float counts; they must load back as the same floats
-    plan = plan_bases(2, 1)
+    plan = plan_bases(2)
     records = exact_records(random_mixed_state(np.random.default_rng(0), 2), plan)
     path = str(tmp_path / "exact.jsonl")
     save_shot_records(path, plan, records)
@@ -457,11 +454,10 @@ def test_exact_records_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("n_modes", [4, 6])
-@pytest.mark.parametrize("order", [1, 2])
-def test_loaded_records_estimate_like_fresh_ones(tmp_path, n_modes, order):
+def test_loaded_records_estimate_like_fresh_ones(tmp_path, n_modes):
     # a file lists patterns in label order; loading restores ascending
     # patterns, so the estimator sums the same terms in the same order
-    plan = plan_bases(n_modes, order)
+    plan = plan_bases(n_modes)
     path = str(tmp_path / "exact.jsonl")
     for seed in range(3):
         records = exact_records(
@@ -470,18 +466,15 @@ def test_loaded_records_estimate_like_fresh_ones(tmp_path, n_modes, order):
         fresh = estimate_correlations(plan, records)
         loaded = estimate_correlations(plan, load_shot_records(path)[1])
         for x, y in zip(fresh, loaded):
-            if x is None:
-                assert y is None
-            else:
-                x, y = getattr(x, "entries", x), getattr(y, "entries", y)
-                assert same_bits(x, y)
+            x, y = getattr(x, "entries", x), getattr(y, "entries", y)
+            assert same_bits(x, y)
 
 
 @st.composite
 def _shot_records(draw):
     """A plan and shot records for its first bases, with int or float counts."""
     n_modes = draw(st.integers(min_value=2, max_value=6))
-    plan = plan_bases(n_modes, 1, shots_per_basis=50)
+    plan = plan_bases(n_modes, shots_per_basis=50)
     as_weights = draw(st.booleans())
     records = []
     for mbasis in plan.bases[:draw(st.integers(min_value=1, max_value=3))]:
@@ -521,15 +514,15 @@ def test_shot_records_round_trip_property(tmp_path_factory, case):
 
 
 def test_plan_capacity_guard():
-    # 1 + n(n-1) + 12 C(n,4) bases at order 2: 22 modes fit, 23 do not
+    # 1 + n(n-1) + 12 C(n,4) bases: 22 modes fit, 23 do not
     assert 1 + 22 * 21 + 12 * math.comb(22, 4) <= MAX_BASES
-    for n_modes, order in ((23, 2), (10**6, 2), (10**6, 1), (2**40, 1)):
+    for n_modes in (23, 10**6, 2**40):
         with pytest.raises(CapacityError):
-            plan_bases(n_modes, order)
+            plan_bases(n_modes)
 
 
 def test_shot_records_serialize_mode_zero_leftmost(tmp_path):
-    plan = plan_bases(2, 1, shots_per_basis=3)
+    plan = plan_bases(2, shots_per_basis=3)
     rec = ShotRecord(basis_id=0, key=("identity",), mode_count=2, shots=3,
                      patterns=np.array([0b01]), counts=np.array([3]))
     path = str(tmp_path / "one.jsonl")
@@ -540,7 +533,7 @@ def test_shot_records_serialize_mode_zero_leftmost(tmp_path):
 
 @pytest.mark.parametrize("mode_count", [63, 64, 70])
 def test_load_shot_records_rejects_patterns_past_int64(tmp_path, mode_count):
-    plan = plan_bases(2, 1, shots_per_basis=3)
+    plan = plan_bases(2, shots_per_basis=3)
     path = tmp_path / "one.jsonl"
     save_shot_records(str(path), plan, [])
     row = {"basis_id": 0, "key": ["identity"], "mode_count": mode_count, "shots": 3,
@@ -556,7 +549,7 @@ def test_load_shot_records_rejects_patterns_past_int64(tmp_path, mode_count):
 @pytest.mark.parametrize("label", ["0_1", " 01", "1", "+1"])
 def test_load_shot_records_rejects_malformed_labels(tmp_path, label):
     # int(label[::-1], 2) alone reads the first three and fails on the last
-    plan = plan_bases(2, 1, shots_per_basis=3)
+    plan = plan_bases(2, shots_per_basis=3)
     rec = ShotRecord(basis_id=0, key=("identity",), mode_count=2, shots=3,
                      patterns=np.array([0b10]), counts=np.array([3]))
     path = tmp_path / "one.jsonl"
@@ -567,3 +560,19 @@ def test_load_shot_records_rejects_malformed_labels(tmp_path, label):
     path.write_text(header + "\n" + json.dumps(row) + "\n")
     with pytest.raises(DomainError, match="0 and 1"):
         load_shot_records(str(path))
+
+
+def test_load_shot_records_checks_its_header(tmp_path):
+    plan = plan_bases(2, shots_per_basis=3)
+    path = tmp_path / "one.jsonl"
+    save_shot_records(str(path), plan, exact_records(pure_density(bell_pair()), plan))
+    header, *rows = path.read_text().splitlines()
+    for version in (2, 0, None):
+        doc = {**json.loads(header), "version": version}
+        path.write_text("\n".join([json.dumps(doc), *rows]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unsupported shots version")):
+            load_shot_records(str(path))
+    for text in ("", "\n \n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_shot_records(str(path))
