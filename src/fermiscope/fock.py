@@ -140,24 +140,23 @@ def _basis_states(mode_count, sector, sz_twice):
 def _enumerate_states(mode_count, sector, sz_twice) -> np.ndarray:
     if sector is None:
         return np.arange(1 << mode_count, dtype=np.int64)
+    states = _patterns(range(mode_count), sector)
     if sz_twice is None:
-        states = [
-            sum(1 << p for p in occ)
-            for occ in combinations(range(mode_count), sector)
-        ]
-        return np.array(sorted(states), dtype=np.int64)
-    # spinful layout: even bits = spin up, odd bits = spin down
-    sites = mode_count // 2
-    n_up = (sector + sz_twice) // 2
-    n_dn = (sector - sz_twice) // 2
-    if (sector + sz_twice) % 2 or not (0 <= n_up <= sites and 0 <= n_dn <= sites):
-        return np.array([], dtype=np.int64)
-    states = []
-    for up in combinations(range(sites), n_up):
-        up_bits = sum(1 << (2 * p) for p in up)
-        for dn in combinations(range(sites), n_dn):
-            states.append(up_bits + sum(1 << (2 * p + 1) for p in dn))
-    return np.array(sorted(states), dtype=np.int64)
+        return states
+    # spinful layout: even bits are spin up, so 2*Sz = 2 n_up - N
+    n_up = np.bitwise_count(states & 0x5555555555555555)
+    return states[2 * n_up.astype(np.int64) - sector == sz_twice]
+
+
+def _patterns(positions, count) -> np.ndarray:
+    """Sorted bit patterns with ``count`` of the ascending bit ``positions`` set."""
+    # by_count[n]: the patterns with n bits among the positions so far, sorted;
+    # those with the new bit set all exceed those without it
+    by_count = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * count
+    for p in positions:
+        for n in range(count, 0, -1):
+            by_count[n] = np.concatenate((by_count[n], by_count[n - 1] | (1 << p)))
+    return by_count[count]
 
 
 @dataclass

@@ -11,6 +11,7 @@ through named derivation paths, never from the clock.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import warnings
@@ -296,42 +297,43 @@ def analyze_snapshot(c2, c4, rho_exact: DensityMatrix) -> dict:
 
 
 def _recon_task(task):
-    config, qdir, rdir, iu, member, it = task
-    tag = snapshot_tag(iu, member, it)
-    rho_exact, c2, c4, provenance = load_snapshot(qdir, iu, member, it)
-    u, t = config.u_values[iu], config.times[it]
-    doc = {
-        "header": serialize.make_header(
+    """Analyze one (rho, C2, C4) input once; write a document for each tag that stores it."""
+    config, qdir, rdir, tags = task
+    fields, names = None, []
+    for iu, member, it in tags:
+        rho_exact, c2, c4, provenance = load_snapshot(qdir, iu, member, it)
+        fields = fields or analyze_snapshot(c2, c4, rho_exact)
+        u, t = config.u_values[iu], config.times[it]
+        header = serialize.make_header(
             "reconstruction", rho_exact.basis.mode_count,
-            tolerances={"clamp": OCCUPATION_CLAMP,
-                        "rank_cutoff": RANK_CUTOFF},
-            provenance=provenance,
-        ),
-        "u": float(u),
-        "t": float(t),
-        "tau": float(u * t),
-        "member": member,
-        **analyze_snapshot(c2, c4, rho_exact),
-    }
-    name = f"{tag}_recon.json"
-    serialize.dump_json(os.path.join(rdir, name), doc)
-    return name
+            tolerances={"clamp": OCCUPATION_CLAMP, "rank_cutoff": RANK_CUTOFF},
+            provenance=provenance)
+        names.append(f"{snapshot_tag(iu, member, it)}_recon.json")
+        serialize.dump_json(os.path.join(rdir, names[-1]), {
+            "header": header, "u": float(u), "t": float(t), "tau": float(u * t),
+            "member": member, **fields})
+    return names
 
 
 def cmd_reconstruct(config: RunConfig) -> str:
-    """Reconstruct every snapshot and write diagnostics next to it."""
+    """Reconstruct every snapshot and write diagnostics next to it.
+
+    Byte-identical stored records (each U repeats a member's t = 0) are analyzed once.
+    """
     qdir = _quench_dir(config)
     if not os.path.isdir(qdir):
         raise FileNotFoundError(f"no quench outputs under {qdir}")
     rdir = _recon_dir(config)
     os.makedirs(rdir, exist_ok=True)
-    tasks = [
-        (config, qdir, rdir, iu, m, it)
-        for iu in range(len(config.u_values))
-        for m in range(config.ensemble_size)
-        for it in range(len(config.times))
-    ]
-    names = _run_tasks(_recon_task, tasks, config.workers)
+    dtype, count = _trajectory_dtype(config.subsystem_modes), len(config.times)
+    groups = {}
+    for iu, m, it in itertools.product(range(len(config.u_values)),
+                                       range(config.ensemble_size), range(count)):
+        record = serialize.load_npy_record(os.path.join(qdir, f"u{iu}_m{m}.npy"),
+                                           dtype, count, it)
+        groups.setdefault(hashlib.sha256(record).digest(), []).append((iu, m, it))
+    tasks = [(config, qdir, rdir, tags) for tags in groups.values()]
+    names = sum(_run_tasks(_recon_task, tasks, config.workers), [])
     manifest = os.path.join(rdir, "manifest.json")
     serialize.write_manifest(manifest, {
         name: os.path.join(rdir, name) for name in names

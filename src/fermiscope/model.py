@@ -13,16 +13,16 @@ The non-interacting part diagonalizes into plane waves with dispersion
 eps_k = 2 [J cos k + J' cos 2k] on the momentum grid 2*pi*m/L folded into
 (-pi, pi].
 
-``scipy.sparse`` is imported inside the functions that build sparse
-operators, so a CLI stage that only reads stored results never pays for
-loading it.
+H is stored as one hop table, which the dense route sums into a matrix;
+``scipy.sparse`` is imported only for the Chebyshev route's CSR and for
+the sector basis's S^2, so the dense-route quench never loads it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .fock import (
     OccupationBitstring,
     StateVector,
     _chain_table,
+    _frozen,
     max_reduced_rank,
     partial_trace,
 )
@@ -127,19 +128,39 @@ def hop_matrix(basis: FockBasis, i: int, j: int):
         (signs.astype(np.complex128), (rows, cols)), shape=(target.dim, basis.dim))
 
 
-@dataclass
 class Hamiltonian:
-    params: HubbardParams
-    basis: FockBasis
-    matrix: scipy.sparse.csr_matrix
-    _eig: tuple | None = field(default=None, repr=False, compare=False)
-    _blocks: dict = field(default_factory=dict, repr=False, compare=False)
+    """H on ``basis`` as one table, summed from +0 in order: (rows[k], cols[k]) adds values[k].
+
+    The U * double-occupancy diagonal, then each bond's hop and its conjugate in sum order.
+    """
+
+    def __init__(self, params: HubbardParams, basis: FockBasis, rows, cols, values):
+        self.params, self.basis = params, basis
+        self.rows, self.cols, self.values = _frozen((rows, cols, values))
+        self._eig, self._matrix, self._blocks = None, None, {}
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.basis.dim,) * 2, dtype=np.complex128)
+        np.add.at(out, (self.rows, self.cols), self.values)
+        return out
 
     def dense_eig(self):
+        """Eigenvalues w, eigenvectors V and V^dagger of H, from one ``eigh``."""
         if self._eig is None:
-            w, v = np.linalg.eigh(self.matrix.toarray())
-            object.__setattr__(self, "_eig", (w, v))
+            w, v = np.linalg.eigh(self.dense())
+            self._eig = (w, v, v.conj().T)
         return self._eig
+
+    @property
+    def matrix(self):
+        """Canonical CSR matrix of H, built on first use."""
+        if self._matrix is None:
+            import scipy.sparse
+
+            self._matrix = scipy.sparse.csr_matrix((self.values.astype(np.complex128), (
+                self.rows, self.cols)), shape=(self.basis.dim,) * 2)
+            self._matrix.eliminate_zeros()
+        return self._matrix
 
     def block(self, sz_twice: int):
         """Sector indices with this 2*Sz and the CSR block of ``matrix`` on them.
@@ -157,24 +178,21 @@ def build_hamiltonian(
     params: HubbardParams,
     particles: int | None = None,
 ) -> Hamiltonian:
-    import scipy.sparse
-
     basis = FockBasis(params.n_modes, particles)
-    dim = basis.dim
-    total = scipy.sparse.coo_matrix((dim, dim), dtype=np.complex128)
+    bits = basis.states  # site l is doubly occupied when bits 2l and 2l + 1 are set
+    double_occ = np.bitwise_count(bits & (bits >> 1) & 0x5555555555555555).astype(float)
+    diag = np.arange(basis.dim)  # no hop lands on the diagonal
+    parts = [(diag, diag, params.interaction * double_occ)]
     for to_site, from_site, amp in hopping_bonds(params):
         if amp == 0.0:
             continue
         for spin in (0, 1):
-            i, j = mode_index(to_site, spin), mode_index(from_site, spin)
-            term = hop_matrix(basis, i, j)
-            total = total + amp * term + amp * term.conj().T
-    bits = basis.states
-    double_occ = np.zeros(dim)
-    for l in range(params.sites):
-        double_occ += ((bits >> (2 * l)) & 1) * ((bits >> (2 * l + 1)) & 1)
-    total = total + scipy.sparse.diags(params.interaction * double_occ)
-    return Hamiltonian(params=params, basis=basis, matrix=total.tocsr())
+            _, cols, rows, signs = _chain_table(
+                basis.mode_count, basis.sector, basis.sz_twice,
+                ((mode_index(to_site, spin), "create"),
+                 (mode_index(from_site, spin), "annihilate")))
+            parts += [(rows, cols, amp * signs), (cols, rows, amp * signs)]
+    return Hamiltonian(params, basis, *(np.concatenate(arr) for arr in zip(*parts)))
 
 
 def sz_twice_diagonal(basis: FockBasis) -> np.ndarray:
@@ -193,11 +211,8 @@ def number_diagonal(basis: FockBasis) -> np.ndarray:
 
 def spin_raising(basis: FockBasis):
     """Sparse S+ = sum_l c†_{l,up} c_{l,down}; lands in 2*Sz + 2 on a fixed-Sz basis."""
-    sites = basis.mode_count // 2
-    op = hop_matrix(basis, mode_index(0, 0), mode_index(0, 1))
-    for l in range(1, sites):
-        op = op + hop_matrix(basis, mode_index(l, 0), mode_index(l, 1))
-    return op.tocsr()
+    return sum(hop_matrix(basis, mode_index(l, 0), mode_index(l, 1))
+               for l in range(basis.mode_count // 2)).tocsr()
 
 
 def spin_squared(basis: FockBasis) -> scipy.sparse.csr_matrix:
@@ -227,17 +242,25 @@ class InitialStateSpec:
     t_free: float | None = None
 
 
-def commutator_norm_with_spin(s2: scipy.sparse.csr_matrix, basis: FockBasis,
-                              bits: int) -> float:
-    """Frobenius norm of [|n><n|, S^2] via the variance of S^2.
+def spin_spread(basis: FockBasis, bits: int) -> float:
+    """Frobenius norm of [|n><n|, S^2] for the pattern ``bits``, via the variance of S^2.
 
-    ``s2`` is :func:`spin_squared` of ``basis``, built once by the caller.
+    S+ = sum_l c†_{l,up} c_{l,down} sends |n> to phi with entries +-1, and S^2 |n> =
+    S- phi + Sz (Sz + 1) |n> holds quarters, so both moments are exact in double precision.
     """
-    psi = np.zeros(basis.dim, dtype=np.complex128)
-    psi[basis.index_of(bits)] = 1.0
-    y = s2 @ psi
-    mean = float(np.real(np.vdot(psi, y)))
-    square = float(np.real(np.vdot(y, y)))
+    n = basis.index_of(bits)
+    tables = [_chain_table(basis.mode_count, basis.sector, basis.sz_twice,
+                           ((mode_index(l, 0), "create"), (mode_index(l, 1), "annihilate")))
+              for l in range(basis.mode_count // 2)]
+    phi = np.zeros(tables[0][0].dim)
+    for _, cols, rows, signs in tables:  # each site moves |n> to its own state
+        phi[rows[cols == n]] = signs[cols == n]
+    y = np.zeros(basis.dim)
+    for _, cols, rows, signs in tables:
+        y[cols] += signs * phi[rows]  # a ladder table has each column once
+    sz = bin(bits & 0x5555555555555555).count("1") - bin(bits).count("1") / 2.0  # n_up - N/2
+    y[n] += sz * (sz + 1.0)
+    mean, square = y[n], y @ y
     return math.sqrt(max(0.0, 2.0 * (square - mean * mean)))
 
 
@@ -267,11 +290,10 @@ def select_initial_state(
         )
     rng = np.random.default_rng(seed)
     basis = FockBasis(n_modes, target_n)
-    s2 = spin_squared(basis)
     for trial in range(1, SEARCH_TRIALS + 1):
         modes = rng.choice(n_modes, size=target_n, replace=False)
         bits = int(sum(1 << int(p) for p in modes))
-        if commutator_norm_with_spin(s2, basis, bits) > MIN_COMMUTATOR:
+        if spin_spread(basis, bits) > MIN_COMMUTATOR:
             return InitialStateSpec(
                 kind=kind,
                 occupation=OccupationBitstring(bits, n_modes),
@@ -402,9 +424,8 @@ def evolve(
     if method == "auto":
         method = "dense" if ham.basis.dim <= DENSE_LIMIT else "chebyshev"
     if method == "dense":
-        w, v = ham.dense_eig()
-        rotated = v.conj().T @ psi.amplitudes
-        return StateVector(psi.basis, v @ (np.exp(-1j * w * t) * rotated))
+        w, v, vh = ham.dense_eig()
+        return StateVector(psi.basis, v @ (np.exp(-1j * w * t) * (vh @ psi.amplitudes)))
     if method != "chebyshev":
         raise DomainError(f"unknown evolution method {method!r}")
     if t == 0.0:

@@ -13,7 +13,6 @@ import hashlib
 import io
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -57,19 +56,21 @@ def check_header(header: dict, kind: str, path: str):
 
 
 def atomic_write_text(path: str, data: str | bytes):
-    """Write ``data`` (a str as UTF-8) to ``path`` through a temp file and a rename."""
+    """Write ``data`` (a str as UTF-8) to ``path`` through a temp file and a rename.
+
+    The temp file is made beside ``path`` as ``open()`` makes files: 0o666 less the umask.
+    """
+    payload = data.encode() if isinstance(data, str) else data
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    tmp = os.path.join(d, f".tmp-{os.getpid()}-{os.path.basename(path)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data.encode() if isinstance(data, str) else data)
-        os.umask(umask := os.umask(0o022))  # mkstemp made it 0600: use open()'s mode
-        os.chmod(tmp, 0o666 & ~umask)
+            fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

@@ -35,6 +35,7 @@ from fermiscope.entanglement import (
     spectral_error,
 )
 from fermiscope.measure import CoverageError, apply_rotation
+from fermiscope.model import HubbardParams, hop_matrix, hopping_bonds, mode_index
 from fermiscope.reconstruct import (
     AnsatzValidityWarning,
     _between_mask,
@@ -250,6 +251,63 @@ def partial_trace_loop(psi: StateVector, keep_modes: int) -> DensityMatrix:
         amps = psi.amplitudes[grp]
         rho[np.ix_(idx, idx)] += np.outer(amps, amps.conj())
     return DensityMatrix(sub, rho)
+
+
+def enumerate_states_loop(mode_count, sector, sz_twice) -> np.ndarray:
+    """Sorted basis states from one ``combinations`` pattern and one ``sum`` each."""
+    if sector is None:
+        return np.arange(1 << mode_count, dtype=np.int64)
+    if sz_twice is None:
+        states = [
+            sum(1 << p for p in occ)
+            for occ in combinations(range(mode_count), sector)
+        ]
+        return np.array(sorted(states), dtype=np.int64)
+    # spinful layout: even bits = spin up, odd bits = spin down
+    sites = mode_count // 2
+    n_up = (sector + sz_twice) // 2
+    n_dn = (sector - sz_twice) // 2
+    if (sector + sz_twice) % 2 or not (0 <= n_up <= sites and 0 <= n_dn <= sites):
+        return np.array([], dtype=np.int64)
+    states = []
+    for up in combinations(range(sites), n_up):
+        up_bits = sum(1 << (2 * p) for p in up)
+        for dn in combinations(range(sites), n_dn):
+            states.append(up_bits + sum(1 << (2 * p + 1) for p in dn))
+    return np.array(sorted(states), dtype=np.int64)
+
+
+def hamiltonian_sparse_sum(params: HubbardParams, basis: FockBasis) -> scipy.sparse.csr_matrix:
+    """H on ``basis`` as the literal sum of sparse hop terms, conjugates and diagonal."""
+    dim = basis.dim
+    total = scipy.sparse.coo_matrix((dim, dim), dtype=np.complex128)
+    for to_site, from_site, amp in hopping_bonds(params):
+        if amp == 0.0:
+            continue
+        for spin in (0, 1):
+            i, j = mode_index(to_site, spin), mode_index(from_site, spin)
+            term = hop_matrix(basis, i, j)
+            total = total + amp * term + amp * term.conj().T
+    bits = basis.states
+    double_occ = np.zeros(dim)
+    for l in range(params.sites):
+        double_occ += ((bits >> (2 * l)) & 1) * ((bits >> (2 * l + 1)) & 1)
+    total = total + scipy.sparse.diags(params.interaction * double_occ)
+    return total.tocsr()
+
+
+def commutator_norm_with_spin(s2: scipy.sparse.csr_matrix, basis: FockBasis,
+                              bits: int) -> float:
+    """Frobenius norm of [|n><n|, S^2] via the variance of S^2.
+
+    ``s2`` is ``model.spin_squared`` of ``basis``, built once by the caller.
+    """
+    psi = np.zeros(basis.dim, dtype=np.complex128)
+    psi[basis.index_of(bits)] = 1.0
+    y = s2 @ psi
+    mean = float(np.real(np.vdot(psi, y)))
+    square = float(np.real(np.vdot(y, y)))
+    return math.sqrt(max(0.0, 2.0 * (square - mean * mean)))
 
 
 def same_bits(a, b) -> bool:

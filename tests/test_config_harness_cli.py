@@ -227,7 +227,7 @@ def test_outputs_get_the_mode_open_would_give(tmp_path):
 
 def test_a_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     path = str(tmp_path / "out.json")
-    with pytest.raises(UnicodeEncodeError):  # raised inside the temp file
+    with pytest.raises(UnicodeEncodeError):  # raised before any file is made
         serialize.atomic_write_text(path, "x\ud800")
 
     def failing_replace(src, dst):
@@ -237,6 +237,55 @@ def test_a_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="rename failed"):
         serialize.atomic_write_text(path, b"written in full")
     assert os.listdir(tmp_path) == []
+
+
+def test_writes_leave_the_process_umask_alone(tmp_path, monkeypatch):
+    # open()'s 0o666 less the umask, with no process-wide umask swap
+    real_umask = os.umask
+    old = real_umask(0o027)
+    try:
+        def no_umask(mask):
+            raise AssertionError("atomic_write_text changed the umask")
+
+        monkeypatch.setattr(serialize.os, "umask", no_umask)
+        path = tmp_path / "out.json"
+        serialize.atomic_write_text(str(path), "x\n")
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~0o027
+        monkeypatch.setattr(serialize.os, "replace", lambda src, dst: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            serialize.atomic_write_text(str(tmp_path / "failed.json"), "y\n")
+        assert os.listdir(tmp_path) == ["out.json"]  # no .tmp-* left
+        assert path.read_text() == "x\n"
+    finally:
+        real_umask(old)
+
+
+def test_reconstruct_analyzes_each_distinct_input_once(tmp_path, monkeypatch):
+    # every U shares a member's t = 0 state, so 8 snapshots hold 6 inputs
+    config = mini_config(str(tmp_path)).override(u_values=(0.05, 0.2), times=(0.0, 1.0))
+    harness.cmd_quench(config)
+    inputs = set()
+    for *_, c2, c4, rho in _mini_snapshots(config):
+        inputs.add(b"".join(a.tobytes() for a in (rho.elements, c2.entries, c4.entries)))
+    assert len(inputs) == 6
+    calls = []
+    real = harness.analyze_snapshot
+
+    def counting(c2, c4, rho):
+        calls.append(1)
+        return real(c2, c4, rho)
+
+    monkeypatch.setattr(harness, "analyze_snapshot", counting)
+    harness.cmd_reconstruct(config)
+    assert len(calls) == len(inputs)
+    # the t = 0 documents differ in u, tau and their header's provenance only
+    docs = [load_json(str(tmp_path / "recon" / f"u{iu}_m1_t0_recon.json")) for iu in (0, 1)]
+    assert [d["u"] for d in docs] == [0.05, 0.2]
+    assert [d["header"]["provenance"]["u"] for d in docs] == [0.05, 0.2]
+    for doc in docs:
+        for key in ("u", "tau", "header"):
+            doc.pop(key)
+    assert docs[0] == docs[1]
 
 
 def test_quench_builds_ladder_tables_once_per_basis(tmp_path, monkeypatch):
@@ -270,7 +319,7 @@ def _mini_snapshots(config):
         for m in range(config.ensemble_size):
             for it in range(len(config.times)):
                 rho, c2, c4, _ = harness.load_snapshot(qdir, iu, m, it)
-                yield (config, qdir, config.out_dir, iu, m, it), c2, c4, rho
+                yield (config, qdir, config.out_dir, ((iu, m, it),)), c2, c4, rho
 
 
 def test_snapshot_analysis_matches_the_rediagonalizing_oracle(tmp_path):
@@ -404,8 +453,10 @@ def test_measure_rejects_indices_outside_the_grids(tmp_path):
 
 
 def test_parallel_run_matches_serial(tmp_path):
-    # two interactions, so the two workers each run one per-U task
-    serial = mini_config(str(tmp_path / "a")).override(u_values=(0.05, 0.2))
+    # two interactions, so the two workers each run one per-U task; the
+    # shared t = 0 inputs make reconstruct tasks that write two documents
+    serial = mini_config(str(tmp_path / "a")).override(u_values=(0.05, 0.2),
+                                                       times=(0.0, 1.0))
     parallel = serial.override(out_dir=str(tmp_path / "b"), workers=2)
     for config in (serial, parallel):
         harness.cmd_quench(config)

@@ -27,6 +27,7 @@ from fermiscope.validate import random_frame, random_valid_tensor
 from conftest import paired_state
 from oracles import (
     apply_ladder,
+    enumerate_states_loop,
     expectation_chain,
     hamming_distance,
     occupation_phase,
@@ -105,6 +106,21 @@ def test_indices_of_rejects_non_members():
     for bits in (0b1111, 0b1010, 0b111, -1):
         with pytest.raises(DomainError):
             basis.index_of(bits)
+
+
+def test_enumeration_matches_the_combinations_loop():
+    # every (M <= 12, N, 2*Sz), wrong parities and out-of-range values included
+    cases = 0
+    for m in range(13):
+        for n in [None, *range(m + 1)]:
+            spins = [None] if n is None or m % 2 else [None, *range(-m - 2, m + 3)]
+            for sz_twice in spins:
+                got = fock._enumerate_states(m, n, sz_twice)
+                want = enumerate_states_loop(m, n, sz_twice)
+                assert got.dtype == want.dtype == np.int64
+                assert np.array_equal(got, want), (m, n, sz_twice)
+                cases += got.size == 0
+    assert cases > 0  # empty sectors were among them
 
 
 def test_basis_tables_are_shared_and_read_only():

@@ -30,12 +30,19 @@ from fermiscope.model import (
     plane_wave_state,
     prepare_position_quench,
     select_initial_state,
+    spin_spread,
     spin_squared,
     sz_twice_diagonal,
 )
 
 from conftest import mini_config
-from oracles import evolve_krylov_full, quadratic_operator_loop, same_bits
+from oracles import (
+    commutator_norm_with_spin,
+    evolve_krylov_full,
+    hamiltonian_sparse_sum,
+    quadratic_operator_loop,
+    same_bits,
+)
 
 
 def test_momentum_grid_folds_into_first_zone():
@@ -207,9 +214,10 @@ def reconstructed_run(tmp_path_factory):
 
 @pytest.mark.parametrize("argv, unwanted", [
     ((), ("scipy.sparse", "scipy.linalg", "scipy.special")),
+    (("quench",), ("scipy.sparse", "scipy.linalg", "scipy.special")),
     (("figures", "all"), ("scipy.sparse", "scipy.linalg")),
     (("measure",), ("scipy.sparse", "scipy.linalg")),
-], ids=["import-cli", "figures", "measure"])
+], ids=["import-cli", "quench-dense", "figures", "measure"])
 def test_stage_loads_only_the_scipy_it_calls(argv, unwanted, request):
     # each stage runs in a fresh interpreter, so an unused import is start-up time
     code = "\n".join([
@@ -314,6 +322,46 @@ def test_spin_squared_on_a_fixed_sz_basis_is_a_block_of_fixed_n():
     idx = fixed_n.indices_of(fixed_sz.states)
     want = spin_squared(fixed_n).toarray()[np.ix_(idx, idx)]
     assert np.array_equal(spin_squared(fixed_sz).toarray(), want)
+
+
+def _same_csr(got, want) -> bool:
+    return all(getattr(got, a).dtype == getattr(want, a).dtype
+               and same_bits(getattr(got, a), getattr(want, a))
+               for a in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("sites", [3, 4, 5, 6])
+@pytest.mark.parametrize("hop, hop2, u", [(1.0, 0.125, 0.3), (-0.7, 0.3, 0.0),
+                                          (0.0, 0.0, 0.7)],
+                         ids=["next-nearest", "negative-hops", "no-bonds"])
+def test_hamiltonian_table_matches_the_sparse_sum_oracle(sites, hop, hop2, u):
+    # 3 and 4 sites double the wrap-around next-nearest bonds
+    params = HubbardParams(sites, hop, hop2, u)
+    for particles in range(2 * sites + 1):
+        ham = build_hamiltonian(params, particles)
+        want = hamiltonian_sparse_sum(params, ham.basis)
+        assert _same_csr(ham.matrix, want)
+        assert same_bits(ham.dense(), want.toarray())
+        if particles != sites - 1:
+            continue
+        # the Chebyshev route's fixed-(N, 2*Sz) blocks, at the quench's filling
+        for sz_twice in np.unique(sz_twice_diagonal(ham.basis)):
+            _, block = ham.block(int(sz_twice))
+            basis = FockBasis(2 * sites, particles, int(sz_twice))
+            assert _same_csr(block, hamiltonian_sparse_sum(params, basis))
+
+
+@pytest.mark.parametrize("sites", [4, 5])
+def test_spin_spread_matches_the_s2_oracle(sites):
+    seen = set()
+    for particles in range(1, 2 * sites):
+        basis = FockBasis(2 * sites, particles)
+        s2 = spin_squared(basis)
+        spreads = [spin_spread(basis, int(bits)) for bits in basis.states]
+        assert spreads == [commutator_norm_with_spin(s2, basis, int(bits))
+                           for bits in basis.states]
+        seen.update(spreads)
+    assert 0.0 in seen and len(seen) > 2  # patterns kept and rejected alike
 
 
 def test_hop_matrix_matches_the_loop_oracle():
