@@ -5,8 +5,10 @@ lambda_i; everything downstream (spectral errors, gap ratios) works on
 those levels.  Gap ratios r_i = min(d_i, d_{i+1}) / max(d_i, d_{i+1}) of
 consecutive spacings distinguish uncorrelated spectra (<r> = 2 ln 2 - 1)
 from level-repelling ones (<r> ~ 0.60 for the unitary ensemble) without
-any unfolding.  Reference values come from :func:`reference_distribution`
-rather than being hard-coded.
+any unfolding.  :func:`gap_statistics` pools a whole set of sectors in one
+pass over their concatenated levels, and :func:`reference_distribution`
+forms its ratios with the same segmented kernel; reference values come
+from it rather than being hard-coded.
 
 Sector resolution diagonalizes particle number, S^z and total S^2 on the
 subsystem once per mode count; spectra are then collected per (n, m, s)
@@ -247,25 +249,12 @@ class GapStatistics:
     sectors_used: int
 
 
-def _filter_degenerate(levels: np.ndarray):
-    """Collapse levels within DEGENERACY_TOL; returns (filtered, dropped count)."""
-    if levels.size == 0:
-        return levels, 0
-    kept = [float(levels[0])]
-    dropped = 0
-    for x in levels[1:]:
-        if x - kept[-1] < DEGENERACY_TOL:
-            dropped += 1
-        else:
-            kept.append(float(x))
-    return np.array(kept), dropped
-
-
-def _ratios_from_levels(levels: np.ndarray) -> np.ndarray:
+def _segment_ratios(levels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Gap ratios inside each segment of ``sizes`` levels, in segment order."""
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    inside = segment[2:] == segment[:-2]
     gaps = np.diff(levels)
-    if gaps.size < 2:
-        return np.empty(0)
-    lead, lag = gaps[1:], gaps[:-1]
+    lead, lag = gaps[1:][inside], gaps[:-1][inside]
     return np.minimum(lead, lag) / np.maximum(lead, lag)
 
 
@@ -325,31 +314,46 @@ def _check_bootstrap(bootstrap: int):
 
 
 def gap_statistics(
-    spectra,
+    levels,
     bins: int = HISTOGRAM_BINS,
     bootstrap: int = BOOTSTRAP_RESAMPLES,
     seed: int = 0,
 ) -> GapStatistics:
-    """Pool gap ratios over sector spectra.
+    """Pool gap ratios over sectors, given as one 1-D level array per sector.
 
-    Degenerate levels are collapsed before spacings are formed (keeping
-    them floods the pool with r = 0 artifacts of exact symmetry, not
-    dynamics); the number removed is reported on the result.  Sectors
-    contribute only with at least three surviving levels.
+    One pass over the concatenated levels, which must be finite and, inside
+    each sector, ascending (to 1e-12).  Degenerate levels are collapsed
+    before spacings are formed (keeping them floods the pool with r = 0
+    artifacts of exact symmetry, not dynamics), each against the last level
+    kept; the number removed is reported on the result.  Sectors contribute
+    only with at least three surviving levels.
     """
     _check_bootstrap(bootstrap)
-    pool = []
-    dropped = 0
-    used = 0
-    for spec in spectra:
-        levels, d = _filter_degenerate(np.asarray(spec.levels, float))
-        dropped += d
-        if levels.size < 3:
-            continue
-        pool.append(_ratios_from_levels(levels))
-        used += 1
-    ratios = np.concatenate(pool) if pool else np.empty(0)
-    return _pooled_statistics(ratios, bins, bootstrap, seed, dropped, used)
+    sizes = np.array([len(x) for x in levels], dtype=np.intp)
+    flat = np.concatenate(levels, dtype=float) if sizes.size else np.empty(0)
+    if flat.shape != (sizes.sum(),):
+        raise DomainError("each sector's levels must be one 1-D array")
+    if not np.all(np.isfinite(flat)):
+        raise DomainError("spectrum levels must be finite")
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    gaps = np.diff(flat)
+    inside = segment[1:] == segment[:-1]
+    if np.any(gaps[inside] < -1e-12):
+        raise DomainError("spectrum levels must be ascending")
+    keep = np.ones(flat.size, dtype=bool)
+    starts = np.cumsum(sizes) - sizes
+    # a sector without a gap below the tolerance keeps every level
+    for s in set(segment[1:][inside & (gaps < DEGENERACY_TOL)].tolist()):
+        last = flat[starts[s]]
+        for i in range(starts[s] + 1, starts[s] + sizes[s]):
+            if flat[i] - last < DEGENERACY_TOL:
+                keep[i] = False
+            else:
+                last = flat[i]
+    kept = np.bincount(segment[keep], minlength=sizes.size)
+    return _pooled_statistics(_segment_ratios(flat[keep], kept), bins, bootstrap,
+                              seed, int(flat.size - kept.sum()),
+                              int(np.count_nonzero(kept >= 3)))
 
 
 def reference_distribution(
@@ -375,9 +379,8 @@ def reference_distribution(
     _check_bootstrap(bootstrap)
     rng = np.random.default_rng(seed)
     if kind == "poisson":
-        spacings = rng.exponential(size=samples + 1)
-        levels = np.cumsum(spacings)
-        ratios = _ratios_from_levels(levels)
+        levels = np.cumsum(rng.exponential(size=samples + 1))
+        ratios = _segment_ratios(levels, np.array([levels.size]))
     elif kind == "gue":
         if matrix_dim < 100:
             raise DomainError("GUE sampling needs matrix_dim >= 100")
@@ -385,17 +388,15 @@ def reference_distribution(
             raise CapacityError(f"GUE matrix_dim {matrix_dim} exceeds the "
                                 f"{MAX_GUE_DIM} capacity guard")
         lo, hi = matrix_dim // 3, 2 * matrix_dim // 3
-        chunks = []
-        total = 0
-        while total < samples:
+        bulk = []
+        # each draw gives hi - lo - 2 ratios; draw until samples are covered
+        for _ in range(-(-samples // (hi - lo - 2))):
             a = rng.normal(size=(matrix_dim, matrix_dim))
             b = rng.normal(size=(matrix_dim, matrix_dim))
             h = a + 1j * b
-            vals = np.linalg.eigvalsh(0.5 * (h + h.conj().T))
-            r = _ratios_from_levels(vals[lo:hi])
-            chunks.append(r)
-            total += r.size
-        ratios = np.concatenate(chunks)[:samples]
+            bulk.append(np.linalg.eigvalsh(0.5 * (h + h.conj().T))[lo:hi])
+        ratios = _segment_ratios(np.concatenate(bulk),
+                                 np.full(len(bulk), hi - lo))[:samples]
     else:
         raise DomainError(f"unknown reference ensemble {kind!r}")
     return _pooled_statistics(ratios, bins, bootstrap, seed + 1,

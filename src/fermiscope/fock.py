@@ -372,7 +372,7 @@ def _trace_layout(mode_count, sector, sz_twice, keep_modes):
     sub_bits = states & ((1 << keep_modes) - 1)
     count = np.bitwise_count(sub_bits.astype(np.uint64)) * (sector is not None)
     layout = []
-    for rows in (np.flatnonzero(count == n) for n in np.unique(count)):
+    for rows in (np.flatnonzero(count == n) for n in np.flatnonzero(np.bincount(count))):
         env_rank = np.unique(states[rows] >> keep_modes, return_inverse=True)[1]
         idx, col = np.unique(sub_bits[rows], return_inverse=True)
         gather = np.full((env_rank.max() + 1, idx.size), states.size)

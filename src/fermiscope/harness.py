@@ -15,7 +15,6 @@ import itertools
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .correlations import (
 from .entanglement import (
     DEFAULT_ERROR_INDICES,
     RANK_CUTOFF,
-    EntanglementSpectrum,
     StatisticsUnavailableError,
     eigenvalue_spectrum,
     entanglement_spectrum,
@@ -103,6 +101,7 @@ def initial_specs(config: RunConfig):
 def _run_tasks(fn, tasks, workers: int):
     if workers <= 1:
         return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
@@ -480,10 +479,9 @@ def _fig2_rows(config: RunConfig, iu: int, cells: list, it_star: int):
 def _cell_statistics(config: RunConfig, docs: list, iu: int, it: int,
                      kind: str):
     """Gap statistics of one cell's sector spectra, pooled over members."""
-    spectra = [EntanglementSpectrum(levels=np.array(sec["levels"], dtype=float))
-               for doc in docs for sec in doc[f"spectrum_{kind}"]]
+    levels = [sec["levels"] for doc in docs for sec in doc[f"spectrum_{kind}"]]
     try:
-        return gap_statistics(spectra,
+        return gap_statistics(levels,
                               seed=stat_seed(config, "gaps", kind, iu, it))
     except StatisticsUnavailableError:
         return None

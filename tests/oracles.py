@@ -28,7 +28,14 @@ from fermiscope.correlations import (
     measure_two_point,
 )
 from fermiscope.entanglement import (
+    BOOTSTRAP_RESAMPLES,
     DEFAULT_ERROR_INDICES,
+    DEGENERACY_TOL,
+    HISTOGRAM_BINS,
+    EntanglementSpectrum,
+    GapStatistics,
+    _check_bootstrap,
+    _pooled_statistics,
     entanglement_spectrum,
     non_gaussianity,
     sector_spectra,
@@ -693,3 +700,50 @@ def recon_fields_rediagonalized(c2, c4, rho_exact: DensityMatrix) -> dict:
         "spectrum_exact": sectors(rho_exact),
         "spectrum_recon": sectors(recon.projected),
     }
+
+
+def _filter_degenerate(levels: np.ndarray):
+    """Collapse levels within DEGENERACY_TOL; returns (filtered, dropped count)."""
+    if levels.size == 0:
+        return levels, 0
+    kept = [float(levels[0])]
+    dropped = 0
+    for x in levels[1:]:
+        if x - kept[-1] < DEGENERACY_TOL:
+            dropped += 1
+        else:
+            kept.append(float(x))
+    return np.array(kept), dropped
+
+
+def _ratios_from_levels(levels: np.ndarray) -> np.ndarray:
+    gaps = np.diff(levels)
+    if gaps.size < 2:
+        return np.empty(0)
+    lead, lag = gaps[1:], gaps[:-1]
+    return np.minimum(lead, lag) / np.maximum(lead, lag)
+
+
+def gap_statistics_loop(levels, bins: int = HISTOGRAM_BINS,
+                        bootstrap: int = BOOTSTRAP_RESAMPLES,
+                        seed: int = 0) -> GapStatistics:
+    """``entanglement.gap_statistics`` one sector at a time.
+
+    Each sector's levels are checked by ``EntanglementSpectrum``, collapsed
+    level by level against the last one kept, and turned into ratios on
+    their own; the per-sector ratio arrays are then concatenated.
+    """
+    _check_bootstrap(bootstrap)
+    pool = []
+    dropped = 0
+    used = 0
+    for sector in levels:
+        spec = EntanglementSpectrum(levels=np.array(sector, dtype=float))
+        kept, d = _filter_degenerate(spec.levels)
+        dropped += d
+        if kept.size < 3:
+            continue
+        pool.append(_ratios_from_levels(kept))
+        used += 1
+    ratios = np.concatenate(pool) if pool else np.empty(0)
+    return _pooled_statistics(ratios, bins, bootstrap, seed, dropped, used)

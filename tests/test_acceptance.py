@@ -215,8 +215,8 @@ def _crossover_series(params, specs, u, times, keep, method="auto"):
             c4 = measure_four_point_connected(rho, c2)
             rec = _quiet_reconstruct(c2, c4)
             pools_recon[i].extend(sector_spectra(rec.projected))
-    exact = [gap_statistics(p, seed=3) for p in pools_exact]
-    recon = [gap_statistics(p, seed=3) for p in pools_recon]
+    exact = [gap_statistics([s.levels for s in p], seed=3) for p in pools_exact]
+    recon = [gap_statistics([s.levels for s in p], seed=3) for p in pools_recon]
     return exact, recon
 
 
@@ -235,7 +235,7 @@ def _windows_mean_r(params, specs, u, windows, keep):
             for pool, window in zip(pools, windows):
                 if t in window:
                     pool.extend(sector_spectra(partial_trace(psi, keep)))
-    return [gap_statistics(pool, seed=3) for pool in pools]
+    return [gap_statistics([s.levels for s in pool], seed=3) for pool in pools]
 
 
 def test_c04_level_statistics_crossover():
@@ -318,9 +318,9 @@ def test_c06_gaussian_states_show_no_repulsion():
         weights = gaussian_state(frame).weights
         rho = DensityMatrix(FockBasis(6), np.diag(weights).astype(complex))
         spectrum = entanglement_spectrum(rho)
-        per_draw.append(gap_statistics([spectrum], bootstrap=50).mean_r)
+        per_draw.append(gap_statistics([spectrum.levels], bootstrap=50).mean_r)
         pool.append(spectrum)
-    stats = gap_statistics(pool, seed=0)
+    stats = gap_statistics([s.levels for s in pool], seed=0)
     elapsed = time.perf_counter() - start
     ok = stats.mean_r <= 0.45 and elapsed < 120
     _report("C06", ok,

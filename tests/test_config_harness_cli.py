@@ -24,7 +24,7 @@ from fermiscope.model import HubbardParams
 from fermiscope.serialize import load_json, sha256_of_file
 
 from conftest import mini_config
-from oracles import recon_fields_rediagonalized, same_bits
+from oracles import gap_statistics_loop, recon_fields_rediagonalized, same_bits
 
 
 def test_default_config_shape():
@@ -509,6 +509,14 @@ def test_figures_all_reads_and_computes_each_cell_once(tmp_path,
     cells = [harness.stat_seed(config, "gaps", kind, 0, it)
              for kind in ("exact", "recon") for it in range(2)]
     assert gap_seeds == Counter(cells)
+
+    # the per-spectrum oracle gives the same bytes in every file, fig3_hist,
+    # fig3_spectra and fig2_theta included
+    shutil.rmtree(fdir)
+    monkeypatch.setattr(harness, "gap_statistics", gap_statistics_loop)
+    harness.cmd_figures(config, "all")
+    assert {name: sha256_of_file(str(fdir / name))
+            for name in os.listdir(fdir)} == singles
 
 
 def test_cli_parses_and_runs(tmp_path, capsys):

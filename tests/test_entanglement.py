@@ -5,6 +5,7 @@ import pytest
 
 from fermiscope import entanglement
 from fermiscope.entanglement import (
+    DEGENERACY_TOL,
     MAX_BOOTSTRAP,
     MAX_GUE_DIM,
     MAX_REFERENCE_SAMPLES,
@@ -37,6 +38,7 @@ from fermiscope.reconstruct import gaussian_state, mode_rotation_unitary
 from fermiscope.validate import random_frame, random_mixed_state
 
 from conftest import paired_state, pure_density
+from oracles import gap_statistics_loop, same_bits
 
 
 def test_spectrum_of_pure_and_mixed_states():
@@ -131,16 +133,16 @@ def test_spectral_error_reports_missing_levels():
 
 def test_gap_ratio_frozen_examples():
     lone = EntanglementSpectrum(levels=np.array([0.0, 1.0, 3.0]))
-    stats = gap_statistics([lone], bootstrap=10)
+    stats = gap_statistics([lone.levels], bootstrap=10)
     assert stats.ratios.tolist() == [0.5]
     ladder = EntanglementSpectrum(levels=np.arange(5.0))
-    stats = gap_statistics([ladder], bootstrap=10)
+    stats = gap_statistics([ladder.levels], bootstrap=10)
     assert np.allclose(stats.ratios, 1.0)
 
 
 def test_gap_statistics_collapse_degeneracies():
     spec = EntanglementSpectrum(levels=np.array([0.0, 1e-13, 1.0, 2.0]))
-    stats = gap_statistics([spec], bootstrap=10)
+    stats = gap_statistics([spec.levels], bootstrap=10)
     assert stats.dropped_degenerate == 1
     assert stats.ratios.tolist() == [1.0]
 
@@ -148,18 +150,84 @@ def test_gap_statistics_collapse_degeneracies():
 def test_gap_statistics_need_three_levels():
     short = EntanglementSpectrum(levels=np.array([0.0, 1.0]))
     with pytest.raises(StatisticsUnavailableError):
-        gap_statistics([short])
+        gap_statistics([short.levels])
     mixed = [short, EntanglementSpectrum(levels=np.array([0.0, 1.0, 3.0]))]
-    stats = gap_statistics(mixed, bootstrap=10)
+    stats = gap_statistics([s.levels for s in mixed], bootstrap=10)
     assert stats.sectors_used == 1
+
+
+def _oracle_pool(rng):
+    """Random sectors with degenerate chains, duplicates and short sectors."""
+    tol = DEGENERACY_TOL
+    pool = []
+    for _ in range(rng.integers(0, 12)):
+        levels = np.cumsum(rng.exponential(1.0, rng.choice([0, 1, 2, 3, 4, 7])))
+        for _ in range(rng.integers(0, 3) if levels.size else 0):
+            k = rng.integers(levels.size)
+            extra = rng.choice(3)
+            if extra == 0:  # a chain the sequential rule cuts in two
+                add = levels[k] + np.array([0.6, 1.2]) * tol
+            elif extra == 1:  # an exact duplicate
+                add = levels[k:k + 1]
+            else:  # a descent inside the ascending slack
+                add = levels[k:k + 1] - 5e-13
+            levels = np.insert(levels, k + 1, add)
+        pool.append(levels.tolist() if rng.random() < 0.5 else levels)
+    return pool
+
+
+def _outcome(fn, pool, **kwargs):
+    try:
+        return fn(pool, **kwargs)
+    except (DomainError, StatisticsUnavailableError) as exc:
+        return type(exc)
+
+
+def test_gap_statistics_matches_the_loop_oracle():
+    tol = DEGENERACY_TOL
+    rng = np.random.default_rng(27)
+    short = [[], [0.5], [0.0, 1.0], [2.0, 2.0, 2.0 + 0.5 * tol]]
+    fixed = [
+        [[0.0, 0.6 * tol, 1.2 * tol, 2.0, 3.5]],
+        [[1.0, 1.0, 1.0, 2.0, 4.0, 4.0, 7.0], [0.0, 3.0, 4.0]],
+        [], short, [short[2], [0.0, 1.0, 3.0], short[1]],
+        [[0.0, 1.0, 3.0], [0.0, 2.0, 1.0]],       # descending
+        [[0.0, 1.0, 3.0], [0.0, np.nan, 1.0]],    # non-finite
+        [[0.0, 1.0, np.inf]], [[-np.inf, 0.0, 1.0]],
+    ]
+    outcomes = {}
+    for k, pool in enumerate(fixed + [_oracle_pool(rng) for _ in range(300)]):
+        kwargs = {"bootstrap": 20, "bins": 1 + k % 7, "seed": k}
+        got = _outcome(gap_statistics, pool, **kwargs)
+        want = _outcome(gap_statistics_loop, pool, **kwargs)
+        outcomes[k] = got if isinstance(got, type) else "stats"
+        if isinstance(want, type):
+            assert got is want, pool
+            continue
+        assert same_bits(got.ratios, want.ratios), pool
+        assert same_bits(got.bin_centers, want.bin_centers)
+        assert same_bits(got.density, want.density)
+        assert same_bits([got.mean_r, got.ci_low, got.ci_high],
+                         [want.mean_r, want.ci_low, want.ci_high])
+        assert got.dropped_degenerate == want.dropped_degenerate
+        assert got.sectors_used == want.sectors_used
+    # the chain 0, 0.6 tol, 1.2 tol keeps its ends; duplicates go
+    assert gap_statistics(fixed[0], bootstrap=1).dropped_degenerate == 1
+    assert gap_statistics(fixed[1], bootstrap=1).dropped_degenerate == 3
+    assert [outcomes[k] for k in range(2, len(fixed))] == [
+        StatisticsUnavailableError, StatisticsUnavailableError, "stats",
+        DomainError, DomainError, DomainError, DomainError]
+    assert list(outcomes.values()).count("stats") > 200
+    with pytest.raises(DomainError, match="1-D"):
+        gap_statistics([np.zeros((2, 3)), np.ones((1, 3))])
 
 
 def test_gap_statistics_reject_empty_bootstrap_and_histogram():
     spec = EntanglementSpectrum(levels=np.array([0.0, 1.0, 3.0]))
     for kwargs in ({"bootstrap": 0}, {"bootstrap": -5}, {"bins": 0}):
         with pytest.raises(DomainError):
-            gap_statistics([spec], **kwargs)
-    assert gap_statistics([spec], bootstrap=1, bins=1).ratios.size == 1
+            gap_statistics([spec.levels], **kwargs)
+    assert gap_statistics([spec.levels], bootstrap=1, bins=1).ratios.size == 1
 
 
 def test_reference_distributions_quick():
@@ -219,7 +287,7 @@ def test_bootstrap_and_sample_capacity_guards():
     spec = EntanglementSpectrum(levels=np.array([0.0, 1.0, 3.0]))
     for bootstrap in (MAX_BOOTSTRAP + 1, 10**15):
         with pytest.raises(CapacityError, match="bootstrap"):
-            gap_statistics([spec], bootstrap=bootstrap)
+            gap_statistics([spec.levels], bootstrap=bootstrap)
         for kind in ("poisson", "gue"):
             with pytest.raises(CapacityError, match="bootstrap"):
                 reference_distribution(kind, samples=2000, bootstrap=bootstrap)

@@ -212,14 +212,19 @@ def reconstructed_run(tmp_path_factory):
     return path
 
 
+POOL = ("concurrent.futures.process", "multiprocessing")
+
+
 @pytest.mark.parametrize("argv, unwanted", [
-    ((), ("scipy.sparse", "scipy.linalg", "scipy.special")),
-    (("quench",), ("scipy.sparse", "scipy.linalg", "scipy.special")),
-    (("figures", "all"), ("scipy.sparse", "scipy.linalg")),
-    (("measure",), ("scipy.sparse", "scipy.linalg")),
+    ((), ("scipy.sparse", "scipy.linalg", "scipy.special", *POOL)),
+    (("quench",), ("scipy.sparse", "scipy.linalg", "scipy.special", "numpy.ma",
+                   *POOL)),
+    (("figures", "all"), ("scipy.sparse", "scipy.linalg", *POOL)),
+    (("measure",), ("scipy.sparse", "scipy.linalg", *POOL)),
 ], ids=["import-cli", "quench-dense", "figures", "measure"])
 def test_stage_loads_only_the_scipy_it_calls(argv, unwanted, request):
-    # each stage runs in a fresh interpreter, so an unused import is start-up time
+    # each stage runs in a fresh interpreter, so an unused import is start-up
+    # time; at --workers 0 no stage needs the process pool
     code = "\n".join([
         "import sys",
         "import fermiscope.cli as cli",
