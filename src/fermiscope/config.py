@@ -29,8 +29,6 @@ class RunConfig:
     master_seed: int
     subsystem_sites: int = 2
     target_particles: int | None = None
-    initial_kind: str = "momentum"
-    t_free: float | None = None
     times: tuple[float, ...] = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
     u_values: tuple[float, ...] = (
         1e-3, 1.93e-3, 3.73e-3, 7.2e-3, 1.39e-2, 2.68e-2, 5.18e-2, 1e-1,
@@ -76,13 +74,6 @@ class RunConfig:
                 ConfigWarning,
                 stacklevel=2,
             )
-        if self.initial_kind not in ("momentum", "position"):
-            raise DomainError(f"unknown initial state kind {self.initial_kind!r}")
-        if self.t_free is not None and not is_finite_real(self.t_free):
-            raise DomainError(f"t_free must be null or a finite real number, "
-                              f"not {self.t_free!r}")
-        if self.initial_kind == "position" and self.t_free is None:
-            raise DomainError("position initial states need t_free")
         if self.workers < 0:
             raise DomainError("workers must be >= 0")
         if self.shots_per_basis < 1:

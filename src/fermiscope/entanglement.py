@@ -26,7 +26,7 @@ import numpy as np
 
 from .correlations import diagonalize_two_point, measure_two_point
 from .fock import CapacityError, DensityMatrix, DomainError, FockBasis
-from .model import number_diagonal, spin_squared, sz_twice_diagonal
+from .model import number_diagonal, spin_squared_block, sz_twice_diagonal
 from .reconstruct import gaussian_state, mode_rotation_unitary
 
 RANK_CUTOFF = 1e-12
@@ -171,28 +171,19 @@ def _sector_basis(mode_count: int):
     Returns a tuple of (label, basis-index array, eigenvector block); the
     eigenvector columns are expressed on the index array, not the full
     space.  N and S^z are diagonal in the Fock basis, so the work is one
-    Hermitian diagonalization of S^2 per (n, m) block.
+    Hermitian diagonalization of S^2 per (n, m) block, built on that block.
     """
     if mode_count % 2:
         raise DomainError("sector resolution needs an even mode count")
     basis = FockBasis(mode_count)
     n_diag = number_diagonal(basis)
     sz2 = sz_twice_diagonal(basis)
-    s2 = spin_squared(basis).tocoo()
-
-    # S^2 commutes with both diagonals iff it never couples different
-    # (n, 2m) pairs; anything else is an operator-assembly bug.
-    rows, cols = s2.row, s2.col
-    if np.any(n_diag[rows] != n_diag[cols]) or np.any(sz2[rows] != sz2[cols]):
-        raise DomainError("S^2 couples distinct (N, S^z) sectors")
-    s2 = s2.tocsr()
 
     sectors = []
     keys = sorted(set(zip(n_diag.tolist(), sz2.tolist())))
     for n, m2 in keys:
-        idx = np.nonzero((n_diag == n) & (sz2 == m2))[0]
-        block = s2[np.ix_(idx, idx)].toarray()
-        vals, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
+        idx = np.nonzero((n_diag == n) & (sz2 == m2))[0]  # ascending, as the block's states
+        vals, vecs = np.linalg.eigh(spin_squared_block(FockBasis(mode_count, n, m2)))
         spins = [_casimir_to_spin(v) for v in vals]
         for s in sorted(set(spins)):
             cols_s = [c for c, sp in enumerate(spins) if sp == s]

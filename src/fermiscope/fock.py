@@ -386,11 +386,3 @@ def sector_dimension(mode_count: int, sector: int | None) -> int:
         return 1 << mode_count
     return math.comb(mode_count, sector)
 
-
-def max_reduced_rank(mode_count: int, particles: int, keep_modes: int) -> int:
-    """Largest possible rank of the reduced state of a fixed-N pure state."""
-    env = mode_count - keep_modes
-    total = 0
-    for na in range(max(0, particles - env), min(keep_modes, particles) + 1):
-        total += min(math.comb(keep_modes, na), math.comb(env, particles - na))
-    return total

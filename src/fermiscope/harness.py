@@ -42,13 +42,7 @@ from .entanglement import (
 from .fock import CapacityError, DensityMatrix, DomainError, FockBasis
 from .fock import partial_trace, sector_dimension
 from .measure import estimate_correlations, plan_bases, run_plan, save_shot_records
-from .model import (
-    build_hamiltonian,
-    evolve,
-    initial_state,
-    prepare_position_quench,
-    select_initial_state,
-)
+from .model import build_hamiltonian, evolve, initial_state, select_initial_state
 from .reconstruct import AnsatzValidityWarning, reconstruct_state
 
 CAPACITY_LIMIT = 1 << 22
@@ -86,16 +80,8 @@ def stat_seed(config: RunConfig, *tags) -> int:
 
 
 def initial_specs(config: RunConfig):
-    return [
-        select_initial_state(
-            config.model,
-            config.particles,
-            seed,
-            kind=config.initial_kind,
-            t_free=config.t_free,
-        )
-        for seed in member_seeds(config)
-    ]
+    return [select_initial_state(config.model, config.particles, seed)
+            for seed in member_seeds(config)]
 
 
 def _run_tasks(fn, tasks, workers: int):
@@ -126,11 +112,7 @@ def _quench_task(task):
 def _member_snapshots(config, out_dir, iu, member, spec, ham):
     """All snapshots of one (interaction, member) pair, as one trajectory."""
     u = config.u_values[iu]
-    if spec.kind == "position":
-        psi = prepare_position_quench(config.model, spec,
-                                      config.subsystem_sites)
-    else:
-        psi = initial_state(config.model, spec)
+    psi = initial_state(config.model, spec)
     keep = config.subsystem_modes
     snapshots, provenance = [], []
     t_prev = 0.0
@@ -146,7 +128,7 @@ def _member_snapshots(config, out_dir, iu, member, spec, ham):
             "t": float(t),
             "member": member,
             "seed": spec.seed,
-            "kind": spec.kind,
+            "kind": "momentum",  # every quench; recon headers copy this provenance
             "occupation": str(spec.occupation),
             "max_abs_c4": float(c4.max_abs()),
         })
@@ -226,10 +208,9 @@ def cmd_quench(config: RunConfig) -> str:
             {
                 "member": m,
                 "seed": s.seed,
-                "kind": s.kind,
+                "kind": "momentum",
                 "occupation": str(s.occupation),
                 "trials": s.trials,
-                "t_free": s.t_free,
             }
             for m, s in enumerate(specs)
         ],

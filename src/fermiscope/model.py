@@ -14,8 +14,8 @@ eps_k = 2 [J cos k + J' cos 2k] on the momentum grid 2*pi*m/L folded into
 (-pi, pi].
 
 H is stored as one hop table, which the dense route sums into a matrix;
-``scipy.sparse`` is imported only for the Chebyshev route's CSR and for
-the sector basis's S^2, so the dense-route quench never loads it.
+``scipy.sparse`` is imported only for the Chebyshev route's CSR, so the
+dense-route quench never loads it.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .fock import (
     StateVector,
     _chain_table,
     _frozen,
-    max_reduced_rank,
-    partial_trace,
 )
 
 DENSE_LIMIT = 4096
@@ -51,10 +49,6 @@ class EvolutionError(Exception):
 
 class SearchExhaustedError(Exception):
     """No admissible initial state found within the trial budget."""
-
-
-class RankDeficientError(Exception):
-    """Pre-quench evolution did not fill the reduced state's rank."""
 
 
 def is_finite_real(value) -> bool:
@@ -114,18 +108,6 @@ def hopping_bonds(params: HubbardParams):
         bonds.append(((l + 1) % params.sites, l, params.hop))
         bonds.append(((l + 2) % params.sites, l, params.hop2))
     return bonds
-
-
-def hop_matrix(basis: FockBasis, i: int, j: int):
-    """Sparse c†_i c_j from ``basis`` into the basis it lands in (i != j)."""
-    if i == j:
-        raise DomainError("use diagonal occupations for i == j")
-    import scipy.sparse
-
-    target, cols, rows, signs = _chain_table(
-        basis.mode_count, basis.sector, basis.sz_twice, ((i, "create"), (j, "annihilate")))
-    return scipy.sparse.coo_matrix(
-        (signs.astype(np.complex128), (rows, cols)), shape=(target.dim, basis.dim))
 
 
 class Hamiltonian:
@@ -209,37 +191,40 @@ def number_diagonal(basis: FockBasis) -> np.ndarray:
     return np.bitwise_count(basis.states.astype(np.uint64)).astype(np.int64)
 
 
-def spin_raising(basis: FockBasis):
-    """Sparse S+ = sum_l c†_{l,up} c_{l,down}; lands in 2*Sz + 2 on a fixed-Sz basis."""
-    return sum(hop_matrix(basis, mode_index(l, 0), mode_index(l, 1))
-               for l in range(basis.mode_count // 2)).tocsr()
+def _raising_tables(basis: FockBasis):
+    """The ladder table of c†_{l,up} c_{l,down} on ``basis`` for every site l; S+ is their sum."""
+    return [_chain_table(basis.mode_count, basis.sector, basis.sz_twice,
+                         ((mode_index(l, 0), "create"), (mode_index(l, 1), "annihilate")))
+            for l in range(basis.mode_count // 2)]
 
 
-def spin_squared(basis: FockBasis) -> scipy.sparse.csr_matrix:
-    """Total S^2 = S- S+ + Sz (Sz + 1) on the given basis."""
-    import scipy.sparse
+def spin_squared_block(basis: FockBasis) -> np.ndarray:
+    """Dense S^2 = S- S+ + Sz (Sz + 1) on a fixed-(N, 2*Sz) basis, as complex128.
 
-    splus = spin_raising(basis)
-    sz = sz_twice_diagonal(basis) / 2.0
-    return (splus.conj().T @ splus
-            + scipy.sparse.diags(sz * (sz + 1.0))).tocsr()
+    S+ has entries +-1, so every entry is an exact quarter in any sum order.
+    """
+    if basis.sz_twice is None:
+        raise DomainError("S^2 blocks need a fixed 2*Sz basis")
+    tables = _raising_tables(basis)
+    splus = np.zeros((tables[0][0].dim, basis.dim))
+    for _, cols, rows, signs in tables:
+        splus[rows, cols] = signs  # each (row, col) pair comes from one site
+    sz = basis.sz_twice / 2.0
+    return (splus.T @ splus + sz * (sz + 1.0) * np.eye(basis.dim)).astype(np.complex128)
 
 
 @dataclass(frozen=True)
 class InitialStateSpec:
-    """Occupation pattern selected for a quench, plus how to use it.
+    """Occupation pattern selected for a quench.
 
-    ``kind`` is "momentum" (pattern over plane-wave modes, an eigenstate of
-    the non-interacting Hamiltonian) or "position" (pattern over lattice
-    modes, to be pre-evolved for ``t_free`` under the non-interacting
-    Hamiltonian before the interaction switches on).
+    The pattern is over plane-wave modes, so its state is an eigenstate of
+    the non-interacting Hamiltonian; the search seeded by ``seed`` accepted
+    it on trial ``trials``.
     """
 
-    kind: str
     occupation: OccupationBitstring
     seed: int
     trials: int = 1
-    t_free: float | None = None
 
 
 def spin_spread(basis: FockBasis, bits: int) -> float:
@@ -249,9 +234,7 @@ def spin_spread(basis: FockBasis, bits: int) -> float:
     S- phi + Sz (Sz + 1) |n> holds quarters, so both moments are exact in double precision.
     """
     n = basis.index_of(bits)
-    tables = [_chain_table(basis.mode_count, basis.sector, basis.sz_twice,
-                           ((mode_index(l, 0), "create"), (mode_index(l, 1), "annihilate")))
-              for l in range(basis.mode_count // 2)]
+    tables = _raising_tables(basis)
     phi = np.zeros(tables[0][0].dim)
     for _, cols, rows, signs in tables:  # each site moves |n> to its own state
         phi[rows[cols == n]] = signs[cols == n]
@@ -268,8 +251,6 @@ def select_initial_state(
     params: HubbardParams,
     target_n: int,
     seed: int,
-    kind: str = "momentum",
-    t_free: float | None = None,
 ) -> InitialStateSpec:
     """Draw a fixed-N occupation pattern that breaks the S^2 symmetry.
 
@@ -278,8 +259,6 @@ def select_initial_state(
     nonzero, so the reduced state is not forced to be block diagonal in
     the spin sectors from the start.
     """
-    if kind not in ("momentum", "position"):
-        raise DomainError(f"unknown initial-state kind {kind!r}")
     n_modes = params.n_modes
     if not 1 <= target_n < n_modes:
         raise DomainError(f"particle number {target_n} out of range")
@@ -295,11 +274,9 @@ def select_initial_state(
         bits = int(sum(1 << int(p) for p in modes))
         if spin_spread(basis, bits) > MIN_COMMUTATOR:
             return InitialStateSpec(
-                kind=kind,
                 occupation=OccupationBitstring(bits, n_modes),
                 seed=seed,
                 trials=trial,
-                t_free=t_free,
             )
     raise SearchExhaustedError(
         f"no symmetry-breaking pattern in {SEARCH_TRIALS} trials "
@@ -337,13 +314,8 @@ def plane_wave_state(params: HubbardParams, occupation: OccupationBitstring) -> 
 
 
 def initial_state(params: HubbardParams, spec: InitialStateSpec) -> StateVector:
-    """The t = 0 state for a quench, before any free pre-evolution."""
-    if spec.kind == "momentum":
-        return plane_wave_state(params, spec.occupation)
-    basis = FockBasis(params.n_modes, spec.occupation.particle_count)
-    amps = np.zeros(basis.dim, dtype=np.complex128)
-    amps[basis.index_of(spec.occupation)] = 1.0
-    return StateVector(basis, amps)
+    """The t = 0 state for a quench: the plane-wave state of ``spec``."""
+    return plane_wave_state(params, spec.occupation)
 
 
 def _bessel_series(x: float) -> np.ndarray:
@@ -437,51 +409,3 @@ def evolve(
         out[idx] = _chebyshev(block, psi.amplitudes[idx], t)
     return StateVector(psi.basis, out)
 
-
-def effective_rank(eigenvalues: np.ndarray, tol: float = 1e-10) -> int:
-    return int(np.sum(np.asarray(eigenvalues) > tol))
-
-
-def _free_rank_bound(mode_count: int, particles: int, keep: int) -> int:
-    """Attainable reduced rank for an N-particle Slater determinant.
-
-    The kept block of the one-body correlation matrix has at most
-    min(keep, N) nonzero and at most min(keep, M - N) non-unit
-    eigenvalues, so only the remaining interior occupations contribute a
-    factor of two to the rank of the (Gaussian) reduced state.
-    """
-    interior = keep - max(0, keep - particles) - max(0, keep - (mode_count - particles))
-    return min(1 << interior, max_reduced_rank(mode_count, particles, keep))
-
-
-def prepare_position_quench(
-    params: HubbardParams,
-    spec: InitialStateSpec,
-    subsystem_sites: int,
-) -> StateVector:
-    """Free evolution of a position product state until the cut fills up.
-
-    Evolves under the non-interacting Hamiltonian for ``spec.t_free`` and
-    certifies that the reduced state on the leading ``subsystem_sites``
-    sites has reached its maximal possible rank; raises
-    RankDeficientError (suggesting a longer free evolution) otherwise.
-    """
-    if spec.kind != "position":
-        raise DomainError("position quench needs a position-kind spec")
-    if spec.t_free is None:
-        raise DomainError("position quench needs t_free")
-    psi0 = initial_state(params, spec)
-    h_free = build_hamiltonian(
-        params.with_interaction(0.0), spec.occupation.particle_count
-    )
-    psi = evolve(psi0, h_free, spec.t_free)
-    keep = 2 * subsystem_sites
-    rho = partial_trace(psi, keep)
-    rank = effective_rank(np.linalg.eigvalsh(rho.elements))
-    bound = _free_rank_bound(params.n_modes, spec.occupation.particle_count, keep)
-    if rank < bound:
-        raise RankDeficientError(
-            f"reduced rank {rank} < attainable {bound} at t_free = "
-            f"{spec.t_free}; evolve longer before switching on U"
-        )
-    return psi

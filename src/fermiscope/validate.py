@@ -138,8 +138,7 @@ def _check_evolution() -> tuple[float, str]:
 
 def _check_reconstruction() -> tuple[float, str]:
     params = HubbardParams(sites=4, interaction=0.05)
-    spec = InitialStateSpec(kind="momentum",
-                            occupation=_half_filled_minus_one(params), seed=0)
+    spec = InitialStateSpec(occupation=_half_filled_minus_one(params), seed=0)
     psi = initial_state(params, spec)
     ham = build_hamiltonian(params, particles=spec.occupation.particle_count)
     psi = evolve(psi, ham, 5.0)

@@ -34,6 +34,8 @@ from fermiscope.entanglement import (
     HISTOGRAM_BINS,
     EntanglementSpectrum,
     GapStatistics,
+    SectorLabel,
+    _casimir_to_spin,
     _check_bootstrap,
     _pooled_statistics,
     entanglement_spectrum,
@@ -42,7 +44,13 @@ from fermiscope.entanglement import (
     spectral_error,
 )
 from fermiscope.measure import CoverageError, apply_rotation
-from fermiscope.model import HubbardParams, hop_matrix, hopping_bonds, mode_index
+from fermiscope.model import (
+    HubbardParams,
+    hopping_bonds,
+    mode_index,
+    number_diagonal,
+    sz_twice_diagonal,
+)
 from fermiscope.reconstruct import (
     AnsatzValidityWarning,
     _between_mask,
@@ -284,6 +292,16 @@ def enumerate_states_loop(mode_count, sector, sz_twice) -> np.ndarray:
     return np.array(sorted(states), dtype=np.int64)
 
 
+def hop_matrix(basis: FockBasis, i: int, j: int) -> scipy.sparse.coo_matrix:
+    """Sparse c†_i c_j from ``basis`` into the basis it lands in (i != j)."""
+    if i == j:
+        raise DomainError("use diagonal occupations for i == j")
+    target, cols, rows, signs = _chain_table(
+        basis.mode_count, basis.sector, basis.sz_twice, ((i, "create"), (j, "annihilate")))
+    return scipy.sparse.coo_matrix(
+        (signs.astype(np.complex128), (rows, cols)), shape=(target.dim, basis.dim))
+
+
 def hamiltonian_sparse_sum(params: HubbardParams, basis: FockBasis) -> scipy.sparse.csr_matrix:
     """H on ``basis`` as the literal sum of sparse hop terms, conjugates and diagonal."""
     dim = basis.dim
@@ -303,11 +321,50 @@ def hamiltonian_sparse_sum(params: HubbardParams, basis: FockBasis) -> scipy.spa
     return total.tocsr()
 
 
+def spin_raising(basis: FockBasis) -> scipy.sparse.csr_matrix:
+    """Sparse S+ = sum_l c†_{l,up} c_{l,down}; lands in 2*Sz + 2 on a fixed-Sz basis."""
+    return sum(hop_matrix(basis, mode_index(l, 0), mode_index(l, 1))
+               for l in range(basis.mode_count // 2)).tocsr()
+
+
+def spin_squared(basis: FockBasis) -> scipy.sparse.csr_matrix:
+    """Total S^2 = S- S+ + Sz (Sz + 1) on any basis, as a sum of sparse matrices."""
+    splus = spin_raising(basis)
+    sz = sz_twice_diagonal(basis) / 2.0
+    return (splus.conj().T @ splus
+            + scipy.sparse.diags(sz * (sz + 1.0))).tocsr()
+
+
+def sector_basis_sparse(mode_count: int):
+    """``entanglement._sector_basis`` from the sparse S^2 of the whole space.
+
+    Checks that S^2 couples no two (N, 2*Sz) pairs, then diagonalizes the
+    symmetrized dense slice of each (n, m) block.
+    """
+    basis = FockBasis(mode_count)
+    n_diag = number_diagonal(basis)
+    sz2 = sz_twice_diagonal(basis)
+    s2 = spin_squared(basis).tocoo()
+    rows, cols = s2.row, s2.col
+    assert np.all(n_diag[rows] == n_diag[cols]) and np.all(sz2[rows] == sz2[cols])
+    s2 = s2.tocsr()
+    sectors = []
+    for n, m2 in sorted(set(zip(n_diag.tolist(), sz2.tolist()))):
+        idx = np.nonzero((n_diag == n) & (sz2 == m2))[0]
+        block = s2[np.ix_(idx, idx)].toarray()
+        vals, vecs = np.linalg.eigh(0.5 * (block + block.conj().T))
+        spins = [_casimir_to_spin(v) for v in vals]
+        for spin in sorted(set(spins)):
+            cols_s = [c for c, sp in enumerate(spins) if sp == spin]
+            sectors.append((SectorLabel(n=n, m=m2 / 2.0, s=spin), idx, vecs[:, cols_s]))
+    return sectors
+
+
 def commutator_norm_with_spin(s2: scipy.sparse.csr_matrix, basis: FockBasis,
                               bits: int) -> float:
     """Frobenius norm of [|n><n|, S^2] via the variance of S^2.
 
-    ``s2`` is ``model.spin_squared`` of ``basis``, built once by the caller.
+    ``s2`` is :func:`spin_squared` of ``basis``, built once by the caller.
     """
     psi = np.zeros(basis.dim, dtype=np.complex128)
     psi[basis.index_of(bits)] = 1.0

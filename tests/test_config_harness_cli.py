@@ -48,9 +48,12 @@ def test_config_rejects_unknown_keys(tmp_path):
     save_config(path, config)
     good = json.load(open(path))
     # "shots" names nothing; every plan measures C2 and C4, so "measure_order"
-    # has nothing to choose; the rest name settings that are module constants
-    for key in ("shots", "measure_order", "clamp", "warn_threshold", "rank_cutoff",
-                "degeneracy_tol", "histogram_bins", "bootstrap_resamples"):
+    # has nothing to choose; every quench starts from a plane-wave state, so
+    # "initial_kind" and "t_free" have nothing to set; the rest name settings
+    # that are module constants
+    for key in ("shots", "measure_order", "initial_kind", "t_free", "clamp",
+                "warn_threshold", "rank_cutoff", "degeneracy_tol", "histogram_bins",
+                "bootstrap_resamples"):
         json.dump(dict(good, **{key: 5}), open(path, "w"))
         with pytest.raises(DomainError, match=f"unknown config keys: \\['{key}'\\]"):
             load_config(path)
@@ -66,8 +69,6 @@ def test_config_guards(tmp_path):
         mini_config(str(tmp_path)).override(master_seed=-1)
     with pytest.raises(DomainError, match="master_seed"):
         cli._resolve_config(cli.build_parser().parse_args(["quench", "--seed", "-1"]))
-    with pytest.raises(DomainError):
-        mini_config(str(tmp_path)).override(initial_kind="position")
     with pytest.raises(DomainError, match="shots_per_basis"):
         mini_config(str(tmp_path)).override(shots_per_basis=0)
     non_finite = ((0.0, math.nan), (0.0, math.inf), (math.nan,))
@@ -85,13 +86,11 @@ def test_config_guards(tmp_path):
     bad_json = [("ensemble_size", 2.5), ("subsystem_sites", 1.5),
                 ("shots_per_basis", 10.5), ("workers", 1.5),
                 ("master_seed", True), ("times", "abc"), ("times", "123"),
-                ("u_values", [0.05, False]), ("t_free", "x"), ("t_free", True)]
+                ("u_values", [0.05, False])]
     for name, value in bad_json:
         json.dump(dict(good, **{name: value}), open(path, "w"))
         with pytest.raises(DomainError, match=name):
             load_config(path)
-    with pytest.raises(DomainError, match="t_free"):
-        mini_config(str(tmp_path)).override(t_free="x")
     for model, name in (({"sites": 5.5}, "sites"), ({"sites": 4, "hops": 1.0}, "hops"),
                         ({"hop": 1.0}, "sites"), ([4], "model"),
                         ({"sites": 4, "hop": "abc"}, "hop"),

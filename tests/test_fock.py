@@ -15,7 +15,6 @@ from fermiscope.fock import (
     StateVector,
     ladder_map,
     ladder_matrix,
-    max_reduced_rank,
     partial_trace,
     popcount,
     quadratic_operator,
@@ -450,10 +449,6 @@ def test_partial_trace_keeps_the_bits_of_the_per_pattern_loop(rng, monkeypatch, 
 def test_sector_dimension_and_rank_bound():
     assert sector_dimension(10, 4) == math.comb(10, 4)
     assert sector_dimension(10, None) == 1 << 10
-    # Schmidt bound: sum_k min(C(keep, k), C(rest, N-k))
-    assert max_reduced_rank(10, 4, 6) == 16
-    assert max_reduced_rank(16, 7, 6) == 64
-    assert max_reduced_rank(16, 7, 8) == 186
 
 
 def test_state_vector_shape_and_norm():

@@ -16,22 +16,19 @@ from fermiscope.fock import (
     StateVector,
     partial_trace,
 )
+from fermiscope.entanglement import _sector_basis
 from fermiscope.model import (
     HubbardParams,
-    RankDeficientError,
     build_hamiltonian,
     dispersion,
-    effective_rank,
     evolve,
-    hop_matrix,
     initial_state,
     momentum_values,
     number_diagonal,
     plane_wave_state,
-    prepare_position_quench,
     select_initial_state,
     spin_spread,
-    spin_squared,
+    spin_squared_block,
     sz_twice_diagonal,
 )
 
@@ -40,8 +37,11 @@ from oracles import (
     commutator_norm_with_spin,
     evolve_krylov_full,
     hamiltonian_sparse_sum,
+    hop_matrix,
     quadratic_operator_loop,
     same_bits,
+    sector_basis_sparse,
+    spin_squared,
 )
 
 
@@ -219,9 +219,11 @@ POOL = ("concurrent.futures.process", "multiprocessing")
     ((), ("scipy.sparse", "scipy.linalg", "scipy.special", *POOL)),
     (("quench",), ("scipy.sparse", "scipy.linalg", "scipy.special", "numpy.ma",
                    *POOL)),
+    # scipy.linalg.logm imports scipy.sparse.linalg, so only the pool is pinned here
+    (("reconstruct",), POOL),
     (("figures", "all"), ("scipy.sparse", "scipy.linalg", *POOL)),
     (("measure",), ("scipy.sparse", "scipy.linalg", *POOL)),
-], ids=["import-cli", "quench-dense", "figures", "measure"])
+], ids=["import-cli", "quench-dense", "reconstruct", "figures", "measure"])
 def test_stage_loads_only_the_scipy_it_calls(argv, unwanted, request):
     # each stage runs in a fresh interpreter, so an unused import is start-up
     # time; at --workers 0 no stage needs the process pool
@@ -234,19 +236,39 @@ def test_stage_loads_only_the_scipy_it_calls(argv, unwanted, request):
     ])
     if argv:
         argv += ("--config", request.getfixturevalue("reconstructed_run"))
+    assert _last_line_in_fresh_interpreter(code, *argv) == "loaded []"
+
+
+def test_sector_basis_loads_no_scipy():
+    # S^2 is built on each (N, 2*Sz) block from the ladder tables
+    code = "\n".join([
+        "import sys",
+        "from fermiscope.entanglement import _sector_basis",
+        "_sector_basis(6)",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
+    ])
+    assert _last_line_in_fresh_interpreter(code) == "[]"
+
+
+def _last_line_in_fresh_interpreter(code: str, *argv) -> str:
+    """Last line ``code`` prints in a new interpreter that imports this fermiscope."""
     src = os.path.dirname(os.path.dirname(fermiscope.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                          text=True, check=True, env=env).stdout
-    assert out.splitlines()[-1] == "loaded []"
+    return out.splitlines()[-1]
 
 
 @pytest.mark.parametrize("kind", ["momentum", "position"])
 def test_block_route_matches_full_sector_oracle(kind):
     params = HubbardParams(sites=6, interaction=0.3)
     ham = build_hamiltonian(params, particles=5)
-    spec = select_initial_state(params, 5, 4, kind=kind)
-    psi = initial_state(params, spec)
+    spec = select_initial_state(params, 5, 4)
+    if kind == "momentum":
+        psi = initial_state(params, spec)
+    else:  # the pattern as a lattice product state
+        psi = StateVector(ham.basis, np.zeros(ham.basis.dim))
+        psi.amplitudes[ham.basis.index_of(spec.occupation)] = 1.0
     assert np.unique(sz_twice_diagonal(ham.basis)[psi.amplitudes != 0]).size == 1
     for t in (0.5, 6.0):
         got = evolve(psi, ham, t, method="chebyshev")
@@ -269,53 +291,23 @@ def test_select_initial_state_guards():
         select_initial_state(params, 4, 0)  # half filling excluded
     with pytest.raises(DomainError):
         select_initial_state(params, 0, 0)
-    with pytest.raises(DomainError):
-        select_initial_state(params, 3, 0, kind="thermal")
-
-
-def test_position_quench_reaches_full_rank():
-    # 3 particles cannot fill the 4-mode block: one correlation
-    # eigenvalue is pinned at zero, so the attainable rank is 2^3
-    params = HubbardParams(sites=4)
-    spec = select_initial_state(params, 3, 9, kind="position", t_free=8.0)
-    psi = prepare_position_quench(params, spec, subsystem_sites=2)
-    vals = partial_trace(psi, 4).eigenvalues()
-    assert effective_rank(vals) == 8
-
-
-def test_position_quench_certifies_on_longer_chain():
-    params = HubbardParams(sites=6)
-    spec = select_initial_state(params, 5, 2, kind="position", t_free=20.0)
-    psi = prepare_position_quench(params, spec, subsystem_sites=3)
-    vals = partial_trace(psi, 6).eigenvalues()
-    assert effective_rank(vals) == 32
-
-
-def test_position_quench_rejects_unfilled_cut():
-    params = HubbardParams(sites=4)
-    spec = select_initial_state(params, 3, 9, kind="position", t_free=1e-12)
-    with pytest.raises(RankDeficientError):
-        prepare_position_quench(params, spec, subsystem_sites=2)
-
-
-def test_effective_rank_thresholds():
-    assert effective_rank(np.array([0.5, 0.5, 1e-15])) == 2
-    assert effective_rank(np.array([1.0])) == 1
 
 
 def test_spin_squared_commutes_with_hamiltonian():
     params = HubbardParams(sites=3, interaction=0.7)
     ham = build_hamiltonian(params, particles=2)
-    s2 = spin_squared(ham.basis)
-    comm = (s2 @ ham.matrix - ham.matrix @ s2).tocoo()
-    defect = np.abs(comm.data).max() if comm.nnz else 0.0
-    assert defect < 1e-12
+    for sz_twice in np.unique(sz_twice_diagonal(ham.basis)):
+        s2 = spin_squared_block(FockBasis(6, 2, int(sz_twice)))
+        h = ham.block(int(sz_twice))[1].toarray()
+        defect = np.abs(s2 @ h - h @ s2).max()
+        assert defect < 1e-12
 
 
 def test_spin_squared_eigenvalues_two_particles():
-    basis = FockBasis(6, 2)
-    w = np.linalg.eigvalsh(spin_squared(basis).toarray())
+    w = np.concatenate([np.linalg.eigvalsh(spin_squared_block(FockBasis(6, 2, sz)))
+                        for sz in (-2, 0, 2)])
     # two fermions combine to singlet or triplet: s(s+1) in {0, 2}
+    assert w.size == FockBasis(6, 2).dim
     assert set(np.round(w).astype(int)) == {0, 2}
     assert np.abs(w - np.round(w)).max() < 1e-12
 
@@ -326,7 +318,19 @@ def test_spin_squared_on_a_fixed_sz_basis_is_a_block_of_fixed_n():
     fixed_sz = FockBasis(6, 3, sz_twice=1)
     idx = fixed_n.indices_of(fixed_sz.states)
     want = spin_squared(fixed_n).toarray()[np.ix_(idx, idx)]
-    assert np.array_equal(spin_squared(fixed_sz).toarray(), want)
+    got = spin_squared_block(fixed_sz)
+    assert got.dtype == np.complex128 and np.array_equal(got, want)
+    with pytest.raises(DomainError):
+        spin_squared_block(fixed_n)
+
+
+@pytest.mark.parametrize("mode_count", [2, 4, 6, 8, 10])
+def test_sector_basis_matches_the_sparse_s2_oracle(mode_count):
+    got, want = _sector_basis(mode_count), sector_basis_sparse(mode_count)
+    assert [label for label, _, _ in got] == [label for label, _, _ in want]
+    for (_, idx, vecs), (_, idx_want, vecs_want) in zip(got, want):
+        assert np.array_equal(idx, idx_want)
+        assert same_bits(vecs, vecs_want)
 
 
 def _same_csr(got, want) -> bool:

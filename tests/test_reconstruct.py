@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from fermiscope.reconstruct import (
 )
 from fermiscope.validate import random_frame, random_valid_tensor
 
-from conftest import quench_snapshot
+from conftest import mini_config, quench_snapshot
 from oracles import delta_rho_loop, same_bits
 
 
@@ -249,3 +250,37 @@ def test_density_matrix_round_trip(tmp_path):
     back, _, _, provenance = harness.load_snapshot(str(tmp_path), 0, 0, 0)
     assert same_bits(back.elements, rho.elements)
     assert provenance["t"] == 2.0
+
+
+@pytest.fixture(scope="module")
+def covariance_states(tmp_path_factory):
+    """A stored 4-mode mini-run snapshot and an 8-mode chain-8site-geometry state."""
+    config = mini_config(str(tmp_path_factory.mktemp("run")))
+    harness.cmd_quench(config)
+    rho4 = harness.load_snapshot(os.path.join(config.out_dir, "quench"), 0, 0, 1)[0]
+    return {4: rho4, 8: quench_snapshot(8, 0.05, 5.0, 8, seed=3)[0]}
+
+
+@pytest.mark.parametrize("mixing", [False, True], ids=["spin-preserving", "spin-mixing"])
+@pytest.mark.parametrize("n_modes", [4, 8])
+def test_reconstruction_is_covariant_under_mode_rotations(covariance_states, n_modes,
+                                                          mixing, rng):
+    # reconstructing U_W rho U_W^dagger gives U_W (reconstruction of rho) U_W^dagger:
+    # a check of every kernel that holds on any BLAS, recording no bits
+    rho = covariance_states[n_modes]
+    if mixing:
+        w = random_frame(rng, n_modes).rotation
+    else:  # one site rotation for both spins
+        w = np.kron(random_frame(rng, n_modes // 2).rotation, np.eye(2))
+    u = mode_rotation_unitary(DiagonalFrame(w, np.linspace(0.9, 0.1, n_modes)))
+
+    def reconstruct(state):
+        c2 = measure_two_point(state)
+        return reconstruct_state(c2, measure_four_point_connected(state, c2))
+
+    before = reconstruct(rho)
+    after = reconstruct(DensityMatrix(rho.basis, u @ rho.elements @ u.conj().T))
+    back = u.conj().T @ after.assembled.elements @ u
+    assert np.abs(back - before.assembled.elements).max() <= 1e-13
+    assert np.abs(after.projected_eigenvalues
+                  - before.projected_eigenvalues).max() <= 1e-13
