@@ -13,9 +13,9 @@ The non-interacting part diagonalizes into plane waves with dispersion
 eps_k = 2 [J cos k + J' cos 2k] on the momentum grid 2*pi*m/L folded into
 (-pi, pi].
 
-H is stored as one hop table, which the dense route sums into a matrix;
-``scipy.sparse`` is imported only for the Chebyshev route's CSR, so the
-dense-route quench never loads it.
+H is stored as one hop table.  The dense route sums it into a matrix, and
+the Chebyshev route lays each 2*Sz block out from it in padded rows, so
+neither route imports scipy.
 """
 
 from __future__ import annotations
@@ -114,12 +114,14 @@ class Hamiltonian:
     """H on ``basis`` as one table, summed from +0 in order: (rows[k], cols[k]) adds values[k].
 
     The U * double-occupancy diagonal, then each bond's hop and its conjugate in sum order.
+    H conserves 2*Sz, which ``sz_twice`` holds per basis state.
     """
 
     def __init__(self, params: HubbardParams, basis: FockBasis, rows, cols, values):
         self.params, self.basis = params, basis
-        self.rows, self.cols, self.values = _frozen((rows, cols, values))
-        self._eig, self._matrix, self._blocks = None, None, {}
+        self.rows, self.cols, self.values, self.sz_twice = _frozen(
+            (rows, cols, values, sz_twice_diagonal(basis)))
+        self._eig, self._blocks = None, {}
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.basis.dim,) * 2, dtype=np.complex128)
@@ -133,33 +135,50 @@ class Hamiltonian:
             self._eig = (w, v, v.conj().T)
         return self._eig
 
-    @property
-    def matrix(self):
-        """Canonical CSR matrix of H, built on first use."""
-        if self._matrix is None:
-            import scipy.sparse
-
-            self._matrix = scipy.sparse.csr_matrix((self.values.astype(np.complex128), (
-                self.rows, self.cols)), shape=(self.basis.dim,) * 2)
-            self._matrix.eliminate_zeros()
-        return self._matrix
-
     def block(self, sz_twice: int):
-        """Sector indices with this 2*Sz and the CSR block of ``matrix`` on them.
+        """Sector indices with this 2*Sz and the Chebyshev layout of H on them, built once.
 
-        H conserves 2*Sz, so ``matrix`` has no entries between blocks.
+        The layout is (c, a, vals, cols), with c +- a the Gershgorin interval of
+        the block, or (c, 0.0, None, None) when H = c.  Column i of the (k, n)
+        arrays holds row i of (H - c) * 2/a: entries vals at columns cols in
+        ascending order, then zeros.  As in a canonical CSR matrix, repeated
+        entries are summed and exact zeros dropped, and the bound sums each row
+        of |H| with ``np.add.reduceat``, as scipy does.
         """
         if sz_twice not in self._blocks:
-            idx = np.flatnonzero(sz_twice_diagonal(self.basis) == sz_twice)
+            inside = self.sz_twice == sz_twice
+            idx, at, keep = np.flatnonzero(inside), np.cumsum(inside) - 1, inside[self.rows]
+            n = idx.size  # every row gets a diagonal entry, +0 unless H has one
+            key = np.r_[at[self.rows[keep]] * n + at[self.cols[keep]], np.arange(n) * (n + 1)]
+            order = np.argsort(key, kind="stable")
+            first = np.flatnonzero(np.diff(key[order], prepend=-1))
+            # repeats come in pairs, so their sums do not depend on order: each
+            # diagonal with its +0, and the doubled wrap-around bonds of 3- and 4-site rings
+            vals = np.add.reduceat(np.r_[self.values[keep], np.zeros(n)][order], first)
+            rows, cols = np.divmod(key[order][first], n)
+            diag, nz = vals[rows == cols], vals != 0
+            starts = np.flatnonzero(np.diff(rows[nz], prepend=-1))
+            radius = np.zeros(n)
+            radius[rows[nz][starts]] = np.add.reduceat(np.abs(vals[nz]), starts)
+            radius -= np.abs(diag)
+            lo, hi = (diag - radius).min(), (diag + radius).max()
+            center, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+            layout = (center, half, None, None)
+            if half != 0.0:  # else no off-diagonal entries and one level
+                vals[rows == cols] -= center
+                nz = vals != 0
+                rows, cols, vals = rows[nz], cols[nz], vals[nz] * (2.0 / half)
+                slot = np.arange(rows.size) - np.searchsorted(rows, rows)  # place in its row
+                shape = (slot.max() + 1, n)
+                ell_vals, ell_cols = np.zeros(shape, np.complex128), np.zeros(shape, np.intp)
+                ell_vals[slot, rows], ell_cols[slot, rows] = vals, cols
+                layout = (center, half, *_frozen((ell_vals, ell_cols)))
             idx.flags.writeable = False
-            self._blocks[sz_twice] = (idx, self.matrix[idx][:, idx])
+            self._blocks[sz_twice] = (idx, layout)
         return self._blocks[sz_twice]
 
 
-def build_hamiltonian(
-    params: HubbardParams,
-    particles: int | None = None,
-) -> Hamiltonian:
+def build_hamiltonian(params: HubbardParams, particles: int | None = None) -> Hamiltonian:
     basis = FockBasis(params.n_modes, particles)
     bits = basis.states  # site l is doubly occupied when bits 2l and 2l + 1 are set
     double_occ = np.bitwise_count(bits & (bits >> 1) & 0x5555555555555555).astype(float)
@@ -178,13 +197,10 @@ def build_hamiltonian(
 
 
 def sz_twice_diagonal(basis: FockBasis) -> np.ndarray:
-    """2*Sz = n_up - n_down per basis state."""
+    """2*Sz = n_up - n_down per basis state: up modes are the even bits."""
     bits = basis.states
-    out = np.zeros(basis.dim, dtype=np.int64)
-    for mode in range(basis.mode_count):
-        occ = (bits >> mode) & 1
-        out += occ if mode % 2 == 0 else -occ
-    return out
+    up = np.bitwise_count(bits & 0x5555555555555555).astype(np.int64)
+    return up - np.bitwise_count((bits >> 1) & 0x5555555555555555)
 
 
 def number_diagonal(basis: FockBasis) -> np.ndarray:
@@ -247,11 +263,7 @@ def spin_spread(basis: FockBasis, bits: int) -> float:
     return math.sqrt(max(0.0, 2.0 * (square - mean * mean)))
 
 
-def select_initial_state(
-    params: HubbardParams,
-    target_n: int,
-    seed: int,
-) -> InitialStateSpec:
+def select_initial_state(params: HubbardParams, target_n: int, seed: int) -> InitialStateSpec:
     """Draw a fixed-N occupation pattern that breaks the S^2 symmetry.
 
     Patterns are sampled uniformly with a seeded generator; a pattern is
@@ -263,25 +275,16 @@ def select_initial_state(
     if not 1 <= target_n < n_modes:
         raise DomainError(f"particle number {target_n} out of range")
     if target_n == params.sites:
-        raise DomainError(
-            "half filling is excluded; the symmetry-breaking search "
-            "stalls there"
-        )
+        raise DomainError("half filling is excluded; the symmetry-breaking search stalls there")
     rng = np.random.default_rng(seed)
     basis = FockBasis(n_modes, target_n)
     for trial in range(1, SEARCH_TRIALS + 1):
         modes = rng.choice(n_modes, size=target_n, replace=False)
         bits = int(sum(1 << int(p) for p in modes))
         if spin_spread(basis, bits) > MIN_COMMUTATOR:
-            return InitialStateSpec(
-                occupation=OccupationBitstring(bits, n_modes),
-                seed=seed,
-                trials=trial,
-            )
-    raise SearchExhaustedError(
-        f"no symmetry-breaking pattern in {SEARCH_TRIALS} trials "
-        f"(n = {target_n}, seed = {seed})"
-    )
+            return InitialStateSpec(OccupationBitstring(bits, n_modes), seed, trials=trial)
+    raise SearchExhaustedError(f"no symmetry-breaking pattern in {SEARCH_TRIALS} trials "
+                               f"(n = {target_n}, seed = {seed})")
 
 
 def plane_wave_state(params: HubbardParams, occupation: OccupationBitstring) -> StateVector:
@@ -339,30 +342,25 @@ def _bessel_series(x: float) -> np.ndarray:
     return j[:max(2, np.flatnonzero(np.abs(j) >= BESSEL_FLOOR)[-1] + 1)]
 
 
-def _chebyshev(matrix, y: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t H) y by a Chebyshev series, renormalized to |y|.
+def _chebyshev(layout, y: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t H) y by a Chebyshev series on a ``Hamiltonian.block`` layout, renormalized to |y|.
 
-    H is mapped onto [-1, 1] through its Gershgorin interval, a rigorous
-    bound on its spectrum (the series diverges outside it), and
+    H is mapped onto [-1, 1] through its Gershgorin interval c +- a, a
+    rigorous bound on its spectrum (the series diverges outside it), and
     exp(-i t H) = exp(-i c t) [J_0(a t) + 2 sum_k (-i)^k J_k(a t) T_k(H')]
-    with H = c + a H' is summed down to the double-precision floor.
+    with H = c + a H' is summed down to the double-precision floor.  Each
+    row of 2 H' y is summed from +0 in column order.
     """
-    import scipy.sparse
-
-    diag = matrix.diagonal().real
-    radius = np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(diag)
-    lo, hi = (diag - radius).min(), (diag + radius).max()
-    center, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    center, half, vals, cols = layout
     if half == 0.0:  # no off-diagonal entries and one level: H = c
         return np.exp(-1j * center * t) * y
     coef = _bessel_series(half * t).astype(np.complex128)
     coef *= (-1j) ** np.arange(coef.size)
     coef[1:] *= 2.0
-    twice = (matrix - center * scipy.sparse.identity(matrix.shape[0])) * (2.0 / half)
-    prev, cur = y, 0.5 * (twice @ y)
+    prev, cur = y, 0.5 * (vals * y[cols]).sum(axis=0, initial=0)
     out = coef[0] * prev + coef[1] * cur
     for c in coef[2:]:
-        prev, cur = cur, twice @ cur - prev
+        prev, cur = cur, (vals * cur[cols]).sum(axis=0, initial=0) - prev
         out += c * cur
     norm0, norm = np.linalg.norm(y), np.linalg.norm(out)
     if abs(norm - norm0) > 1e-8 * norm0:
@@ -370,12 +368,7 @@ def _chebyshev(matrix, y: np.ndarray, t: float) -> np.ndarray:
     return out * (np.exp(-1j * center * t) * norm0 / norm)
 
 
-def evolve(
-    psi: StateVector,
-    ham: Hamiltonian,
-    t: float,
-    method: str = "auto",
-) -> StateVector:
+def evolve(psi: StateVector, ham: Hamiltonian, t: float, method: str = "auto") -> StateVector:
     """exp(-i H t) |psi> by a Chebyshev series or cached dense diagonalization.
 
     ``method`` is "auto" (dense up to sector dimension 4096, iterative
@@ -402,10 +395,9 @@ def evolve(
         raise DomainError(f"unknown evolution method {method!r}")
     if t == 0.0:
         return StateVector(psi.basis, psi.amplitudes.copy())
-    sz = sz_twice_diagonal(ham.basis)
     out = np.zeros_like(psi.amplitudes)
-    for sz_twice in np.unique(sz[psi.amplitudes != 0]):
-        idx, block = ham.block(int(sz_twice))
-        out[idx] = _chebyshev(block, psi.amplitudes[idx], t)
+    for sz_twice in set(ham.sz_twice[psi.amplitudes != 0].tolist()):  # np.unique loads numpy.ma
+        idx, layout = ham.block(sz_twice)
+        out[idx] = _chebyshev(layout, psi.amplitudes[idx], t)
     return StateVector(psi.basis, out)
 

@@ -45,7 +45,9 @@ from fermiscope.entanglement import (
 )
 from fermiscope.measure import CoverageError, apply_rotation
 from fermiscope.model import (
+    EvolutionError,
     HubbardParams,
+    _bessel_series,
     hopping_bonds,
     mode_index,
     number_diagonal,
@@ -321,6 +323,43 @@ def hamiltonian_sparse_sum(params: HubbardParams, basis: FockBasis) -> scipy.spa
     return total.tocsr()
 
 
+def hamiltonian_csr(ham) -> scipy.sparse.csr_matrix:
+    """Canonical CSR matrix of a ``model.Hamiltonian``'s table, exact zeros removed."""
+    matrix = scipy.sparse.csr_matrix((ham.values.astype(np.complex128), (
+        ham.rows, ham.cols)), shape=(ham.basis.dim,) * 2)
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def chebyshev_csr(ham, sz_twice: int, y: np.ndarray, t: float) -> np.ndarray:
+    """``model._chebyshev`` on one 2*Sz block, stepped on the CSR slice of H.
+
+    The Gershgorin bound is recomputed from the block, and the series
+    multiplies by the scipy matrix (H - c) * 2/a.
+    """
+    idx = np.flatnonzero(sz_twice_diagonal(ham.basis) == sz_twice)
+    matrix = hamiltonian_csr(ham)[idx][:, idx]
+    diag = matrix.diagonal().real
+    radius = np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(diag)
+    lo, hi = (diag - radius).min(), (diag + radius).max()
+    center, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    if half == 0.0:
+        return np.exp(-1j * center * t) * y
+    coef = _bessel_series(half * t).astype(np.complex128)
+    coef *= (-1j) ** np.arange(coef.size)
+    coef[1:] *= 2.0
+    twice = (matrix - center * scipy.sparse.identity(matrix.shape[0])) * (2.0 / half)
+    prev, cur = y, 0.5 * (twice @ y)
+    out = coef[0] * prev + coef[1] * cur
+    for c in coef[2:]:
+        prev, cur = cur, twice @ cur - prev
+        out += c * cur
+    norm0, norm = np.linalg.norm(y), np.linalg.norm(out)
+    if abs(norm - norm0) > 1e-8 * norm0:
+        raise EvolutionError(f"norm drifted from {norm0} to {norm}")
+    return out * (np.exp(-1j * center * t) * norm0 / norm)
+
+
 def spin_raising(basis: FockBasis) -> scipy.sparse.csr_matrix:
     """Sparse S+ = sum_l c†_{l,up} c_{l,down}; lands in 2*Sz + 2 on a fixed-Sz basis."""
     return sum(hop_matrix(basis, mode_index(l, 0), mode_index(l, 1))
@@ -387,6 +426,9 @@ def delta_rho_loop(c4_frame, frame) -> np.ndarray:
     Every single move j -> k and pair move {a1 < a2} -> {b1 < b2} of each
     column pattern is visited in turn, and its string phase is counted
     from ``_between_mask`` bit masks rather than read from a ladder table.
+    The single-move sums sum_i x_i C~4_ijik are read from the one matrix
+    product that ``delta_rho`` forms, whose bits depend on the BLAS kernel;
+    each is checked against its own per-column dot to 1e-13.
     """
     t = c4_frame.entries
     n_modes = frame.n_modes
@@ -406,6 +448,7 @@ def delta_rho_loop(c4_frame, frame) -> np.ndarray:
     for p in range(n_modes):
         t2[p, p, :] = 0.0
         t2[p, :, p] = 0.0
+    moves = x @ t2.reshape(n_modes, n_modes * n_modes)
     for col in range(basis.dim):
         bits = int(basis.states[col])
         inv_f = 1.0 / f[col]
@@ -418,7 +461,9 @@ def delta_rho_loop(c4_frame, frame) -> np.ndarray:
             for k in empty:
                 lo, hi = (j, k) if j < k else (k, j)
                 base = 1.0 - 2.0 * (popcount(bits & _between_mask(lo, hi)) & 1)
-                move_sum = x_col @ t2[:, j, k]
+                move_sum = moves[col, j * n_modes + k]
+                dot = x_col @ t2[:, j, k]
+                assert abs(dot - move_sum) <= 1e-13, f"move sum {move_sum} against dot {dot}"
                 row = basis.index_of(bits ^ ((1 << j) | (1 << k)))
                 delta[row, col] += w_col * base * move_sum * inv_f[j] * inv_f[k]
 
@@ -539,12 +584,13 @@ def evolve_krylov_full(psi: StateVector, ham, t: float, tol: float = 1e-10) -> S
     total = abs(t)
     remaining = float(t)
     dt = remaining
+    matrix = hamiltonian_csr(ham)
     for _ in range(MAX_SUBSTEPS):
         if abs(remaining) <= 1e-15 * total:
             break
         if abs(dt) > abs(remaining):
             dt = remaining
-        y_try, err = _lanczos_step(ham.matrix, y, dt, KRYLOV_DIM)
+        y_try, err = _lanczos_step(matrix, y, dt, KRYLOV_DIM)
         if err <= tol * abs(dt) / total:
             y = y_try
             remaining -= dt

@@ -8,7 +8,7 @@ import pytest
 
 import fermiscope
 from fermiscope import harness
-from fermiscope.config import save_config
+from fermiscope.config import RunConfig, save_config
 from fermiscope.fock import (
     DomainError,
     FockBasis,
@@ -18,7 +18,9 @@ from fermiscope.fock import (
 )
 from fermiscope.entanglement import _sector_basis
 from fermiscope.model import (
+    DENSE_LIMIT,
     HubbardParams,
+    _chebyshev,
     build_hamiltonian,
     dispersion,
     evolve,
@@ -34,6 +36,7 @@ from fermiscope.model import (
 
 from conftest import mini_config
 from oracles import (
+    chebyshev_csr,
     commutator_norm_with_spin,
     evolve_krylov_full,
     hamiltonian_sparse_sum,
@@ -74,7 +77,7 @@ def test_params_reject_non_finite_or_non_real_amplitudes(field, value):
 def test_free_spectrum_doubles_the_band():
     params = HubbardParams(sites=3, hop2=0.0)
     ham = build_hamiltonian(params, particles=1)
-    w = np.linalg.eigvalsh(ham.matrix.toarray())
+    w = np.linalg.eigvalsh(ham.dense())
     band = np.repeat(sorted(dispersion(params, momentum_values(3))), 2)
     assert np.abs(np.sort(w) - band).max() < 1e-12
 
@@ -87,14 +90,14 @@ def test_plane_wave_state_is_free_eigenstate():
     ham = build_hamiltonian(params, particles=2)
     ks = momentum_values(3)
     energy = dispersion(params, ks[0]) + dispersion(params, ks[1])
-    residual = ham.matrix @ psi.amplitudes - energy * psi.amplitudes
+    residual = ham.dense() @ psi.amplitudes - energy * psi.amplitudes
     assert np.abs(residual).max() < 1e-12
 
 
 def test_interaction_term_counts_double_occupancy():
     params = HubbardParams(sites=3, hop=0.0, hop2=0.0, interaction=2.5)
     ham = build_hamiltonian(params, particles=2)
-    diag = np.real(ham.matrix.diagonal())
+    diag = np.real(np.diagonal(ham.dense()))
     both_on_site0 = ham.basis.index_of(0b000011)
     assert diag[both_on_site0] == pytest.approx(2.5)
     assert diag[ham.basis.index_of(0b000101)] == pytest.approx(0.0)
@@ -122,20 +125,36 @@ def test_evolution_methods_agree(rng):
     dense = evolve(psi, ham, 1000.0, method="dense")
     cheb = evolve(psi, ham, 1000.0, method="chebyshev")
     assert np.abs(dense.amplitudes - cheb.amplitudes).max() < 1e-9
+    for value in set(sz):  # and each block's step there matches the CSR route bit for bit
+        idx = ham.block(int(value))[0]
+        assert _same_chebyshev_step(ham, int(value), psi.amplitudes[idx], 1000.0)
+
+
+@pytest.mark.parametrize("mode_count, particles", [(2, None), (5, None), (8, 3), (12, None)])
+def test_sz_twice_diagonal_matches_the_mode_loop(mode_count, particles):
+    basis = FockBasis(mode_count, particles)
+    want = np.zeros(basis.dim, dtype=np.int64)
+    for mode in range(mode_count):  # even modes are spin up
+        occ = (basis.states >> mode) & 1
+        want += occ if mode % 2 == 0 else -occ
+    got = sz_twice_diagonal(basis)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_hamiltonian_has_no_entries_between_sz_blocks():
     params = HubbardParams(sites=4, interaction=0.3)
     ham = build_hamiltonian(params, particles=3)
     sz = sz_twice_diagonal(ham.basis)
+    assert np.array_equal(ham.sz_twice, sz) and not ham.sz_twice.flags.writeable
+    dense = ham.dense()
     rebuilt = np.zeros((ham.basis.dim, ham.basis.dim), dtype=complex)
     for value in np.unique(sz):
         idx, block = ham.block(int(value))
         assert np.array_equal(idx, np.flatnonzero(sz == value))
         assert not idx.flags.writeable
         assert ham.block(int(value))[1] is block  # cached on the instance
-        rebuilt[np.ix_(idx, idx)] = block.toarray()
-    assert same_bits(rebuilt, ham.matrix.toarray())
+        rebuilt[np.ix_(idx, idx)] = dense[np.ix_(idx, idx)]
+    assert same_bits(rebuilt, dense)
 
 
 def test_chebyshev_output_is_zero_outside_the_support(rng):
@@ -190,8 +209,8 @@ def test_evolve_rejects_other_sectors_and_non_finite_times(method):
 def test_one_state_block_evolves_by_its_phase():
     # every site holds one up fermion: the only state with 2*Sz = 4
     ham = build_hamiltonian(HubbardParams(sites=4, interaction=0.3), particles=4)
-    idx, block = ham.block(4)
-    assert block.shape == (1, 1)
+    idx, (_, half, _, _) = ham.block(4)
+    assert idx.size == 1 and half == 0.0  # the layout is H = c
     psi = StateVector(ham.basis, np.zeros(ham.basis.dim, dtype=complex))
     psi.amplitudes[ham.basis.index_of(0b01010101)] = 1.0
     got = evolve(psi, ham, 7.0, method="chebyshev").amplitudes
@@ -212,19 +231,34 @@ def reconstructed_run(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def chebyshev_run(tmp_path_factory):
+    """Path of the saved config of a quench whose sector exceeds DENSE_LIMIT."""
+    out = str(tmp_path_factory.mktemp("chebyshev"))
+    config = RunConfig(model=HubbardParams(sites=8), master_seed=7701, subsystem_sites=4,
+                       target_particles=7, times=(1.0,), u_values=(0.05,),
+                       ensemble_size=1, workers=0, out_dir=out)
+    assert FockBasis(16, config.particles).dim > DENSE_LIMIT
+    path = os.path.join(out, "config.json")
+    save_config(path, config)
+    return path
+
+
 POOL = ("concurrent.futures.process", "multiprocessing")
+NO_SCIPY = ("scipy.sparse", "scipy.linalg", "scipy.special")
 
 
-@pytest.mark.parametrize("argv, unwanted", [
-    ((), ("scipy.sparse", "scipy.linalg", "scipy.special", *POOL)),
-    (("quench",), ("scipy.sparse", "scipy.linalg", "scipy.special", "numpy.ma",
-                   *POOL)),
+@pytest.mark.parametrize("argv, unwanted, run", [
+    ((), (*NO_SCIPY, *POOL), None),
+    (("quench",), (*NO_SCIPY, "numpy.ma", *POOL), "reconstructed_run"),
+    (("quench",), (*NO_SCIPY, "numpy.ma", *POOL), "chebyshev_run"),
     # scipy.linalg.logm imports scipy.sparse.linalg, so only the pool is pinned here
-    (("reconstruct",), POOL),
-    (("figures", "all"), ("scipy.sparse", "scipy.linalg", *POOL)),
-    (("measure",), ("scipy.sparse", "scipy.linalg", *POOL)),
-], ids=["import-cli", "quench-dense", "reconstruct", "figures", "measure"])
-def test_stage_loads_only_the_scipy_it_calls(argv, unwanted, request):
+    (("reconstruct",), POOL, "reconstructed_run"),
+    (("figures", "all"), ("scipy.sparse", "scipy.linalg", *POOL), "reconstructed_run"),
+    (("measure",), ("scipy.sparse", "scipy.linalg", *POOL), "reconstructed_run"),
+], ids=["import-cli", "quench-dense", "quench-chebyshev", "reconstruct", "figures",
+        "measure"])
+def test_stage_loads_only_the_scipy_it_calls(argv, unwanted, run, request):
     # each stage runs in a fresh interpreter, so an unused import is start-up
     # time; at --workers 0 no stage needs the process pool
     code = "\n".join([
@@ -234,8 +268,8 @@ def test_stage_loads_only_the_scipy_it_calls(argv, unwanted, request):
         "    cli.main(sys.argv[1:])",
         f"print('loaded', [m for m in {unwanted!r} if m in sys.modules])",
     ])
-    if argv:
-        argv += ("--config", request.getfixturevalue("reconstructed_run"))
+    if run:
+        argv += ("--config", request.getfixturevalue(run))
     assert _last_line_in_fresh_interpreter(code, *argv) == "loaded []"
 
 
@@ -298,7 +332,8 @@ def test_spin_squared_commutes_with_hamiltonian():
     ham = build_hamiltonian(params, particles=2)
     for sz_twice in np.unique(sz_twice_diagonal(ham.basis)):
         s2 = spin_squared_block(FockBasis(6, 2, int(sz_twice)))
-        h = ham.block(int(sz_twice))[1].toarray()
+        idx = ham.block(int(sz_twice))[0]
+        h = ham.dense()[np.ix_(idx, idx)]
         defect = np.abs(s2 @ h - h @ s2).max()
         assert defect < 1e-12
 
@@ -333,31 +368,56 @@ def test_sector_basis_matches_the_sparse_s2_oracle(mode_count):
         assert same_bits(vecs, vecs_want)
 
 
-def _same_csr(got, want) -> bool:
-    return all(getattr(got, a).dtype == getattr(want, a).dtype
-               and same_bits(getattr(got, a), getattr(want, a))
-               for a in ("data", "indices", "indptr"))
-
-
 @pytest.mark.parametrize("sites", [3, 4, 5, 6])
 @pytest.mark.parametrize("hop, hop2, u", [(1.0, 0.125, 0.3), (-0.7, 0.3, 0.0),
                                           (0.0, 0.0, 0.7)],
                          ids=["next-nearest", "negative-hops", "no-bonds"])
-def test_hamiltonian_table_matches_the_sparse_sum_oracle(sites, hop, hop2, u):
+def test_hamiltonian_table_matches_the_sparse_sum_oracle(sites, hop, hop2, u, rng):
     # 3 and 4 sites double the wrap-around next-nearest bonds
     params = HubbardParams(sites, hop, hop2, u)
     for particles in range(2 * sites + 1):
         ham = build_hamiltonian(params, particles)
-        want = hamiltonian_sparse_sum(params, ham.basis)
-        assert _same_csr(ham.matrix, want)
-        assert same_bits(ham.dense(), want.toarray())
+        dense = ham.dense()
+        assert same_bits(dense, hamiltonian_sparse_sum(params, ham.basis).toarray())
         if particles != sites - 1:
             continue
-        # the Chebyshev route's fixed-(N, 2*Sz) blocks, at the quench's filling
-        for sz_twice in np.unique(sz_twice_diagonal(ham.basis)):
-            _, block = ham.block(int(sz_twice))
+        # the Chebyshev route's fixed-(N, 2*Sz) blocks, at the quench's filling,
+        # and a step on each block's layout against the CSR route
+        for sz_twice in np.unique(ham.sz_twice):
+            idx, _ = ham.block(int(sz_twice))
             basis = FockBasis(2 * sites, particles, int(sz_twice))
-            assert _same_csr(block, hamiltonian_sparse_sum(params, basis))
+            assert same_bits(dense[np.ix_(idx, idx)],
+                             hamiltonian_sparse_sum(params, basis).toarray())
+            y = _random_vector(rng, idx.size)
+            assert all(_same_chebyshev_step(ham, int(sz_twice), y, t) for t in (0.3, 5.0))
+
+
+def _random_vector(rng, size: int) -> np.ndarray:
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def _same_chebyshev_step(ham, sz_twice: int, y: np.ndarray, t: float) -> bool:
+    layout = ham.block(sz_twice)[1]
+    return same_bits(_chebyshev(layout, y, t), chebyshev_csr(ham, sz_twice, y, t))
+
+
+@pytest.mark.parametrize("hop, hop2, u", [(1.0, 0.125, 0.05), (-0.7, 0.3, 0.0)],
+                         ids=["next-nearest", "negative-hops"])
+def test_chebyshev_layout_matches_the_csr_oracle_bit_for_bit(hop, hop2, u, rng):
+    # the 1568- and 3920-state blocks of the 8-site, 7-particle sector, from
+    # random states and from a plane-wave quench state, which has exact zeros;
+    # with negative hops, a sequential row sum of |H| moves the 2*Sz = +-3 bits
+    params = HubbardParams(8, hop, hop2, u)
+    ham = build_hamiltonian(params, 7)
+    psi = initial_state(params, select_initial_state(params, 7, seed=3))
+    steps = [(sz_twice, _random_vector(rng, 3920 if abs(sz_twice) == 1 else 1568))
+             for sz_twice in (-3, -1, 1, 3)]
+    sz_twice = int(ham.sz_twice[np.flatnonzero(psi.amplitudes)[0]])
+    steps.append((sz_twice, psi.amplitudes[ham.block(sz_twice)[0]]))
+    for sz_twice, y in steps:
+        assert ham.block(sz_twice)[0].size == y.size
+        for t in (5.0, 10.0):
+            assert _same_chebyshev_step(ham, sz_twice, y, t)
 
 
 @pytest.mark.parametrize("sites", [4, 5])
