@@ -15,16 +15,18 @@ Diagonalizing C2 defines the natural-orbital frame: new annihilators
 d_p = sum_b V_bp c_b with <d†_p d_q> = [V† C2 V]_pq = delta_pq g_p,
 eigenvalues sorted descending.  Four-point tensors transform with one
 factor of the rotation per index (conjugated on the creation slots).
+Every object here may carry leading stack axes, one record per index; the
+measurements and the frame treat a single record as a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
-from .fock import DensityMatrix, DomainError, FockBasis, StateVector, _chain_table
+from .fock import DensityMatrix, DomainError, FockBasis, StateVector, _chain_table, dagger
 
 HERMITICITY_TOL = 1e-8
 OCCUPATION_CLAMP = 1e-10
@@ -32,35 +34,28 @@ OCCUPATION_CLAMP = 1e-10
 
 @dataclass
 class TwoPointMatrix:
-    """One-body correlation matrix <c†_i c_j>."""
+    """One-body correlation matrix <c†_i c_j> (or a stack of them)."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.complex128)
-        n = self.entries.shape[0]
-        if self.entries.shape != (n, n):
+        if self.entries.ndim < 2 or self.entries.shape[-2] != self.entries.shape[-1]:
             raise DomainError("two-point matrix must be square")
 
     @property
     def n_modes(self) -> int:
-        return self.entries.shape[0]
-
-    def hermiticity_defect(self) -> float:
-        return float(np.abs(self.entries - self.entries.conj().T).max())
-
-    def occupation_bound_defect(self) -> float:
-        """How far the eigenvalues stray outside [0, 1]."""
-        w = np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T))
-        return float(max(0.0, -w.min(), w.max() - 1.0))
+        return self.entries.shape[-1]
 
     def validate(self):
+        c2 = self.entries
         # a NaN defect compares False with the tolerance, so test finiteness first
-        if not np.isfinite(self.entries).all():
+        if not np.isfinite(c2).all():
             raise DomainError("two-point matrix has non-finite entries")
-        if self.hermiticity_defect() > HERMITICITY_TOL:
+        if np.abs(c2 - dagger(c2)).max() > HERMITICITY_TOL:
             raise DomainError("two-point matrix is not Hermitian")
-        if self.occupation_bound_defect() > HERMITICITY_TOL:
+        w = np.linalg.eigvalsh(0.5 * (c2 + dagger(c2)))
+        if max(0.0, -w.min(), w.max() - 1.0) > HERMITICITY_TOL:
             raise DomainError("two-point eigenvalues leave [0, 1]")
 
 
@@ -72,33 +67,24 @@ class FourPointTensor:
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.complex128)
-        n = self.entries.shape[0]
-        if self.entries.shape != (n, n, n, n):
+        if self.entries.ndim < 4 or len(set(self.entries.shape[-4:])) != 1:
             raise DomainError("four-point tensor must be rank 4, equal axes")
 
     @property
     def n_modes(self) -> int:
-        return self.entries.shape[0]
-
-    def antisymmetry_defect(self) -> float:
-        t = self.entries
-        d1 = np.abs(t + t.transpose(1, 0, 2, 3)).max()
-        d2 = np.abs(t + t.transpose(0, 1, 3, 2)).max()
-        return float(max(d1, d2))
-
-    def hermiticity_defect(self) -> float:
-        t = self.entries
-        return float(np.abs(t.conj() - t.transpose(3, 2, 1, 0)).max())
+        return self.entries.shape[-1]
 
     def max_abs(self) -> float:
         return float(np.abs(self.entries).max())
 
     def validate(self):
-        if not np.isfinite(self.entries).all():
+        t = self.entries
+        if not np.isfinite(t).all():
             raise DomainError("four-point tensor has non-finite entries")
-        if self.antisymmetry_defect() > HERMITICITY_TOL:
+        if max(np.abs(t + t.swapaxes(-4, -3)).max(),
+               np.abs(t + t.swapaxes(-2, -1)).max()) > HERMITICITY_TOL:
             raise DomainError("four-point tensor breaks antisymmetry")
-        if self.hermiticity_defect() > HERMITICITY_TOL:
+        if np.abs(t.conj() - t.swapaxes(-4, -1).swapaxes(-3, -2)).max() > HERMITICITY_TOL:
             raise DomainError("four-point tensor breaks Hermiticity")
 
 
@@ -125,8 +111,9 @@ def _lowered_rows(basis: FockBasis, amps: np.ndarray, n: int):
 
 
 def connected_four_point(raw: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Subtract the Wick part from raw <c†_i c†_j c_k c_l>."""
-    return raw - np.einsum("il,jk->ijkl", c2, c2) + np.einsum("ik,jl->ijkl", c2, c2)
+    """Subtract the Wick part from raw <c†_i c†_j c_k c_l>, record by record."""
+    return (raw - np.einsum("...il,...jk->...ijkl", c2, c2)
+            + np.einsum("...ik,...jl->...ijkl", c2, c2))
 
 
 def subsystem_correlations(psi: StateVector, n_keep: int):
@@ -157,8 +144,8 @@ def subsystem_correlations(psi: StateVector, n_keep: int):
     return TwoPointMatrix(c2), FourPointTensor(connected_four_point(raw, c2))
 
 
-def _trace_chain(rho: DensityMatrix, ops) -> complex:
-    """Tr[rho * O_1 O_2 ... O_k] with ops written left to right.
+def _trace_chain(rho: DensityMatrix, ops):
+    """Tr[rho * O_1 O_2 ... O_k] with ops written left to right, per record.
 
     A chain into another (N, 2·Sz) block meets no element of ``rho``: 0.
     """
@@ -167,7 +154,9 @@ def _trace_chain(rho: DensityMatrix, ops) -> complex:
         basis.mode_count, basis.sector, basis.sz_twice, tuple(ops))
     if cols.size == 0 or (target.sector, target.sz_twice) != (basis.sector, basis.sz_twice):
         return 0.0
-    return complex((signs * rho.elements[cols, rows]).sum())
+    flat = rho.elements.reshape(*rho.elements.shape[:-2], -1)
+    # take() gathers each record's elements contiguously, as one row
+    return (signs * flat.take(cols * basis.dim + rows, axis=-1)).sum(axis=-1)
 
 
 def _density_only(state):
@@ -177,15 +166,14 @@ def _density_only(state):
 
 
 def measure_two_point(rho: DensityMatrix) -> TwoPointMatrix:
-    """C2_ij = <c†_i c_j> of a density matrix."""
+    """C2_ij = <c†_i c_j> of a density matrix, or of each of a stack."""
     _density_only(rho)
     n = rho.basis.mode_count
-    c2 = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(i, n):
-            val = _trace_chain(rho, ((i, "create"), (j, "annihilate")))
-            c2[i, j] = val
-            c2[j, i] = np.conj(val)
+    c2 = np.zeros(rho.elements.shape[:-2] + (n, n), dtype=np.complex128)
+    for i, j in combinations_with_replacement(range(n), 2):
+        val = _trace_chain(rho, ((i, "create"), (j, "annihilate")))
+        c2[..., i, j] = val
+        c2[..., j, i] = np.conj(val)
     return TwoPointMatrix(c2)
 
 
@@ -200,14 +188,13 @@ def measure_four_point_connected(
     """
     _density_only(rho)
     c2 = (two_point or measure_two_point(rho)).entries
-    n = c2.shape[0]
-    raw = np.zeros((n, n, n, n), dtype=np.complex128)
-    for i, j in combinations(range(n), 2):
-        for k, l in combinations(range(n), 2):
-            val = _trace_chain(
-                rho, ((i, "create"), (j, "create"), (k, "annihilate"), (l, "annihilate")))
-            raw[i, j, k, l] = raw[j, i, l, k] = val
-            raw[j, i, k, l] = raw[i, j, l, k] = -val
+    n = c2.shape[-1]
+    raw = np.zeros(c2.shape[:-2] + (n, n, n, n), dtype=np.complex128)
+    for (i, j), (k, l) in product(combinations(range(n), 2), repeat=2):
+        val = _trace_chain(
+            rho, ((i, "create"), (j, "create"), (k, "annihilate"), (l, "annihilate")))
+        raw[..., i, j, k, l] = raw[..., j, i, l, k] = val
+        raw[..., j, i, k, l] = raw[..., i, j, l, k] = -val
     return FourPointTensor(connected_four_point(raw, c2))
 
 
@@ -218,7 +205,8 @@ class DiagonalFrame:
     ``rotation`` holds the eigenvectors as columns, ordered by descending
     occupation; frame annihilators are d_p = sum_b rotation[b, p] c_b.
     ``occupations`` lie strictly inside (0, 1) so entanglement-Hamiltonian
-    logs and the 1/f factors of the correction stay finite.
+    logs and the 1/f factors of the correction stay finite.  A stack of
+    frames carries leading axes on both; ``frame[index]`` is one of them.
     """
 
     rotation: np.ndarray
@@ -227,11 +215,12 @@ class DiagonalFrame:
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.complex128)
         self.occupations = np.asarray(self.occupations, dtype=float)
-        n = self.rotation.shape[0]
-        if self.rotation.shape != (n, n) or self.occupations.shape != (n,):
+        n = self.rotation.shape[-1]
+        if self.rotation.shape[-2:] != (n, n) or self.occupations.shape != self.rotation.shape[:-1]:
             raise DomainError("frame shapes are inconsistent")
-        eye = self.rotation.conj().T @ self.rotation
-        if np.abs(eye - np.eye(n)).max() > 1e-12:
+        eye = dagger(self.rotation) @ self.rotation
+        # written as "not <=" so that a NaN rotation fails the check
+        if not np.abs(eye - np.eye(n)).max() <= 1e-12:
             raise DomainError("frame rotation is not unitary")
         # a pure occupation makes the 1/f factors of delta_rho infinite
         if not np.all((self.occupations > 0.0) & (self.occupations < 1.0)):
@@ -239,37 +228,38 @@ class DiagonalFrame:
         if np.any(np.diff(self.occupations) > 1e-12):
             raise DomainError("frame occupations must be sorted descending")
 
+    def __getitem__(self, index) -> "DiagonalFrame":
+        return DiagonalFrame(self.rotation[index], self.occupations[index])
+
     @property
     def n_modes(self) -> int:
-        return self.occupations.shape[0]
+        return self.occupations.shape[-1]
 
 
 def diagonalize_two_point(c2: TwoPointMatrix) -> DiagonalFrame:
-    """Eigen-frame of C2 with a deterministic ordering.
+    """Eigen-frame of C2 (of each of a stack) with a deterministic ordering.
 
     Occupations are clamped into (OCCUPATION_CLAMP, 1 - OCCUPATION_CLAMP),
     so a pure mode (occupation 0 or 1) still gives a valid frame.  Ties in
     the occupation spectrum are broken lexicographically on the rounded
     eigenvector entries, and each eigenvector's global phase is fixed by
     making its largest-magnitude entry real positive, so repeated runs
-    produce bit-identical frames.
+    produce bit-identical frames.  The phase divides by ``np.hypot``, which
+    rounds as the scalar ``abs`` does; ``np.abs`` does not.
     """
     c2.validate()
-    herm = 0.5 * (c2.entries + c2.entries.conj().T)
+    herm = 0.5 * (c2.entries + dagger(c2.entries))
     w, v = np.linalg.eigh(herm)
-    n = w.shape[0]
-    for p in range(n):
-        col = v[:, p]
-        k = int(np.argmax(np.abs(col)))
-        phase = col[k] / abs(col[k])
-        v[:, p] = col * np.conj(phase)
-    keys = [
-        (-round(float(w[p]), 12),) + tuple(np.round(v[:, p], 10).view(float))
-        for p in range(n)
-    ]
-    order = sorted(range(n), key=lambda p: keys[p])
-    w = w[order]
-    v = v[:, order]
+    piv = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    v = v * np.conj(piv / np.hypot(piv.real, piv.imag))
+    cols = np.round(v, 10).swapaxes(-1, -2).copy().view(float)
+    order = np.array([
+        sorted(range(len(wr)), key=lambda p: (-round(wr[p], 12), *cr[p]))
+        for wr, cr in zip(w.reshape(-1, w.shape[-1]).tolist(),
+                          cols.reshape(-1, *cols.shape[-2:]).tolist())
+    ], dtype=np.intp).reshape(w.shape)
+    w = np.take_along_axis(w, order, axis=-1)
+    v = np.take_along_axis(v, order[..., None, :], axis=-1)
     g = np.clip(w, OCCUPATION_CLAMP, 1.0 - OCCUPATION_CLAMP)
     return DiagonalFrame(rotation=v, occupations=g)
 

@@ -13,7 +13,8 @@ from it rather than being hard-coded.
 Sector resolution diagonalizes particle number, S^z and total S^2 on the
 subsystem once per mode count; spectra are then collected per (n, m, s)
 block, because pooling across symmetry sectors would mix independent
-ladders and wash level repulsion out.
+ladders and wash level repulsion out.  The state-level functions also take
+a (k, dim, dim) stack of states and then answer with one result per record.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .correlations import diagonalize_two_point, measure_two_point
-from .fock import CapacityError, DensityMatrix, DomainError, FockBasis
+from .fock import CapacityError, DensityMatrix, DomainError, FockBasis, dagger
 from .model import number_diagonal, spin_squared_block, sz_twice_diagonal
 from .reconstruct import gaussian_state, mode_rotation_unitary
 
@@ -91,15 +92,14 @@ def eigenvalue_spectrum(vals: np.ndarray, label=None) -> EntanglementSpectrum:
     return EntanglementSpectrum(levels=np.sort(-np.log(kept)), label=label)
 
 
-def entanglement_spectrum(rho: DensityMatrix | np.ndarray) -> EntanglementSpectrum:
-    """Spectrum of -log(rho), truncated at the numerical rank."""
+def entanglement_spectrum(rho: DensityMatrix | np.ndarray):
+    """Spectrum of -log(rho), truncated at the numerical rank; a list for a stack."""
     mat = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    vals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-    if vals.size and vals[0] < -1e-8:
-        raise DomainError(
-            f"state has eigenvalue {vals[0]:.3e}; project it first"
-        )
-    return eigenvalue_spectrum(vals)
+    vals = np.linalg.eigvalsh(0.5 * (mat + dagger(mat)))
+    if vals.size and vals[..., 0].min() < -1e-8:
+        raise DomainError(f"state has eigenvalue {vals[..., 0].min():.3e}; project it first")
+    spectra = [eigenvalue_spectrum(v) for v in vals.reshape(-1, vals.shape[-1])]
+    return spectra if vals.ndim > 1 else spectra[0]
 
 
 def spectral_error(
@@ -124,33 +124,37 @@ def spectral_error(
 
 
 def gaussian_companion(sigma: DensityMatrix) -> DensityMatrix:
-    """The Gaussian state with the same two-point function as ``sigma``."""
+    """The Gaussian state with the same two-point function as ``sigma`` (per record)."""
     frame = diagonalize_two_point(measure_two_point(sigma))
     gauss = gaussian_state(frame)
-    u = mode_rotation_unitary(frame)
-    mat = (u * gauss.weights[None, :]) @ u.conj().T
+    u = np.empty(sigma.elements.shape, dtype=np.complex128)
+    for index in np.ndindex(u.shape[:-2]):
+        u[index] = mode_rotation_unitary(frame[index])
+    mat = (u * gauss.weights[..., None, :]) @ dagger(u)
     return DensityMatrix(sigma.basis, mat)
 
 
-def max_fidelity(sigma: DensityMatrix, other: DensityMatrix) -> float:
-    """F = Tr[sigma other] / max(Tr sigma^2, Tr other^2)."""
+def _real_sum(mats: np.ndarray) -> np.ndarray:
+    """Re of the sum of each matrix's elements, summed as one contiguous row."""
+    return np.real(mats.reshape(*mats.shape[:-2], -1).sum(axis=-1))
+
+
+def max_fidelity(sigma: DensityMatrix, other: DensityMatrix):
+    """F = Tr[sigma other] / max(Tr sigma^2, Tr other^2), per record."""
     a = sigma.elements
     b = other.elements
-    overlap = float(np.real(np.sum(a * b.conj())))
-    purity_a = float(np.real(np.sum(a * a.conj())))
-    purity_b = float(np.real(np.sum(b * b.conj())))
-    return overlap / max(purity_a, purity_b)
+    return _real_sum(a * b.conj()) / np.maximum(_real_sum(a * a.conj()), _real_sum(b * b.conj()))
 
 
-def non_gaussianity(sigma: DensityMatrix) -> float:
-    """Angle theta = arccos sqrt(F(sigma | sigma_g)) in [0, pi/2].
+def non_gaussianity(sigma: DensityMatrix):
+    """Angle theta = arccos sqrt(F(sigma | sigma_g)) in [0, pi/2]; an array for a stack.
 
     sigma_g is built from the measured two-point function of ``sigma``
     itself, so theta vanishes exactly when sigma is Gaussian and is
     invariant under single-particle basis rotations.
     """
     f = max_fidelity(sigma, gaussian_companion(sigma))
-    return float(np.arccos(np.sqrt(np.clip(f, 0.0, 1.0))))
+    return np.arccos(np.sqrt(np.clip(f, 0.0, 1.0)))
 
 
 def _casimir_to_spin(value: float) -> float:
@@ -201,7 +205,7 @@ class SectorBlock:
 
 
 def sector_project(rho: DensityMatrix) -> list[SectorBlock]:
-    """Split a reduced state into (n, m, s) symmetry blocks.
+    """Split a reduced state (each of a stack) into (n, m, s) symmetry blocks.
 
     Block dimensions sum to the full dimension; weight outside the block
     structure (possible if rho breaks the symmetries) is simply not
@@ -209,21 +213,23 @@ def sector_project(rho: DensityMatrix) -> list[SectorBlock]:
     """
     blocks = []
     for label, idx, vecs in _sector_basis(rho.basis.mode_count):
-        sub = rho.elements[np.ix_(idx, idx)]
+        # fancy indexing puts a stack axis innermost; the matmul needs C order
+        sub = np.ascontiguousarray(rho.elements[..., idx[:, None], idx[None, :]])
         block = vecs.conj().T @ sub @ vecs
         blocks.append(SectorBlock(label=label, elements=block))
     return blocks
 
 
-def sector_spectra(rho: DensityMatrix) -> list[EntanglementSpectrum]:
-    """Entanglement spectrum of every symmetry block with >= 1 kept level."""
-    spectra = []
+def sector_spectra(rho: DensityMatrix):
+    """Entanglement spectrum of every symmetry block with >= 1 kept level; per record."""
+    spectra = [[] for _ in range(rho.elements.size // rho.basis.dim ** 2)]
     for block in sector_project(rho):
-        herm = 0.5 * (block.elements + block.elements.conj().T)
-        spec = eigenvalue_spectrum(np.linalg.eigvalsh(herm), block.label)
-        if spec.rank:
-            spectra.append(spec)
-    return spectra
+        vals = np.linalg.eigvalsh(0.5 * (block.elements + dagger(block.elements)))
+        for kept, v in zip(spectra, vals.reshape(-1, vals.shape[-1])):
+            spec = eigenvalue_spectrum(v, block.label)
+            if spec.rank:
+                kept.append(spec)
+    return spectra if rho.elements.ndim > 2 else spectra[0]
 
 
 @dataclass

@@ -179,9 +179,14 @@ class StateVector:
         return StateVector(self.basis, self.amplitudes / self.norm)
 
 
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes, so of every matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
 @dataclass
 class DensityMatrix:
-    """Dense Hermitian operator on a Fock basis."""
+    """Dense Hermitian operator on a Fock basis, or a stack of them on leading axes."""
 
     basis: FockBasis
     elements: np.ndarray
@@ -189,7 +194,7 @@ class DensityMatrix:
     def __post_init__(self):
         self.elements = np.asarray(self.elements, dtype=np.complex128)
         d = self.basis.dim
-        if self.elements.shape != (d, d):
+        if self.elements.shape[-2:] != (d, d):
             raise DomainError("matrix shape does not match basis dimension")
 
     @property
@@ -197,7 +202,7 @@ class DensityMatrix:
         return complex(np.trace(self.elements))
 
     def hermiticity_defect(self) -> float:
-        return float(np.abs(self.elements - self.elements.conj().T).max())
+        return float(np.abs(self.elements - dagger(self.elements)).max())
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.elements)

@@ -46,6 +46,8 @@ from .model import build_hamiltonian, evolve, initial_state, select_initial_stat
 from .reconstruct import AnsatzValidityWarning, reconstruct_state
 
 CAPACITY_LIMIT = 1 << 22
+# matrix entries per reconstruct chunk: 16 four-mode records, else one record
+RECON_CHUNK_ENTRIES = 4096
 FIG2_TIME_ANCHOR = 10.0
 FIG3_U_ANCHOR = 5.6e-3
 
@@ -229,76 +231,79 @@ def cmd_quench(config: RunConfig) -> str:
     return manifest
 
 
-def _sector_spectra_doc(rho: DensityMatrix) -> list[dict]:
+def _sector_spectra_doc(spectra) -> list[dict]:
     return [{"n": spec.label.n, "m": spec.label.m, "s": spec.label.s,
              "levels": [float(x) for x in spec.levels]}
-            for spec in sector_spectra(rho)]
+            for spec in spectra]
 
 
-def analyze_snapshot(c2, c4, rho_exact: DensityMatrix) -> dict:
-    """The physics fields of a recon document: (C2, C4) rebuilt, set against rho.
+def analyze_records(c2: TwoPointMatrix, c4: FourPointTensor,
+                    rho_exact: DensityMatrix) -> list[dict]:
+    """The physics fields of the recon documents of a stack of (C2, C4, rho) records.
 
-    Each spectrum is read once: the exact one by one ``eigvalsh``, the
-    Gaussian one from its product weights, and the projected one and the
-    assembled state's minimum eigenvalue from the one ``eigh`` of
-    :func:`project_positive`.
+    Each spectrum is read once: the exact one by one ``eigvalsh``, the Gaussian
+    one from its product weights, and the projected one and the assembled state's
+    minimum eigenvalue from the one ``eigh`` of :func:`project_positive`.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", AnsatzValidityWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AnsatzValidityWarning)
         recon = reconstruct_state(c2, c4)
-    warned = any(issubclass(w.category, AnsatzValidityWarning)
-                 for w in caught)
-
     c2_assembled = measure_two_point(recon.assembled)
-    residual_c4 = np.abs(
-        measure_four_point_connected(recon.assembled, c2_assembled).entries
-        - c4.entries).max()
+    c4_assembled = measure_four_point_connected(recon.assembled, c2_assembled).entries
     spec_exact = entanglement_spectrum(rho_exact)
-    theta_exact = non_gaussianity(rho_exact)
-    theta_recon = non_gaussianity(recon.projected)
-    return {
-        "theta_exact": float(theta_exact),
-        "theta_recon": float(theta_recon),
-        "one_minus_f_exact": float(math.sin(theta_exact) ** 2),
-        "one_minus_f_recon": float(math.sin(theta_recon) ** 2),
-        "residual_c2": float(np.abs(c2_assembled.entries - c2.entries).max()),
-        "residual_c4": float(residual_c4),
-        "max_abs_c4": float(c4.max_abs()),
-        "ansatz_warning": bool(warned),
-        "assembled_min_eigenvalue": float(recon.assembled_eigenvalues[0]),
+    theta_exact = non_gaussianity(rho_exact).tolist()
+    theta_recon = non_gaussianity(recon.projected).tolist()
+    sectors_exact = sector_spectra(rho_exact)
+    sectors_recon = sector_spectra(recon.projected)
+    return [{
+        "theta_exact": theta_exact[i],
+        "theta_recon": theta_recon[i],
+        "one_minus_f_exact": math.sin(theta_exact[i]) ** 2,
+        "one_minus_f_recon": math.sin(theta_recon[i]) ** 2,
+        "residual_c2": float(np.abs(c2_assembled.entries[i] - c2.entries[i]).max()),
+        "residual_c4": float(np.abs(c4_assembled[i] - c4.entries[i]).max()),
+        "max_abs_c4": float(np.abs(c4.entries[i]).max()),
+        "ansatz_warning": bool(recon.strained[i]),
+        "assembled_min_eigenvalue": float(recon.assembled_eigenvalues[i, 0]),
         "error_indices": list(DEFAULT_ERROR_INDICES),
         "delta_gaussian": spectral_error(
-            spec_exact, eigenvalue_spectrum(recon.gaussian.weights)),
+            spec_exact[i], eigenvalue_spectrum(recon.gaussian.weights[i])),
         "delta_projected": spectral_error(
-            spec_exact, eigenvalue_spectrum(recon.projected_eigenvalues)),
-        "spectrum_exact": _sector_spectra_doc(rho_exact),
-        "spectrum_recon": _sector_spectra_doc(recon.projected),
-    }
+            spec_exact[i], eigenvalue_spectrum(recon.projected_eigenvalues[i])),
+        "spectrum_exact": _sector_spectra_doc(sectors_exact[i]),
+        "spectrum_recon": _sector_spectra_doc(sectors_recon[i]),
+    } for i in range(len(spec_exact))]
 
 
 def _recon_task(task):
-    """Analyze one (rho, C2, C4) input once; write a document for each tag that stores it."""
-    config, qdir, rdir, tags = task
-    fields, names = None, []
-    for iu, member, it in tags:
-        rho_exact, c2, c4, provenance = load_snapshot(qdir, iu, member, it)
-        fields = fields or analyze_snapshot(c2, c4, rho_exact)
-        u, t = config.u_values[iu], config.times[it]
-        header = serialize.make_header(
-            "reconstruction", rho_exact.basis.mode_count,
-            tolerances={"clamp": OCCUPATION_CLAMP, "rank_cutoff": RANK_CUTOFF},
-            provenance=provenance)
-        names.append(f"{snapshot_tag(iu, member, it)}_recon.json")
-        serialize.dump_json(os.path.join(rdir, names[-1]), {
-            "header": header, "u": float(u), "t": float(t), "tau": float(u * t),
-            "member": member, **fields})
+    """Analyze a chunk of distinct records as one stack; write each tag's document."""
+    config, qdir, rdir, groups = task
+    snaps = [[load_snapshot(qdir, *tag) for tag in tags] for tags in groups]
+    rho = DensityMatrix(snaps[0][0][0].basis, np.stack([g[0][0].elements for g in snaps]))
+    c2 = TwoPointMatrix(np.stack([g[0][1].entries for g in snaps]))
+    c4 = FourPointTensor(np.stack([g[0][2].entries for g in snaps]))
+    provenances = [[snap[3] for snap in group] for group in snaps]
+    del snaps  # the stacks now hold the only copy of each record
+    names = []
+    for tags, provs, fields in zip(groups, provenances, analyze_records(c2, c4, rho)):
+        for (iu, member, it), provenance in zip(tags, provs):
+            u, t = config.u_values[iu], config.times[it]
+            header = serialize.make_header(
+                "reconstruction", rho.basis.mode_count,
+                tolerances={"clamp": OCCUPATION_CLAMP, "rank_cutoff": RANK_CUTOFF},
+                provenance=provenance)
+            names.append(f"{snapshot_tag(iu, member, it)}_recon.json")
+            serialize.dump_json(os.path.join(rdir, names[-1]), {
+                "header": header, "u": float(u), "t": float(t), "tau": float(u * t),
+                "member": member, **fields})
     return names
 
 
 def cmd_reconstruct(config: RunConfig) -> str:
     """Reconstruct every snapshot and write diagnostics next to it.
 
-    Byte-identical stored records (each U repeats a member's t = 0) are analyzed once.
+    Byte-identical stored records (each U repeats a member's t = 0) are analyzed
+    once, in chunks of at most RECON_CHUNK_ENTRIES matrix entries: one task each.
     """
     qdir = _quench_dir(config)
     if not os.path.isdir(qdir):
@@ -312,7 +317,9 @@ def cmd_reconstruct(config: RunConfig) -> str:
         record = serialize.load_npy_record(os.path.join(qdir, f"u{iu}_m{m}.npy"),
                                            dtype, count, it)
         groups.setdefault(hashlib.sha256(record).digest(), []).append((iu, m, it))
-    tasks = [(config, qdir, rdir, tags) for tags in groups.values()]
+    groups = list(groups.values())
+    size = max(1, RECON_CHUNK_ENTRIES // dtype["rho"].shape[0] ** 2)
+    tasks = [(config, qdir, rdir, groups[i:i + size]) for i in range(0, len(groups), size)]
     names = sum(_run_tasks(_recon_task, tasks, config.workers), [])
     manifest = os.path.join(rdir, "manifest.json")
     serialize.write_manifest(manifest, {

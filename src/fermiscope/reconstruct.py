@@ -59,7 +59,7 @@ from .correlations import (
     diagonalize_two_point,
     rotate_four_point,
 )
-from .fock import DensityMatrix, DomainError, FockBasis, popcount, quadratic_operator
+from .fock import DensityMatrix, DomainError, FockBasis, dagger, popcount, quadratic_operator
 
 ANSATZ_WARN_THRESHOLD = 0.1
 
@@ -71,21 +71,21 @@ class AnsatzValidityWarning(UserWarning):
 def _f_table(n_modes: int, g: np.ndarray) -> np.ndarray:
     """f_p = n_p g_p + (1 - n_p)(1 - g_p) for every unfiltered basis state (rows)."""
     occ = fock._hop_tables(n_modes, None, None)[0]
-    return occ * g[None, :] + (1.0 - occ) * (1.0 - g[None, :])
+    return occ * g[..., None, :] + (1.0 - occ) * (1.0 - g[..., None, :])
 
 
 @dataclass
 class GaussianState:
-    """Gaussian reference state, diagonal in its frame's Fock basis."""
+    """Gaussian reference state (or a stack), diagonal in its frame's Fock basis."""
 
     frame: DiagonalFrame
     weights: np.ndarray
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (1 << self.frame.n_modes,):
+        if self.weights.shape != self.frame.occupations.shape[:-1] + (1 << self.frame.n_modes,):
             raise DomainError("weight vector does not match frame dimension")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
+        if not np.all(np.abs(self.weights.sum(axis=-1) - 1.0) <= 1e-12):
             raise DomainError("gaussian weights do not sum to one")
 
     @property
@@ -94,7 +94,7 @@ class GaussianState:
 
 
 def gaussian_state(frame: DiagonalFrame) -> GaussianState:
-    weights = _f_table(frame.n_modes, frame.occupations).prod(axis=1)
+    weights = _f_table(frame.n_modes, frame.occupations).prod(axis=-1)
     return GaussianState(frame=frame, weights=weights)
 
 
@@ -117,7 +117,7 @@ def gaussian_eh(c2: TwoPointMatrix | DiagonalFrame) -> np.ndarray:
 
 @dataclass
 class NonGaussianCorrection:
-    """Additive non-Gaussian correction in the frame basis."""
+    """Additive non-Gaussian correction (or a stack) in the frame basis."""
 
     frame: DiagonalFrame
     elements: np.ndarray
@@ -125,15 +125,8 @@ class NonGaussianCorrection:
     def __post_init__(self):
         self.elements = np.asarray(self.elements, dtype=np.complex128)
         dim = 1 << self.frame.n_modes
-        if self.elements.shape != (dim, dim):
+        if self.elements.shape != self.frame.occupations.shape[:-1] + (dim, dim):
             raise DomainError("correction shape does not match frame dimension")
-
-    def hermiticity_defect(self) -> float:
-        return float(np.abs(self.elements - self.elements.conj().T).max())
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.elements))
 
 
 def _between_mask(lo: int, hi: int) -> int:
@@ -156,13 +149,6 @@ def delta_rho(
     n_modes = frame.n_modes
     if t.shape[0] != n_modes:
         raise DomainError("tensor and frame mode counts differ")
-    if np.abs(t).max() > ANSATZ_WARN_THRESHOLD:
-        warnings.warn(
-            f"max |C~4| = {np.abs(t).max():.3g} exceeds {ANSATZ_WARN_THRESHOLD}; "
-            "the linear ansatz may be strained",
-            AnsatzValidityWarning,
-            stacklevel=2,
-        )
     occ, k, j, rows, cols, signs, _ = fock._hop_tables(n_modes, None, None)
     f = _f_table(n_modes, frame.occupations)
     w = f.prod(axis=1)
@@ -193,13 +179,12 @@ def delta_rho(
     delta[rows, cols] -= (w[cols] * signs * t[a1, a2, b1, b2] * inv_f[cols, a1]
                           * inv_f[cols, a2] * inv_f[cols, b1] * inv_f[cols, b2])
 
-    correction = NonGaussianCorrection(frame=frame, elements=delta)
     # written as "not <=" so that a NaN element fails both checks
-    if not correction.hermiticity_defect() <= 1e-12:
+    if not np.abs(delta - delta.conj().T).max() <= 1e-12:
         raise DomainError("constructed correction is not Hermitian")
-    if not abs(correction.trace) <= 1e-12:
+    if not abs(np.trace(delta)) <= 1e-12:
         raise DomainError("constructed correction is not traceless")
-    return correction
+    return NonGaussianCorrection(frame=frame, elements=delta)
 
 
 def delta_rho_decomposed(c4_frame: FourPointTensor, frame: DiagonalFrame):
@@ -299,30 +284,30 @@ def delta_rho_decomposed(c4_frame: FourPointTensor, frame: DiagonalFrame):
 
 
 def project_to_simplex(values: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
+    """Euclidean projection of a real vector (each along the last axis) onto the simplex."""
     v = np.asarray(values, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, v.size + 1)
+    u = np.flip(np.sort(v, axis=-1), axis=-1)
+    css = np.cumsum(u, axis=-1)
+    j = np.arange(1, v.shape[-1] + 1)
     feasible = u + (1.0 - css) / j > 0
-    k = int(np.nonzero(feasible)[0][-1]) + 1
-    shift = (1.0 - css[k - 1]) / k
+    k = v.shape[-1] - np.argmax(np.flip(feasible, axis=-1), axis=-1)[..., None]
+    shift = (1.0 - np.take_along_axis(css, k - 1, axis=-1)) / k
     return np.maximum(v + shift, 0.0)
 
 
 def project_positive(rho: np.ndarray):
-    """Closest density matrix: project the spectrum onto the simplex.
+    """Closest density matrix (of each of a stack): project the spectrum onto the simplex.
 
     Returns (matrix, w, w_proj): the projected matrix and the ascending
     eigenvalues of the Hermitian part of ``rho`` before and after the
     projection, read from one ``eigh``.  Eigenvectors are untouched, so
     operators diagonal in the same basis stay diagonal in it.
     """
-    herm = 0.5 * (rho + rho.conj().T)
+    herm = 0.5 * (rho + dagger(rho))
     w, v = np.linalg.eigh(herm)
     w_proj = project_to_simplex(w)
-    out = (v * w_proj[None, :]) @ v.conj().T
-    return 0.5 * (out + out.conj().T), w, w_proj
+    out = (v * w_proj[..., None, :]) @ dagger(v)
+    return 0.5 * (out + dagger(out)), w, w_proj
 
 
 def mode_rotation_unitary(frame: DiagonalFrame) -> np.ndarray:
@@ -341,7 +326,8 @@ def mode_rotation_unitary(frame: DiagonalFrame) -> np.ndarray:
     n = frame.n_modes
     h = scipy.linalg.logm(v)
     h = 0.5 * (h - h.conj().T)
-    if np.abs(scipy.linalg.expm(h) - v).max() > 1e-10:
+    # written as "not <=": logm returns NaN when it fails, and NaN must fail
+    if not np.abs(scipy.linalg.expm(h) - v).max() <= 1e-10:
         raise DomainError("matrix logarithm failed to invert the rotation")
     dim = 1 << n
     u = np.zeros((dim, dim), dtype=np.complex128)
@@ -350,7 +336,7 @@ def mode_rotation_unitary(frame: DiagonalFrame) -> np.ndarray:
         # the unfiltered basis indexes each state by its own bits
         u[np.ix_(sec.states, sec.states)] = scipy.linalg.expm(quadratic_operator(sec, h))
     defect = np.abs(u.conj().T @ u - np.eye(dim)).max()
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise DomainError(f"frame unitary defect {defect:.2e}")
     return u
 
@@ -362,7 +348,7 @@ class ReconstructedState:
     ``assembled`` and ``projected`` live in the physical mode basis, with
     their ascending eigenvalues alongside; ``gaussian`` and ``correction``
     keep their natural frame-diagonal representation, so the Gaussian
-    state's eigenvalues are its weights.
+    state's eigenvalues are its weights; ``strained`` flags a large rotated C4.
     """
 
     frame: DiagonalFrame
@@ -372,30 +358,37 @@ class ReconstructedState:
     projected: DensityMatrix
     assembled_eigenvalues: np.ndarray
     projected_eigenvalues: np.ndarray
+    strained: np.ndarray
 
 
 def reconstruct_state(
     c2: TwoPointMatrix,
     c4: FourPointTensor,
 ) -> ReconstructedState:
-    """Full pipeline: frame, Gaussian reference, correction, projection."""
+    """Full pipeline over a stack of records: frame, Gaussian reference,
+    correction, projection.  Warns if any record is strained."""
     c4.validate()
     frame = diagonalize_two_point(c2)
-    c4_frame = rotate_four_point(c4, frame)
     gauss = gaussian_state(frame)
-    correction = delta_rho(c4_frame, frame)
+    stack, dim = gauss.weights.shape[:-1], gauss.weights.shape[-1]
+    if c4.entries.shape[:-4] != stack:
+        raise DomainError("C2 and C4 stacks differ")
+    elements = np.empty(stack + (dim, dim), dtype=np.complex128)
+    u = np.empty_like(elements)
+    strained = np.empty(stack, dtype=bool)
+    for index in np.ndindex(stack):
+        record = frame[index]
+        c4_frame = rotate_four_point(FourPointTensor(c4.entries[index]), record)
+        strained[index] = c4_frame.max_abs() > ANSATZ_WARN_THRESHOLD
+        elements[index] = delta_rho(c4_frame, record).elements
+        u[index] = mode_rotation_unitary(record)
+    if strained.any():
+        warnings.warn(f"{strained.sum()} record(s) with max |C~4| above {ANSATZ_WARN_THRESHOLD}; "
+                      "the linear ansatz may be strained", AnsatzValidityWarning, stacklevel=2)
+    assembled = u @ (gauss.weights[..., None] * np.eye(dim) + elements) @ dagger(u)
+    assembled = 0.5 * (assembled + dagger(assembled))
+    projected, w, w_proj = project_positive(assembled)
     basis = FockBasis(frame.n_modes)
-    u = mode_rotation_unitary(frame)
-    assembled_frame = np.diag(gauss.weights).astype(complex) + correction.elements
-    assembled_phys = u @ assembled_frame @ u.conj().T
-    assembled_phys = 0.5 * (assembled_phys + assembled_phys.conj().T)
-    projected, w, w_proj = project_positive(assembled_phys)
-    return ReconstructedState(
-        frame=frame,
-        gaussian=gauss,
-        correction=correction,
-        assembled=DensityMatrix(basis, assembled_phys),
-        projected=DensityMatrix(basis, projected),
-        assembled_eigenvalues=w,
-        projected_eigenvalues=w_proj,
-    )
+    return ReconstructedState(frame, gauss, NonGaussianCorrection(frame, elements),
+                              DensityMatrix(basis, assembled), DensityMatrix(basis, projected),
+                              w, w_proj, strained)

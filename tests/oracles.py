@@ -21,11 +21,15 @@ from fermiscope.fock import (
     popcount,
 )
 from fermiscope.correlations import (
+    OCCUPATION_CLAMP,
+    DiagonalFrame,
     FourPointTensor,
     TwoPointMatrix,
     _trace_chain,
+    connected_four_point,
     measure_four_point_connected,
     measure_two_point,
+    rotate_four_point,
 )
 from fermiscope.entanglement import (
     BOOTSTRAP_RESAMPLES,
@@ -38,6 +42,8 @@ from fermiscope.entanglement import (
     _casimir_to_spin,
     _check_bootstrap,
     _pooled_statistics,
+    _sector_basis,
+    eigenvalue_spectrum,
     entanglement_spectrum,
     non_gaussianity,
     sector_spectra,
@@ -54,8 +60,11 @@ from fermiscope.model import (
     sz_twice_diagonal,
 )
 from fermiscope.reconstruct import (
+    ANSATZ_WARN_THRESHOLD,
     AnsatzValidityWarning,
     _between_mask,
+    _f_table,
+    delta_rho,
     mode_rotation_unitary,
     reconstruct_state,
 )
@@ -850,3 +859,135 @@ def gap_statistics_loop(levels, bins: int = HISTOGRAM_BINS,
         used += 1
     ratios = np.concatenate(pool) if pool else np.empty(0)
     return _pooled_statistics(ratios, bins, bootstrap, seed, dropped, used)
+
+
+# ------------------------------------------------------------------
+# The reconstruct analysis of one record at a time: every layer below
+# takes a single matrix and loops where the stacked route vectorizes.
+
+
+def _two_point_one(rho: DensityMatrix) -> np.ndarray:
+    n = rho.basis.mode_count
+    c2 = np.zeros((n, n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(i, n):
+            val = trace_chain_walk(rho, ((i, "create"), (j, "annihilate")))
+            c2[i, j] = val
+            c2[j, i] = np.conj(val)
+    return c2
+
+
+def _four_point_one(rho: DensityMatrix, c2: np.ndarray) -> np.ndarray:
+    n = rho.basis.mode_count
+    raw = np.zeros((n, n, n, n), dtype=np.complex128)
+    for i, j in combinations(range(n), 2):
+        for k, l in combinations(range(n), 2):
+            val = trace_chain_walk(rho, (
+                (i, "create"), (j, "create"), (k, "annihilate"), (l, "annihilate")))
+            raw[i, j, k, l] = raw[j, i, l, k] = val
+            raw[j, i, k, l] = raw[i, j, l, k] = -val
+    return connected_four_point(raw, c2)
+
+
+def diagonalize_two_point_loop(c2: np.ndarray) -> DiagonalFrame:
+    """The frame of one C2, with its phase fixed column by column."""
+    herm = 0.5 * (c2 + c2.conj().T)
+    w, v = np.linalg.eigh(herm)
+    n = w.shape[0]
+    for p in range(n):
+        col = v[:, p]
+        k = int(np.argmax(np.abs(col)))
+        phase = col[k] / abs(col[k])
+        v[:, p] = col * np.conj(phase)
+    keys = [(-round(float(w[p]), 12),) + tuple(np.round(v[:, p], 10).view(float))
+            for p in range(n)]
+    order = sorted(range(n), key=lambda p: keys[p])
+    g = np.clip(w[order], OCCUPATION_CLAMP, 1.0 - OCCUPATION_CLAMP)
+    return DiagonalFrame(rotation=v[:, order], occupations=g)
+
+
+def _gaussian_weights_one(frame: DiagonalFrame) -> np.ndarray:
+    return _f_table(frame.n_modes, frame.occupations).prod(axis=1)
+
+
+def _project_to_simplex_one(v: np.ndarray) -> np.ndarray:
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    feasible = u + (1.0 - css) / np.arange(1, v.size + 1) > 0
+    k = int(np.nonzero(feasible)[0][-1]) + 1
+    return np.maximum(v + (1.0 - css[k - 1]) / k, 0.0)
+
+
+def _project_positive_one(rho: np.ndarray):
+    herm = 0.5 * (rho + rho.conj().T)
+    w, v = np.linalg.eigh(herm)
+    w_proj = _project_to_simplex_one(w)
+    out = (v * w_proj[None, :]) @ v.conj().T
+    return 0.5 * (out + out.conj().T), w, w_proj
+
+
+def _non_gaussianity_one(sigma: np.ndarray, basis: FockBasis) -> float:
+    frame = diagonalize_two_point_loop(_two_point_one(DensityMatrix(basis, sigma)))
+    u = mode_rotation_unitary(frame)
+    companion = (u * _gaussian_weights_one(frame)[None, :]) @ u.conj().T
+    overlap = float(np.real(np.sum(sigma * companion.conj())))
+    purity = max(float(np.real(np.sum(sigma * sigma.conj()))),
+                 float(np.real(np.sum(companion * companion.conj()))))
+    return float(np.arccos(np.sqrt(np.clip(overlap / purity, 0.0, 1.0))))
+
+
+def _sector_spectra_one(rho: np.ndarray, basis: FockBasis) -> list[dict]:
+    docs = []
+    for label, idx, vecs in _sector_basis(basis.mode_count):
+        block = vecs.conj().T @ rho[np.ix_(idx, idx)] @ vecs
+        spec = eigenvalue_spectrum(
+            np.linalg.eigvalsh(0.5 * (block + block.conj().T)), label)
+        if spec.rank:
+            docs.append({"n": label.n, "m": label.m, "s": label.s,
+                         "levels": [float(x) for x in spec.levels]})
+    return docs
+
+
+def analyze_snapshot_loop(c2: TwoPointMatrix, c4: FourPointTensor,
+                          rho_exact: DensityMatrix) -> dict:
+    """``harness.analyze_records`` of one record, one matrix per call.
+
+    The bit-for-bit reference of the stacked route: each layer works on a
+    single record, the frame's phase is fixed column by column by scalar
+    division, and every C2/C4 chain is walked over the bit patterns and
+    summed as one 1-D gather (``trace_chain_walk``).
+    """
+    basis = rho_exact.basis
+    c4.validate()
+    c2.validate()
+    frame = diagonalize_two_point_loop(c2.entries.copy())
+    c4_frame = rotate_four_point(c4, frame)
+    weights = _gaussian_weights_one(frame)
+    correction = delta_rho(c4_frame, frame).elements
+    u = mode_rotation_unitary(frame)
+    assembled = u @ (np.diag(weights).astype(complex) + correction) @ u.conj().T
+    assembled = 0.5 * (assembled + assembled.conj().T)
+    projected, w, w_proj = _project_positive_one(assembled)
+
+    c2_assembled = _two_point_one(DensityMatrix(basis, assembled))
+    c4_assembled = _four_point_one(DensityMatrix(basis, assembled), c2_assembled)
+    exact = rho_exact.elements
+    spec_exact = eigenvalue_spectrum(np.linalg.eigvalsh(0.5 * (exact + exact.conj().T)))
+    theta_exact = _non_gaussianity_one(exact, basis)
+    theta_recon = _non_gaussianity_one(projected, basis)
+    return {
+        "theta_exact": theta_exact,
+        "theta_recon": theta_recon,
+        "one_minus_f_exact": float(math.sin(theta_exact) ** 2),
+        "one_minus_f_recon": float(math.sin(theta_recon) ** 2),
+        "residual_c2": float(np.abs(c2_assembled - c2.entries).max()),
+        "residual_c4": float(np.abs(c4_assembled - c4.entries).max()),
+        "max_abs_c4": float(c4.max_abs()),
+        "ansatz_warning": bool(np.abs(c4_frame.entries).max() > ANSATZ_WARN_THRESHOLD),
+        "assembled_min_eigenvalue": float(w[0]),
+        "error_indices": list(DEFAULT_ERROR_INDICES),
+        "delta_gaussian": spectral_error(spec_exact, eigenvalue_spectrum(weights)),
+        "delta_projected": spectral_error(spec_exact, eigenvalue_spectrum(w_proj)),
+        "spectrum_exact": _sector_spectra_one(exact, basis),
+        "spectrum_recon": _sector_spectra_one(projected, basis),
+    }

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fermiscope import cli, fock, harness, measure, serialize
+from fermiscope import cli, fock, harness, measure, serialize, validate
 from fermiscope.config import (
     ConfigWarning,
     RunConfig,
@@ -18,13 +18,23 @@ from fermiscope.config import (
     load_config,
     save_config,
 )
-from fermiscope.correlations import FourPointTensor, TwoPointMatrix
+from fermiscope.correlations import (
+    FourPointTensor,
+    TwoPointMatrix,
+    measure_four_point_connected,
+    measure_two_point,
+)
 from fermiscope.fock import CapacityError, DensityMatrix, DomainError, FockBasis
 from fermiscope.model import HubbardParams
 from fermiscope.serialize import load_json, sha256_of_file
 
 from conftest import mini_config
-from oracles import gap_statistics_loop, recon_fields_rediagonalized, same_bits
+from oracles import (
+    analyze_snapshot_loop,
+    gap_statistics_loop,
+    recon_fields_rediagonalized,
+    same_bits,
+)
 
 
 def test_default_config_shape():
@@ -268,15 +278,15 @@ def test_reconstruct_analyzes_each_distinct_input_once(tmp_path, monkeypatch):
         inputs.add(b"".join(a.tobytes() for a in (rho.elements, c2.entries, c4.entries)))
     assert len(inputs) == 6
     calls = []
-    real = harness.analyze_snapshot
+    real = harness.analyze_records
 
     def counting(c2, c4, rho):
-        calls.append(1)
+        calls.append(len(rho.elements))
         return real(c2, c4, rho)
 
-    monkeypatch.setattr(harness, "analyze_snapshot", counting)
+    monkeypatch.setattr(harness, "analyze_records", counting)
     harness.cmd_reconstruct(config)
-    assert len(calls) == len(inputs)
+    assert sum(calls) == len(inputs)
     # the t = 0 documents differ in u, tau and their header's provenance only
     docs = [load_json(str(tmp_path / "recon" / f"u{iu}_m1_t0_recon.json")) for iu in (0, 1)]
     assert [d["u"] for d in docs] == [0.05, 0.2]
@@ -318,7 +328,15 @@ def _mini_snapshots(config):
         for m in range(config.ensemble_size):
             for it in range(len(config.times)):
                 rho, c2, c4, _ = harness.load_snapshot(qdir, iu, m, it)
-                yield (config, qdir, config.out_dir, ((iu, m, it),)), c2, c4, rho
+                yield (config, qdir, config.out_dir, [[(iu, m, it)]]), c2, c4, rho
+
+
+def _stacked(snapshots):
+    """The (C2, C4, rho) stacks of ``_mini_snapshots`` items."""
+    *_, c2, c4, rho = zip(*snapshots)
+    return (TwoPointMatrix(np.stack([x.entries for x in c2])),
+            FourPointTensor(np.stack([x.entries for x in c4])),
+            DensityMatrix(rho[0].basis, np.stack([x.elements for x in rho])))
 
 
 def test_snapshot_analysis_matches_the_rediagonalizing_oracle(tmp_path):
@@ -326,8 +344,9 @@ def test_snapshot_analysis_matches_the_rediagonalizing_oracle(tmp_path):
     harness.cmd_quench(config)
     moved = ("delta_gaussian", "delta_projected", "assembled_min_eigenvalue")
     count = 0
-    for _, c2, c4, rho in _mini_snapshots(config):
-        got = harness.analyze_snapshot(c2, c4, rho)
+    snapshots = list(_mini_snapshots(config))
+    for (_, c2, c4, rho), got in zip(snapshots, harness.analyze_records(*_stacked(snapshots)),
+                                     strict=True):
         want = recon_fields_rediagonalized(c2, c4, rho)
         assert sorted(got) == sorted(want)
         for key in set(want) - set(moved):
@@ -359,15 +378,84 @@ def test_recon_task_diagonalizes_each_state_once(tmp_path, monkeypatch):
         real = getattr(np.linalg, name)
 
         def counting(a, *args, _real=real, **kwargs):
-            if np.shape(a) == (dim, dim):
-                calls.append(np.shape(a))
+            if np.shape(a)[-2:] == (dim, dim):
+                calls.append(math.prod(np.shape(a)[:-2]))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    task, *_ = next(_mini_snapshots(config))
-    harness._recon_task(task)
-    # the exact spectrum, and the assembled state's eigh in project_positive
-    assert len(calls) == 2
+    tasks = [task for task, *_ in _mini_snapshots(config)]
+    harness._recon_task((*tasks[0][:3], [group for task in tasks for group in task[3]]))
+    # per record: the exact spectrum, and the assembled state's eigh in
+    # project_positive, in one stacked call each
+    assert calls == [len(tasks)] * 2
+
+
+def _recon_bytes(config) -> dict:
+    rdir = os.path.join(config.out_dir, "recon")
+    return {name: open(os.path.join(rdir, name), "rb").read() for name in os.listdir(rdir)}
+
+
+def _invariance_config(out_dir: str) -> RunConfig:
+    # 2 members x (3 U x 3 times > 0, plus the t = 0 every U shares): 20 records
+    return mini_config(out_dir).override(u_values=(0.05, 0.2, 0.4), times=(0.0, 1.0, 2.0, 3.0))
+
+
+def test_recon_bytes_do_not_depend_on_chunks_or_workers(tmp_path, monkeypatch):
+    base = _invariance_config(str(tmp_path / "base"))
+    harness.cmd_quench(base)
+    entries_per_record = 1 << 2 * base.subsystem_modes
+    default = harness.RECON_CHUNK_ENTRIES
+    assert default == 16 * entries_per_record
+    real = harness.analyze_records
+    chunks = []
+
+    def counting(c2, c4, rho):
+        chunks.append(len(c2.entries))
+        return real(c2, c4, rho)
+
+    monkeypatch.setattr(harness, "analyze_records", counting)
+    outputs = []
+    for k, (records, workers) in enumerate(((16, 0), (1, 0), (7, 0), (16, 2))):
+        config = base.override(out_dir=str(tmp_path / str(k)), workers=workers)
+        shutil.copytree(os.path.join(base.out_dir, "quench"),
+                        os.path.join(config.out_dir, "quench"))
+        monkeypatch.setattr(harness, "RECON_CHUNK_ENTRIES", records * entries_per_record)
+        chunks.clear()
+        harness.cmd_reconstruct(config)
+        if workers == 0:  # a pool's workers count in their own copies
+            assert sum(chunks) == 20 and max(chunks) == records
+        outputs.append(_recon_bytes(config))
+    assert len(outputs[0]) == 2 * 3 * 4 + 1
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
+def test_stacked_analysis_matches_the_one_record_oracle(tmp_path):
+    config = _invariance_config(str(tmp_path))
+    harness.cmd_quench(config)
+    snapshots = list(_mini_snapshots(config))
+    rng = np.random.default_rng(30)
+
+    def states(n_modes):
+        basis = FockBasis(n_modes)
+        mixed = [validate.random_mixed_state(rng, n_modes).elements for _ in range(2)]
+        # maximally mixed: C2 = 1/2 exactly, so the frame order is all tie-breaks
+        flat = np.eye(basis.dim, dtype=complex) / basis.dim
+        # mode 0 always empty: an occupation of exactly 0, clamped
+        empty = mixed[0] * ((basis.states[:, None] & 1) == 0) * ((basis.states[None, :] & 1) == 0)
+        mats = mixed + [flat, empty / np.trace(empty).real]
+        out = [(None, measure_two_point(DensityMatrix(basis, m)),
+                measure_four_point_connected(DensityMatrix(basis, m)), DensityMatrix(basis, m))
+               for m in mats]
+        # a C4 large enough to strain the ansatz
+        return out + [(None, out[0][1], validate.random_valid_tensor(rng, n_modes, 0.5),
+                       out[0][3])]
+
+    for group in (snapshots, states(4), states(6)):
+        got = [json.dumps(d, sort_keys=True) for d in harness.analyze_records(*_stacked(group))]
+        want = [json.dumps(analyze_snapshot_loop(c2, c4, rho), sort_keys=True)
+                for _, c2, c4, rho in group]
+        assert got == want
+    assert json.loads(got[-1])["ansatz_warning"]
 
 
 def _two_snapshot_trajectory():

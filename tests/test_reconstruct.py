@@ -20,6 +20,7 @@ from fermiscope.correlations import (
 from fermiscope.fock import DensityMatrix, DomainError, FockBasis
 from fermiscope.reconstruct import (
     AnsatzValidityWarning,
+    GaussianState,
     delta_rho,
     delta_rho_decomposed,
     gaussian_eh,
@@ -241,6 +242,43 @@ def test_mode_rotation_unitary_ignores_numpy_global_rng():
                 assert same_bits(mode_rotation_unitary(frame), first)
     finally:
         np.random.set_state(saved)
+
+
+def test_mode_rotation_unitary_rejects_a_failed_logarithm(monkeypatch):
+    # scipy's logm returns an all-NaN matrix when its square roots fail
+    monkeypatch.setattr(scipy.linalg, "logm", lambda a: np.full(a.shape, np.nan + 0j))
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="logarithm"):
+        mode_rotation_unitary(random_frame(np.random.default_rng(5), 4))
+
+
+def test_frames_and_gaussian_states_reject_nan():
+    rotation = np.eye(3, dtype=complex)
+    rotation[1, 2] = np.nan
+    with pytest.raises(DomainError, match="not unitary"):
+        DiagonalFrame(rotation, [0.6, 0.5, 0.4])
+    frame = DiagonalFrame(np.eye(3), [0.6, 0.5, 0.4])
+    weights = gaussian_state(frame).weights
+    weights[3] = np.nan
+    with pytest.raises(DomainError, match="sum to one"):
+        GaussianState(frame, weights)
+
+
+def test_stacked_reconstruction_matches_each_record_alone(rng):
+    records = [quench_snapshot(5, u, t, 4, seed=s)
+               for u, t, s in ((0.05, 0.0, 1), (0.05, 10.0, 2), (0.4, 5.0, 3))]
+    c2 = TwoPointMatrix(np.stack([r[1].entries for r in records]))
+    c4 = FourPointTensor(np.stack([r[2].entries for r in records]))
+    stacked = reconstruct_state(c2, c4)
+    for i, (_, one_c2, one_c4) in enumerate(records):
+        alone = reconstruct_state(one_c2, one_c4)
+        for a, b in ((stacked.frame.rotation[i], alone.frame.rotation),
+                     (stacked.gaussian.weights[i], alone.gaussian.weights),
+                     (stacked.correction.elements[i], alone.correction.elements),
+                     (stacked.projected.elements[i], alone.projected.elements),
+                     (stacked.assembled_eigenvalues[i], alone.assembled_eigenvalues)):
+            assert same_bits(a, b)
+    with pytest.raises(DomainError, match="stacks differ"):
+        reconstruct_state(c2, FourPointTensor(c4.entries[:2]))
 
 
 def test_density_matrix_round_trip(tmp_path):
