@@ -21,6 +21,7 @@ measurements and the frame treat a single record as a stack of one.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
@@ -229,7 +230,10 @@ class DiagonalFrame:
             raise DomainError("frame occupations must be sorted descending")
 
     def __getitem__(self, index) -> "DiagonalFrame":
-        return DiagonalFrame(self.rotation[index], self.occupations[index])
+        # a record of a checked stack: a copy skips __post_init__'s checks
+        record = copy.copy(self)
+        record.rotation, record.occupations = self.rotation[index], self.occupations[index]
+        return record
 
     @property
     def n_modes(self) -> int:

@@ -13,8 +13,8 @@ from it rather than being hard-coded.
 Sector resolution diagonalizes particle number, S^z and total S^2 on the
 subsystem once per mode count; spectra are then collected per (n, m, s)
 block, because pooling across symmetry sectors would mix independent
-ladders and wash level repulsion out.  The state-level functions also take
-a (k, dim, dim) stack of states and then answer with one result per record.
+ladders and wash level repulsion out.  The state-level functions also take a
+(k, dim, dim) stack of states: one result per record, flat ones for the sectors.
 """
 
 from __future__ import annotations
@@ -62,38 +62,32 @@ class SectorLabel:
         return f"(n={self.n}, m={self.m:+g}, s={self.s:g})"
 
 
-@dataclass
-class EntanglementSpectrum:
-    """Levels -log(lambda) above RANK_CUTOFF, ascending."""
-
-    levels: np.ndarray
-    label: SectorLabel | None = None
-
-    def __post_init__(self):
-        self.levels = np.asarray(self.levels, dtype=float)
-        if self.levels.size and np.any(np.diff(self.levels) < -1e-12):
-            raise DomainError("spectrum levels must be ascending")
-        if self.levels.size and not np.all(np.isfinite(self.levels)):
-            raise DomainError("spectrum levels must be finite")
-
-    @property
-    def rank(self) -> int:
-        return int(self.levels.size)
+def _check_levels(levels: np.ndarray, sizes: np.ndarray):
+    """Check levels finite and ascending (to 1e-12) in runs of ``sizes``; return ids, gaps, mask."""
+    if not np.all(np.isfinite(levels)):
+        raise DomainError("spectrum levels must be finite")
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    gaps = np.diff(levels)
+    inside = segment[1:] == segment[:-1]
+    if np.any(gaps[inside] < -1e-12):
+        raise DomainError("spectrum levels must be ascending")
+    return segment, gaps, inside
 
 
-def eigenvalue_spectrum(vals: np.ndarray, label=None) -> EntanglementSpectrum:
+def eigenvalue_spectrum(vals: np.ndarray) -> np.ndarray:
     """Levels -log(lambda) of the eigenvalues above RANK_CUTOFF, ascending.
 
     Eigenvalues at or below RANK_CUTOFF carry no information about the
     state (they are zeros plus rounding) and would inject divergent
     levels, so they are dropped rather than clipped.
     """
-    kept = vals[vals > RANK_CUTOFF]
-    return EntanglementSpectrum(levels=np.sort(-np.log(kept)), label=label)
+    levels = np.sort(-np.log(vals[vals > RANK_CUTOFF]))
+    _check_levels(levels, np.array([levels.size]))
+    return levels
 
 
 def entanglement_spectrum(rho: DensityMatrix | np.ndarray):
-    """Spectrum of -log(rho), truncated at the numerical rank; a list for a stack."""
+    """Levels of -log(rho), truncated at the numerical rank; a list for a stack."""
     mat = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho)
     vals = np.linalg.eigvalsh(0.5 * (mat + dagger(mat)))
     if vals.size and vals[..., 0].min() < -1e-8:
@@ -102,35 +96,23 @@ def entanglement_spectrum(rho: DensityMatrix | np.ndarray):
     return spectra if vals.ndim > 1 else spectra[0]
 
 
-def spectral_error(
-    a: EntanglementSpectrum,
-    b: EntanglementSpectrum,
-    indices=DEFAULT_ERROR_INDICES,
-) -> list[float | None]:
-    """|eps_i - eps'_i| at the requested indices, None beyond common rank.
+def spectral_error(a: np.ndarray, b: np.ndarray,
+                   indices=DEFAULT_ERROR_INDICES) -> list[float | None]:
+    """|eps_i - eps'_i| of two spectra at the requested indices, None beyond common rank.
 
     Levels past the smaller rank compare a finite number against a cut
     zero eigenvalue; reporting them as missing keeps -log(0) noise out of
     downstream fits.
     """
-    common = min(a.rank, b.rank)
-    out: list[float | None] = []
-    for i in indices:
-        if 0 <= i < common:
-            out.append(float(abs(a.levels[i] - b.levels[i])))
-        else:
-            out.append(None)
-    return out
+    common = min(a.size, b.size)
+    return [float(abs(a[i] - b[i])) if 0 <= i < common else None for i in indices]
 
 
 def gaussian_companion(sigma: DensityMatrix) -> DensityMatrix:
     """The Gaussian state with the same two-point function as ``sigma`` (per record)."""
     frame = diagonalize_two_point(measure_two_point(sigma))
-    gauss = gaussian_state(frame)
-    u = np.empty(sigma.elements.shape, dtype=np.complex128)
-    for index in np.ndindex(u.shape[:-2]):
-        u[index] = mode_rotation_unitary(frame[index])
-    mat = (u * gauss.weights[..., None, :]) @ dagger(u)
+    u = mode_rotation_unitary(frame)
+    mat = (u * gaussian_state(frame).weights[..., None, :]) @ dagger(u)
     return DensityMatrix(sigma.basis, mat)
 
 
@@ -220,16 +202,34 @@ def sector_project(rho: DensityMatrix) -> list[SectorBlock]:
     return blocks
 
 
-def sector_spectra(rho: DensityMatrix):
-    """Entanglement spectrum of every symmetry block with >= 1 kept level; per record."""
-    spectra = [[] for _ in range(rho.elements.size // rho.basis.dim ** 2)]
-    for block in sector_project(rho):
-        vals = np.linalg.eigvalsh(0.5 * (block.elements + dagger(block.elements)))
-        for kept, v in zip(spectra, vals.reshape(-1, vals.shape[-1])):
-            spec = eigenvalue_spectrum(v, block.label)
-            if spec.rank:
-                kept.append(spec)
-    return spectra if rho.elements.ndim > 2 else spectra[0]
+@dataclass
+class SectorSpectra:
+    """Kept levels of every symmetry block of each record of a stack, flat: record
+    by record, then block by block in ``labels`` order, ascending in each block.
+    ``sizes[r, b]`` counts those of record r in block b, 0 where none is kept."""
+
+    labels: tuple[SectorLabel, ...]
+    sizes: np.ndarray
+    levels: np.ndarray
+
+
+def sector_spectra(rho: DensityMatrix) -> SectorSpectra:
+    """Entanglement spectrum of every symmetry block of each record (one for a matrix):
+    one ``eigvalsh`` per block, then :func:`eigenvalue_spectrum`'s cut, log and sort."""
+    blocks = sector_project(rho)
+    vals = np.concatenate([np.linalg.eigvalsh(0.5 * (b.elements + dagger(b.elements)))
+                           .reshape(-1, b.elements.shape[-1]) for b in blocks], axis=1)
+    kept = vals > RANK_CUTOFF
+    # a dropped eigenvalue sorts last in its block, as +inf, and is cut there
+    levels = np.full(vals.shape, np.inf)
+    levels[kept] = -np.log(vals[kept])
+    starts = np.cumsum([0] + [b.elements.shape[-1] for b in blocks])
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        levels[:, lo:hi].sort(axis=1)
+    sizes = np.add.reduceat(kept, starts[:-1], axis=1, dtype=np.intp)
+    levels = levels[levels < np.inf]
+    _check_levels(levels, sizes.ravel())  # once for the whole stack
+    return SectorSpectra(tuple(b.label for b in blocks), sizes, levels)
 
 
 @dataclass
@@ -330,13 +330,7 @@ def gap_statistics(
     flat = np.concatenate(levels, dtype=float) if sizes.size else np.empty(0)
     if flat.shape != (sizes.sum(),):
         raise DomainError("each sector's levels must be one 1-D array")
-    if not np.all(np.isfinite(flat)):
-        raise DomainError("spectrum levels must be finite")
-    segment = np.repeat(np.arange(sizes.size), sizes)
-    gaps = np.diff(flat)
-    inside = segment[1:] == segment[:-1]
-    if np.any(gaps[inside] < -1e-12):
-        raise DomainError("spectrum levels must be ascending")
+    segment, gaps, inside = _check_levels(flat, sizes)
     keep = np.ones(flat.size, dtype=bool)
     starts = np.cumsum(sizes) - sizes
     # a sector without a gap below the tolerance keeps every level

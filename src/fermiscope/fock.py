@@ -264,22 +264,24 @@ def ladder_matrix(basis: FockBasis, mode: int, kind: str) -> np.ndarray:
 
 
 def quadratic_operator(basis: FockBasis, h: np.ndarray) -> np.ndarray:
-    """Dense Fock-space matrix of  sum_ij h_ij c†_i c_j.
+    """Dense Fock-space matrix of  sum_ij h_ij c†_i c_j, one per matrix of a stack.
 
     Works on sector-filtered bases too (the operator conserves particle
     number term by term); a nonzero h_ij whose hop leaves the basis raises.
     """
     n = basis.mode_count
     h = np.asarray(h)
-    if h.shape != (n, n):
+    if h.shape[-2:] != (n, n):
         raise DomainError("single-particle matrix has wrong shape")
     occ, i, j, rows, cols, signs, leaks = _hop_tables(n, basis.sector, basis.sz_twice)
-    if np.any(h[leaks] != 0):
+    if np.any(h[..., leaks] != 0):
         raise DomainError("single-particle matrix hops out of the basis")
-    out = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    np.fill_diagonal(out, occ @ np.diag(h).astype(complex))
+    out = np.zeros(h.shape[:-2] + (basis.dim, basis.dim), dtype=np.complex128)
+    # matmul appends this axis to a vector too, so one record gets the same bits
+    diag = np.diagonal(h, axis1=-2, axis2=-1).astype(complex)[..., None]
+    np.einsum("...ii->...i", out)[...] = (occ @ diag)[..., 0]
     # each off-diagonal entry takes exactly one hop; += turns a -0 into +0
-    out[rows, cols] += h[i, j] * signs
+    out[..., rows, cols] += h[..., i, j] * signs
     return out
 
 

@@ -32,6 +32,7 @@ from .entanglement import (
     DEFAULT_ERROR_INDICES,
     RANK_CUTOFF,
     StatisticsUnavailableError,
+    SectorSpectra,
     eigenvalue_spectrum,
     entanglement_spectrum,
     gap_statistics,
@@ -66,6 +67,14 @@ def run_summary(config: RunConfig) -> dict:
     doc.pop("workers")
     doc.pop("out_dir")
     return doc
+
+
+def _manifest(config: RunConfig, directory: str, names, manifest="manifest.json") -> str:
+    """Write the manifest of the files ``names`` in ``directory``; return its path."""
+    path = os.path.join(directory, manifest)
+    serialize.write_manifest(path, {name: os.path.join(directory, name) for name in names},
+                             config_summary=run_summary(config))
+    return path
 
 
 def member_seeds(config: RunConfig) -> list[int]:
@@ -169,12 +178,9 @@ def save_trajectory(qdir: str, iu: int, member: int, times, snapshots,
     return [os.path.basename(stem) + ext for ext in (".json", ".npy")]
 
 
-def load_snapshot(qdir: str, iu: int, member: int, it: int):
-    """(rho, C2, C4, provenance) of snapshot ``it``, reading only its record.
-
-    A header, payload or ``it`` that does not match raises ValueError
-    (DomainError for ``it``) naming the file.
-    """
+def load_trajectory(qdir: str, iu: int, member: int):
+    """(records, provenance) of one (u, member) trajectory, each file read whole once;
+    a header or payload that does not match raises ValueError naming the file."""
     stem = os.path.join(qdir, f"u{iu}_m{member}")
     doc = serialize.load_json(stem + ".json")
     serialize.check_header(doc["header"], "trajectory", stem + ".json")
@@ -182,15 +188,19 @@ def load_snapshot(qdir: str, iu: int, member: int, it: int):
     if len(doc["provenance"]) != count:
         raise ValueError(f"{stem}.json: {len(doc['provenance'])} provenance "
                          f"entries for {count} times")
-    if not 0 <= it < count:
-        raise DomainError(f"{stem}.json: time index {it} outside its "
-                          f"{count} snapshots")
-    record = serialize.load_npy_record(stem + ".npy", _trajectory_dtype(n),
-                                       count, it)
-    return (DensityMatrix(FockBasis(n), record["rho"].copy()),
-            TwoPointMatrix(record["c2"].copy()),
-            FourPointTensor(record["c4"].copy()),
-            doc["provenance"][it])
+    return serialize.load_npy(stem + ".npy", _trajectory_dtype(n), count), doc["provenance"]
+
+
+def load_snapshot(qdir: str, iu: int, member: int, it: int):
+    """(rho, C2, C4, provenance) of snapshot ``it`` of :func:`load_trajectory`;
+    an ``it`` outside the trajectory raises DomainError naming its file."""
+    records, provenance = load_trajectory(qdir, iu, member)
+    if not 0 <= it < len(records):
+        raise DomainError(f"{os.path.join(qdir, f'u{iu}_m{member}')}.json: time index "
+                          f"{it} outside its {len(records)} snapshots")
+    rho, c2, c4 = (records[it][key].copy() for key in ("rho", "c2", "c4"))
+    return (DensityMatrix(FockBasis(len(c2)), rho), TwoPointMatrix(c2), FourPointTensor(c4),
+            provenance[it])
 
 
 def cmd_quench(config: RunConfig) -> str:
@@ -224,17 +234,20 @@ def cmd_quench(config: RunConfig) -> str:
     names = ["initial_states.json"]
     for result in _run_tasks(_quench_task, tasks, config.workers):
         names.extend(result)
-    manifest = os.path.join(out_dir, "manifest.json")
-    serialize.write_manifest(manifest, {
-        name: os.path.join(out_dir, name) for name in names
-    }, config_summary=run_summary(config))
-    return manifest
+    return _manifest(config, out_dir, names)
 
 
-def _sector_spectra_doc(spectra) -> list[dict]:
-    return [{"n": spec.label.n, "m": spec.label.m, "s": spec.label.s,
-             "levels": [float(x) for x in spec.levels]}
-            for spec in spectra]
+def _sector_spectra_docs(spectra: SectorSpectra) -> list[list[dict]]:
+    """Each record's sector documents, blocks without a kept level left out."""
+    levels, start, docs = spectra.levels.tolist(), 0, []
+    for sizes in spectra.sizes.tolist():
+        docs.append([])
+        for label, size in zip(spectra.labels, sizes):
+            if size:
+                docs[-1].append({"n": label.n, "m": label.m, "s": label.s,
+                                 "levels": levels[start:start + size]})
+                start += size
+    return docs
 
 
 def analyze_records(c2: TwoPointMatrix, c4: FourPointTensor,
@@ -253,8 +266,8 @@ def analyze_records(c2: TwoPointMatrix, c4: FourPointTensor,
     spec_exact = entanglement_spectrum(rho_exact)
     theta_exact = non_gaussianity(rho_exact).tolist()
     theta_recon = non_gaussianity(recon.projected).tolist()
-    sectors_exact = sector_spectra(rho_exact)
-    sectors_recon = sector_spectra(recon.projected)
+    sectors_exact = _sector_spectra_docs(sector_spectra(rho_exact))
+    sectors_recon = _sector_spectra_docs(sector_spectra(recon.projected))
     return [{
         "theta_exact": theta_exact[i],
         "theta_recon": theta_recon[i],
@@ -270,23 +283,29 @@ def analyze_records(c2: TwoPointMatrix, c4: FourPointTensor,
             spec_exact[i], eigenvalue_spectrum(recon.gaussian.weights[i])),
         "delta_projected": spectral_error(
             spec_exact[i], eigenvalue_spectrum(recon.projected_eigenvalues[i])),
-        "spectrum_exact": _sector_spectra_doc(sectors_exact[i]),
-        "spectrum_recon": _sector_spectra_doc(sectors_recon[i]),
+        "spectrum_exact": sectors_exact[i],
+        "spectrum_recon": sectors_recon[i],
     } for i in range(len(spec_exact))]
 
 
 def _recon_task(task):
-    """Analyze a chunk of distinct records as one stack; write each tag's document."""
+    """Analyze a chunk of distinct records as one stack; write each tag's document.
+
+    A group holds one record's (tag, provenance) pairs; each file is read once, whole.
+    """
     config, qdir, rdir, groups = task
-    snaps = [[load_snapshot(qdir, *tag) for tag in tags] for tags in groups]
-    rho = DensityMatrix(snaps[0][0][0].basis, np.stack([g[0][0].elements for g in snaps]))
-    c2 = TwoPointMatrix(np.stack([g[0][1].entries for g in snaps]))
-    c4 = FourPointTensor(np.stack([g[0][2].entries for g in snaps]))
-    provenances = [[snap[3] for snap in group] for group in snaps]
-    del snaps  # the stacks now hold the only copy of each record
+    dtype, count = _trajectory_dtype(config.subsystem_modes), len(config.times)
+    tags = [group[0][0] for group in groups]
+    files = {key: serialize.load_npy(os.path.join(qdir, "u%d_m%d.npy" % key), dtype, count)
+             for key in dict.fromkeys((iu, m) for iu, m, _ in tags)}
+    records = np.stack([files[iu, m][it] for iu, m, it in tags])
+    # a field of a record array is strided; the kernels get contiguous stacks
+    rho, c2, c4 = (np.ascontiguousarray(records[key]) for key in ("rho", "c2", "c4"))
+    del files, records  # the stacks hold the only copy of each record
+    rho = DensityMatrix(FockBasis(config.subsystem_modes), rho)
     names = []
-    for tags, provs, fields in zip(groups, provenances, analyze_records(c2, c4, rho)):
-        for (iu, member, it), provenance in zip(tags, provs):
+    for group, fields in zip(groups, analyze_records(TwoPointMatrix(c2), FourPointTensor(c4), rho)):
+        for (iu, member, it), provenance in group:
             u, t = config.u_values[iu], config.times[it]
             header = serialize.make_header(
                 "reconstruction", rho.basis.mode_count,
@@ -302,30 +321,26 @@ def _recon_task(task):
 def cmd_reconstruct(config: RunConfig) -> str:
     """Reconstruct every snapshot and write diagnostics next to it.
 
-    Byte-identical stored records (each U repeats a member's t = 0) are analyzed
-    once, in chunks of at most RECON_CHUNK_ENTRIES matrix entries: one task each.
+    Each trajectory is read once by :func:`load_trajectory`; only the digests,
+    tags and provenance of its records are kept.  Byte-identical records (each
+    U repeats a member's t = 0) are analyzed once, in chunks of at most
+    RECON_CHUNK_ENTRIES matrix entries: one task each.
     """
     qdir = _quench_dir(config)
     if not os.path.isdir(qdir):
         raise FileNotFoundError(f"no quench outputs under {qdir}")
     rdir = _recon_dir(config)
     os.makedirs(rdir, exist_ok=True)
-    dtype, count = _trajectory_dtype(config.subsystem_modes), len(config.times)
     groups = {}
-    for iu, m, it in itertools.product(range(len(config.u_values)),
-                                       range(config.ensemble_size), range(count)):
-        record = serialize.load_npy_record(os.path.join(qdir, f"u{iu}_m{m}.npy"),
-                                           dtype, count, it)
-        groups.setdefault(hashlib.sha256(record).digest(), []).append((iu, m, it))
+    for iu, m in itertools.product(range(len(config.u_values)), range(config.ensemble_size)):
+        records, provenance = load_trajectory(qdir, iu, m)
+        for it, prov in enumerate(provenance):
+            groups.setdefault(hashlib.sha256(records[it]).digest(), []).append(((iu, m, it), prov))
+    del records  # no record array stays alive while the tasks run
     groups = list(groups.values())
-    size = max(1, RECON_CHUNK_ENTRIES // dtype["rho"].shape[0] ** 2)
+    size = max(1, RECON_CHUNK_ENTRIES // (1 << 2 * config.subsystem_modes))
     tasks = [(config, qdir, rdir, groups[i:i + size]) for i in range(0, len(groups), size)]
-    names = sum(_run_tasks(_recon_task, tasks, config.workers), [])
-    manifest = os.path.join(rdir, "manifest.json")
-    serialize.write_manifest(manifest, {
-        name: os.path.join(rdir, name) for name in names
-    }, config_summary=run_summary(config))
-    return manifest
+    return _manifest(config, rdir, sum(_run_tasks(_recon_task, tasks, config.workers), []))
 
 
 def cmd_measure(config: RunConfig, iu: int = 0, member: int = 0,
@@ -364,12 +379,7 @@ def cmd_measure(config: RunConfig, iu: int = 0, member: int = 0,
     }
     est_name = f"estimate_{tag}.json"
     serialize.dump_json(os.path.join(mdir, est_name), doc)
-    manifest = os.path.join(mdir, f"manifest_{tag}.json")
-    serialize.write_manifest(manifest, {
-        shots_name: os.path.join(mdir, shots_name),
-        est_name: os.path.join(mdir, est_name),
-    }, config_summary=run_summary(config))
-    return manifest
+    return _manifest(config, mdir, (shots_name, est_name), f"manifest_{tag}.json")
 
 
 def _fmt(x) -> str:
@@ -547,12 +557,7 @@ def cmd_figures(config: RunConfig, which: str) -> list[str]:
 
     manifests = []
     for fig in targets:
-        files = {}
         for name, header in FIGURE_COLUMNS[fig].items():
-            files[name] = os.path.join(fdir, name)
-            _write_csv(files[name], header, rows[name])
-        manifest = os.path.join(fdir, f"manifest_{fig}.json")
-        serialize.write_manifest(manifest, files,
-                                 config_summary=run_summary(config))
-        manifests.append(manifest)
+            _write_csv(os.path.join(fdir, name), header, rows[name])
+        manifests.append(_manifest(config, fdir, FIGURE_COLUMNS[fig], f"manifest_{fig}.json"))
     return manifests

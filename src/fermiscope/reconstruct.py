@@ -88,10 +88,6 @@ class GaussianState:
         if not np.all(np.abs(self.weights.sum(axis=-1) - 1.0) <= 1e-12):
             raise DomainError("gaussian weights do not sum to one")
 
-    @property
-    def basis(self) -> FockBasis:
-        return FockBasis(self.frame.n_modes)
-
 
 def gaussian_state(frame: DiagonalFrame) -> GaussianState:
     weights = _f_table(frame.n_modes, frame.occupations).prod(axis=-1)
@@ -311,31 +307,32 @@ def project_positive(rho: np.ndarray):
 
 
 def mode_rotation_unitary(frame: DiagonalFrame) -> np.ndarray:
-    """Many-body unitary implementing the frame rotation on Fock space.
+    """Many-body unitary implementing the frame rotation on Fock space, per frame of a stack.
 
     Frame creators are d†_p = sum_b conj(rotation[b, p]) c†_b, so with
     h = log(conj(rotation)) the unitary U = exp(sum_ab h_ab c†_a c_b)
     satisfies U c†_p U† = d†_p: it carries a Fock pattern over the
     physical modes to the same pattern over the frame modes, and a state
     expressed in the frame basis to U rho U† in the physical one.
-    Built block by block over particle-number sectors.
+    ``logm`` runs frame by frame (scipy has no stacked one); the checks and one
+    ``expm`` per particle-number sector serve the stack, slice by slice, same bits.
     """
     import scipy.linalg
 
     v = frame.rotation.conj()
     n = frame.n_modes
-    h = scipy.linalg.logm(v)
-    h = 0.5 * (h - h.conj().T)
+    h = np.reshape([scipy.linalg.logm(x) for x in v.reshape(-1, n, n)], v.shape)
+    h = 0.5 * (h - dagger(h))
     # written as "not <=": logm returns NaN when it fails, and NaN must fail
     if not np.abs(scipy.linalg.expm(h) - v).max() <= 1e-10:
         raise DomainError("matrix logarithm failed to invert the rotation")
     dim = 1 << n
-    u = np.zeros((dim, dim), dtype=np.complex128)
+    u = np.zeros(v.shape[:-2] + (dim, dim), dtype=np.complex128)
     for sector in range(n + 1):
         sec = FockBasis(n, sector)
         # the unfiltered basis indexes each state by its own bits
-        u[np.ix_(sec.states, sec.states)] = scipy.linalg.expm(quadratic_operator(sec, h))
-    defect = np.abs(u.conj().T @ u - np.eye(dim)).max()
+        u[..., sec.states[:, None], sec.states] = scipy.linalg.expm(quadratic_operator(sec, h))
+    defect = np.abs(dagger(u) @ u - np.eye(dim)).max()
     if not defect <= 1e-10:
         raise DomainError(f"frame unitary defect {defect:.2e}")
     return u
@@ -365,8 +362,8 @@ def reconstruct_state(
     c2: TwoPointMatrix,
     c4: FourPointTensor,
 ) -> ReconstructedState:
-    """Full pipeline over a stack of records: frame, Gaussian reference,
-    correction, projection.  Warns if any record is strained."""
+    """Full pipeline over a stack of records: frame, Gaussian reference, correction,
+    one :func:`mode_rotation_unitary` call, projection.  Warns if any record is strained."""
     c4.validate()
     frame = diagonalize_two_point(c2)
     gauss = gaussian_state(frame)
@@ -374,14 +371,13 @@ def reconstruct_state(
     if c4.entries.shape[:-4] != stack:
         raise DomainError("C2 and C4 stacks differ")
     elements = np.empty(stack + (dim, dim), dtype=np.complex128)
-    u = np.empty_like(elements)
     strained = np.empty(stack, dtype=bool)
     for index in np.ndindex(stack):
         record = frame[index]
         c4_frame = rotate_four_point(FourPointTensor(c4.entries[index]), record)
         strained[index] = c4_frame.max_abs() > ANSATZ_WARN_THRESHOLD
         elements[index] = delta_rho(c4_frame, record).elements
-        u[index] = mode_rotation_unitary(record)
+    u = mode_rotation_unitary(frame)
     if strained.any():
         warnings.warn(f"{strained.sum()} record(s) with max |C~4| above {ANSATZ_WARN_THRESHOLD}; "
                       "the linear ansatz may be strained", AnsatzValidityWarning, stacklevel=2)

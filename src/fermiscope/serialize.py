@@ -92,12 +92,11 @@ def dump_npy(path: str, array: np.ndarray):
     atomic_write_text(path, buf.getvalue())
 
 
-def load_npy_record(path: str, dtype: np.dtype, count: int, index: int):
-    """Record ``index`` of a .npy file that must hold ``count`` ``dtype`` records.
+def load_npy(path: str, dtype: np.dtype, count: int) -> np.ndarray:
+    """The ``count`` ``dtype`` records of a .npy file, read whole in one call.
 
-    Only the header and that record are read.  Any other version, dtype
-    (object ones included, so no pickle is ever read), shape or file size
-    raises ValueError naming the file.
+    Any other version, dtype (object ones included, so no pickle is ever
+    read), shape, memory order or file size raises ValueError naming the file.
     """
     with open(path, "rb") as fh:
         try:
@@ -112,7 +111,7 @@ def load_npy_record(path: str, dtype: np.dtype, count: int, index: int):
         size = os.fstat(fh.fileno()).st_size
         if size != fh.tell() + count * dtype.itemsize:
             raise ValueError(f"{path}: {size} bytes do not hold {count} records")
-        return np.fromfile(fh, dtype, count=1, offset=index * dtype.itemsize)[0]
+        return np.fromfile(fh, dtype, count=count)
 
 
 def to_json_line(document: dict) -> str:

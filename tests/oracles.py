@@ -36,7 +36,6 @@ from fermiscope.entanglement import (
     DEFAULT_ERROR_INDICES,
     DEGENERACY_TOL,
     HISTOGRAM_BINS,
-    EntanglementSpectrum,
     GapStatistics,
     SectorLabel,
     _casimir_to_spin,
@@ -46,7 +45,6 @@ from fermiscope.entanglement import (
     eigenvalue_spectrum,
     entanglement_spectrum,
     non_gaussianity,
-    sector_spectra,
     spectral_error,
 )
 from fermiscope.measure import CoverageError, apply_rotation
@@ -238,6 +236,25 @@ def quadratic_operator_loop(basis: FockBasis, h: np.ndarray) -> np.ndarray:
             rows = basis.indices_of(mid | (1 << i))
             out[rows, ann[ok]] += h[i, j] * sign_j[ok] * _parity(mid >> (i + 1))
     return out
+
+
+def mode_rotation_unitary_loop(frame: DiagonalFrame) -> np.ndarray:
+    """``reconstruct.mode_rotation_unitary`` of one frame, its checks and
+    sector blocks built matrix by matrix, with ``quadratic_operator_loop``."""
+    v = frame.rotation.conj()
+    n = frame.n_modes
+    h = scipy.linalg.logm(v)
+    h = 0.5 * (h - h.conj().T)
+    if not np.abs(scipy.linalg.expm(h) - v).max() <= 1e-10:
+        raise DomainError("matrix logarithm failed to invert the rotation")
+    dim = 1 << n
+    u = np.zeros((dim, dim), dtype=np.complex128)
+    for sector in range(n + 1):
+        sec = FockBasis(n, sector)
+        u[np.ix_(sec.states, sec.states)] = scipy.linalg.expm(quadratic_operator_loop(sec, h))
+    if not np.abs(u.conj().T @ u - np.eye(dim)).max() <= 1e-10:
+        raise DomainError("frame unitary is not unitary")
+    return u
 
 
 def trace_chain_walk(rho, ops) -> complex:
@@ -791,11 +808,6 @@ def recon_fields_rediagonalized(c2, c4, rho_exact: DensityMatrix) -> dict:
     theta_recon = non_gaussianity(recon.projected)
     negativity = float(np.linalg.eigvalsh(recon.assembled.elements).min())
 
-    def sectors(rho):
-        return [{"n": spec.label.n, "m": spec.label.m, "s": spec.label.s,
-                 "levels": [float(x) for x in spec.levels]}
-                for spec in sector_spectra(rho)]
-
     return {
         "theta_exact": float(theta_exact),
         "theta_recon": float(theta_recon),
@@ -809,8 +821,8 @@ def recon_fields_rediagonalized(c2, c4, rho_exact: DensityMatrix) -> dict:
         "error_indices": list(DEFAULT_ERROR_INDICES),
         "delta_gaussian": spectral_error(spec_exact, spec_gauss),
         "delta_projected": spectral_error(spec_exact, spec_proj),
-        "spectrum_exact": sectors(rho_exact),
-        "spectrum_recon": sectors(recon.projected),
+        "spectrum_exact": sector_spectra_one(rho_exact.elements, rho_exact.basis),
+        "spectrum_recon": sector_spectra_one(recon.projected.elements, recon.projected.basis),
     }
 
 
@@ -841,17 +853,21 @@ def gap_statistics_loop(levels, bins: int = HISTOGRAM_BINS,
                         seed: int = 0) -> GapStatistics:
     """``entanglement.gap_statistics`` one sector at a time.
 
-    Each sector's levels are checked by ``EntanglementSpectrum``, collapsed
-    level by level against the last one kept, and turned into ratios on
-    their own; the per-sector ratio arrays are then concatenated.
+    Each sector's levels are checked on their own, collapsed level by level
+    against the last one kept, and turned into ratios on their own; the
+    per-sector ratio arrays are then concatenated.
     """
     _check_bootstrap(bootstrap)
     pool = []
     dropped = 0
     used = 0
     for sector in levels:
-        spec = EntanglementSpectrum(levels=np.array(sector, dtype=float))
-        kept, d = _filter_degenerate(spec.levels)
+        sector = np.array(sector, dtype=float)
+        if np.any(np.diff(sector) < -1e-12):
+            raise DomainError("spectrum levels must be ascending")
+        if not np.all(np.isfinite(sector)):
+            raise DomainError("spectrum levels must be finite")
+        kept, d = _filter_degenerate(sector)
         dropped += d
         if kept.size < 3:
             continue
@@ -928,7 +944,7 @@ def _project_positive_one(rho: np.ndarray):
 
 def _non_gaussianity_one(sigma: np.ndarray, basis: FockBasis) -> float:
     frame = diagonalize_two_point_loop(_two_point_one(DensityMatrix(basis, sigma)))
-    u = mode_rotation_unitary(frame)
+    u = mode_rotation_unitary_loop(frame)
     companion = (u * _gaussian_weights_one(frame)[None, :]) @ u.conj().T
     overlap = float(np.real(np.sum(sigma * companion.conj())))
     purity = max(float(np.real(np.sum(sigma * sigma.conj()))),
@@ -936,15 +952,15 @@ def _non_gaussianity_one(sigma: np.ndarray, basis: FockBasis) -> float:
     return float(np.arccos(np.sqrt(np.clip(overlap / purity, 0.0, 1.0))))
 
 
-def _sector_spectra_one(rho: np.ndarray, basis: FockBasis) -> list[dict]:
+def sector_spectra_one(rho: np.ndarray, basis: FockBasis) -> list[dict]:
+    """The sector-spectrum documents of one state, one block at a time."""
     docs = []
     for label, idx, vecs in _sector_basis(basis.mode_count):
         block = vecs.conj().T @ rho[np.ix_(idx, idx)] @ vecs
-        spec = eigenvalue_spectrum(
-            np.linalg.eigvalsh(0.5 * (block + block.conj().T)), label)
-        if spec.rank:
+        levels = eigenvalue_spectrum(np.linalg.eigvalsh(0.5 * (block + block.conj().T)))
+        if levels.size:
             docs.append({"n": label.n, "m": label.m, "s": label.s,
-                         "levels": [float(x) for x in spec.levels]})
+                         "levels": [float(x) for x in levels]})
     return docs
 
 
@@ -964,7 +980,7 @@ def analyze_snapshot_loop(c2: TwoPointMatrix, c4: FourPointTensor,
     c4_frame = rotate_four_point(c4, frame)
     weights = _gaussian_weights_one(frame)
     correction = delta_rho(c4_frame, frame).elements
-    u = mode_rotation_unitary(frame)
+    u = mode_rotation_unitary_loop(frame)
     assembled = u @ (np.diag(weights).astype(complex) + correction) @ u.conj().T
     assembled = 0.5 * (assembled + assembled.conj().T)
     projected, w, w_proj = _project_positive_one(assembled)
@@ -988,6 +1004,6 @@ def analyze_snapshot_loop(c2: TwoPointMatrix, c4: FourPointTensor,
         "error_indices": list(DEFAULT_ERROR_INDICES),
         "delta_gaussian": spectral_error(spec_exact, eigenvalue_spectrum(weights)),
         "delta_projected": spectral_error(spec_exact, eigenvalue_spectrum(w_proj)),
-        "spectrum_exact": _sector_spectra_one(exact, basis),
-        "spectrum_recon": _sector_spectra_one(projected, basis),
+        "spectrum_exact": sector_spectra_one(exact, basis),
+        "spectrum_recon": sector_spectra_one(projected, basis),
     }

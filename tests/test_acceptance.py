@@ -127,9 +127,9 @@ def test_c02_perturbative_order_scaling():
             c2 = measure_two_point(rho)
             c4 = measure_four_point_connected(rho, c2)
             rec = _quiet_reconstruct(c2, c4)
-            e_exact = entanglement_spectrum(rho).levels[0]
-            e_gauss = eigenvalue_spectrum(rec.gaussian.weights).levels[0]
-            e_proj = entanglement_spectrum(rec.projected).levels[0]
+            e_exact = entanglement_spectrum(rho)[0]
+            e_gauss = eigenvalue_spectrum(rec.gaussian.weights)[0]
+            e_proj = entanglement_spectrum(rec.projected)[0]
             d_gauss[m, iu] = abs(e_gauss - e_exact)
             d_proj[m, iu] = abs(e_proj - e_exact)
         log_u = np.log(us)
@@ -197,6 +197,12 @@ def test_c03_early_time_non_gaussianity():
     assert elapsed < 600
 
 
+def _sector_runs(spectra):
+    """The level array of each (record, block) of flat sector spectra; a
+    block without levels adds no ratio, so pooling is unchanged."""
+    return np.split(spectra.levels, np.cumsum(spectra.sizes.ravel())[:-1])
+
+
 def _crossover_series(params, specs, u, times, keep, method="auto"):
     """Pooled sector mean-r over the ensemble at each time, both sides."""
     ham = build_hamiltonian(params.with_interaction(u),
@@ -210,13 +216,13 @@ def _crossover_series(params, specs, u, times, keep, method="auto"):
             psi = evolve(psi, ham, t - t_prev, method=method)
             t_prev = t
             rho = partial_trace(psi, keep)
-            pools_exact[i].extend(sector_spectra(rho))
+            pools_exact[i].extend(_sector_runs(sector_spectra(rho)))
             c2 = measure_two_point(rho)
             c4 = measure_four_point_connected(rho, c2)
             rec = _quiet_reconstruct(c2, c4)
-            pools_recon[i].extend(sector_spectra(rec.projected))
-    exact = [gap_statistics([s.levels for s in p], seed=3) for p in pools_exact]
-    recon = [gap_statistics([s.levels for s in p], seed=3) for p in pools_recon]
+            pools_recon[i].extend(_sector_runs(sector_spectra(rec.projected)))
+    exact = [gap_statistics(p, seed=3) for p in pools_exact]
+    recon = [gap_statistics(p, seed=3) for p in pools_recon]
     return exact, recon
 
 
@@ -234,8 +240,8 @@ def _windows_mean_r(params, specs, u, windows, keep):
             t_prev = t
             for pool, window in zip(pools, windows):
                 if t in window:
-                    pool.extend(sector_spectra(partial_trace(psi, keep)))
-    return [gap_statistics([s.levels for s in pool], seed=3) for pool in pools]
+                    pool.extend(_sector_runs(sector_spectra(partial_trace(psi, keep))))
+    return [gap_statistics(pool, seed=3) for pool in pools]
 
 
 def test_c04_level_statistics_crossover():
@@ -318,9 +324,9 @@ def test_c06_gaussian_states_show_no_repulsion():
         weights = gaussian_state(frame).weights
         rho = DensityMatrix(FockBasis(6), np.diag(weights).astype(complex))
         spectrum = entanglement_spectrum(rho)
-        per_draw.append(gap_statistics([spectrum.levels], bootstrap=50).mean_r)
+        per_draw.append(gap_statistics([spectrum], bootstrap=50).mean_r)
         pool.append(spectrum)
-    stats = gap_statistics([s.levels for s in pool], seed=0)
+    stats = gap_statistics(pool, seed=0)
     elapsed = time.perf_counter() - start
     ok = stats.mean_r <= 0.45 and elapsed < 120
     _report("C06", ok,

@@ -327,8 +327,8 @@ def _mini_snapshots(config):
     for iu in range(len(config.u_values)):
         for m in range(config.ensemble_size):
             for it in range(len(config.times)):
-                rho, c2, c4, _ = harness.load_snapshot(qdir, iu, m, it)
-                yield (config, qdir, config.out_dir, [[(iu, m, it)]]), c2, c4, rho
+                rho, c2, c4, provenance = harness.load_snapshot(qdir, iu, m, it)
+                yield (config, qdir, config.out_dir, [[((iu, m, it), provenance)]]), c2, c4, rho
 
 
 def _stacked(snapshots):
@@ -512,6 +512,10 @@ def test_load_snapshot_names_the_file_it_rejects(tmp_path):
     with open(npy, "wb") as fh:  # pickled objects are refused unread
         np.lib.format.write_array(fh, np.array([{}, {}]), version=(1, 0))
     rejected(ValueError, npy)
+    npy.write_bytes(good_npy[:6] + b"\x02" + good_npy[7:])  # format version 2.0
+    rejected(ValueError, npy)
+    npy.write_bytes(good_npy.replace(b"'fortran_order': False", b"'fortran_order': True "))
+    rejected(ValueError, npy)
     for key, value in (("format", "fermiscope-state"), ("convention", "ascending-JW"),
                        ("version", 2)):
         serialize.dump_json(str(doc), {**good_doc,
@@ -526,6 +530,43 @@ def test_load_snapshot_names_the_file_it_rejects(tmp_path):
     rejected(FileNotFoundError, npy)
     doc.unlink()
     rejected(FileNotFoundError, doc)
+
+
+def test_reconstruct_names_the_trajectory_it_rejects(tmp_path):
+    config = mini_config(str(tmp_path))
+    harness.cmd_quench(config)
+    npy, doc = tmp_path / "quench" / "u0_m1.npy", tmp_path / "quench" / "u0_m1.json"
+    good_npy, good_doc = npy.read_bytes(), load_json(str(doc))
+    npy.write_bytes(good_npy[:-16])  # the last record cut short
+    with pytest.raises(ValueError, match="u0_m1.npy"):
+        harness.cmd_reconstruct(config)
+    npy.write_bytes(good_npy)
+    serialize.dump_json(str(doc), {**good_doc, "provenance": good_doc["provenance"][:1]})
+    with pytest.raises(ValueError, match="u0_m1.json"):
+        harness.cmd_reconstruct(config)
+
+
+def test_reconstruct_reads_each_trajectory_whole_and_its_header_once(tmp_path, monkeypatch):
+    config = mini_config(str(tmp_path))
+    harness.cmd_quench(config)
+    headers, reads = Counter(), []
+    real_json, real_fromfile = serialize.load_json, np.fromfile
+
+    def load_json_counting(path):
+        headers[os.path.basename(path)] += 1
+        return real_json(path)
+
+    def fromfile_counting(fh, dtype, count=-1, **kwargs):
+        reads.append((os.path.basename(fh.name), count))
+        return real_fromfile(fh, dtype, count=count, **kwargs)
+
+    monkeypatch.setattr(serialize, "load_json", load_json_counting)
+    monkeypatch.setattr(np, "fromfile", fromfile_counting)
+    harness.cmd_reconstruct(config)
+    stems = [f"u0_m{m}" for m in range(config.ensemble_size)]
+    assert headers == Counter(stem + ".json" for stem in stems)
+    # the grouping pass and the one task each read every file whole: no record reads
+    assert sorted(reads) == sorted((stem + ".npy", len(config.times)) for stem in stems * 2)
 
 
 def test_measure_rejects_indices_outside_the_grids(tmp_path):

@@ -1,17 +1,18 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fermiscope import entanglement
+from fermiscope import entanglement, harness
 from fermiscope.entanglement import (
     DEGENERACY_TOL,
     MAX_BOOTSTRAP,
     MAX_GUE_DIM,
     MAX_REFERENCE_SAMPLES,
-    EntanglementSpectrum,
     SectorLabel,
     StatisticsUnavailableError,
+    _check_levels,
     entanglement_spectrum,
     gap_statistics,
     gaussian_companion,
@@ -38,14 +39,14 @@ from fermiscope.reconstruct import gaussian_state, mode_rotation_unitary
 from fermiscope.validate import random_frame, random_mixed_state
 
 from conftest import paired_state, pure_density
-from oracles import gap_statistics_loop, same_bits
+from oracles import gap_statistics_loop, same_bits, sector_spectra_one
 
 
 def test_spectrum_of_pure_and_mixed_states():
     pure = pure_density(paired_state())
-    assert np.allclose(entanglement_spectrum(pure).levels, [0.0])
+    assert np.allclose(entanglement_spectrum(pure), [0.0])
     mixed = DensityMatrix(FockBasis(2), np.eye(4) / 4.0)
-    assert np.allclose(entanglement_spectrum(mixed).levels, np.log(4.0))
+    assert np.allclose(entanglement_spectrum(mixed), np.log(4.0))
 
 
 def test_spectrum_rejects_negative_states():
@@ -55,8 +56,8 @@ def test_spectrum_rejects_negative_states():
 
 
 def test_spectrum_levels_must_ascend():
-    with pytest.raises(DomainError):
-        EntanglementSpectrum(levels=np.array([1.0, 0.5]))
+    with pytest.raises(DomainError, match="ascending"):
+        _check_levels(np.array([1.0, 0.5]), np.array([2]))
 
 
 def test_gaussian_spectrum_is_additive(rng):
@@ -64,7 +65,7 @@ def test_gaussian_spectrum_is_additive(rng):
     gs = gaussian_state(frame)
     u = mode_rotation_unitary(frame)
     rho = DensityMatrix(FockBasis(3), (u * gs.weights[None, :]) @ u.conj().T)
-    got = entanglement_spectrum(rho).levels
+    got = entanglement_spectrum(rho)
     want = np.sort(-np.log(np.sort(gs.weights)[::-1]))
     assert np.abs(got - want).max() < 1e-10
 
@@ -92,8 +93,65 @@ def test_sector_projection_preserves_trace(rng):
 def test_sector_spectra_skip_empty_blocks():
     rho = DensityMatrix(FockBasis(2), np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
     spectra = sector_spectra(rho)
-    assert len(spectra) == 1
-    assert spectra[0].label.n == 0
+    assert spectra.sizes.shape == (1, len(spectra.labels))
+    (block,) = np.nonzero(spectra.sizes[0])[0]
+    assert spectra.labels[block].n == 0 and spectra.sizes[0, block] == 1
+    assert same_bits(spectra.levels, [-0.0])
+
+
+def _spectra_stacks(rng):
+    """4- and 6-mode stacks: mixed, maximally mixed, pure, and one with empty blocks."""
+    for n_modes in (4, 6):
+        basis = FockBasis(n_modes)
+        mixed = random_mixed_state(rng, n_modes).elements
+        psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        # only the states with mode 0 empty: every block with n_0 = 1 has no level
+        empty = mixed * ((basis.states[:, None] & 1) == 0) * ((basis.states[None, :] & 1) == 0)
+        yield DensityMatrix(basis, np.stack([
+            mixed, np.eye(basis.dim) / basis.dim, np.outer(psi, psi.conj()) / np.vdot(psi, psi),
+            empty / np.trace(empty)]))
+
+
+def test_sector_spectra_match_the_one_record_oracle(rng):
+    for rho in _spectra_stacks(rng):
+        spectra = sector_spectra(rho)
+        assert spectra.sizes.shape == (len(rho.elements), len(spectra.labels))
+        assert spectra.levels.shape == (spectra.sizes.sum(),)
+        got = [json.dumps(doc) for doc in harness._sector_spectra_docs(spectra)]
+        want = [json.dumps(sector_spectra_one(m, rho.basis)) for m in rho.elements]
+        assert got == want
+        # a single matrix is a stack of one
+        one = sector_spectra(DensityMatrix(rho.basis, rho.elements[2]))
+        assert same_bits(one.sizes, spectra.sizes[2:3])
+        assert same_bits(one.levels, spectra.levels[spectra.sizes[:2].sum():][:one.levels.size])
+
+
+def test_sector_spectra_check_their_levels_once_per_stack(rng, monkeypatch):
+    calls = []
+    real = entanglement._check_levels
+
+    def counting(levels, sizes):
+        calls.append(sizes.size)
+        return real(levels, sizes)
+
+    monkeypatch.setattr(entanglement, "_check_levels", counting)
+    rho = next(_spectra_stacks(rng))
+    spectra = sector_spectra(rho)
+    assert calls == [len(rho.elements) * len(spectra.labels)]
+
+
+def test_sector_spectra_reject_non_finite_levels(rng, monkeypatch):
+    rho = next(_spectra_stacks(rng))
+    real = np.linalg.eigvalsh
+
+    def infinite(a, *args, **kwargs):
+        vals = real(a, *args, **kwargs)
+        vals[1, -1] = np.inf  # one level -log(inf) = -inf in one block of record 1
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", infinite)
+    with pytest.raises(DomainError, match="finite"):
+        sector_spectra(rho)
 
 
 def test_gaussian_state_has_zero_angle(rng):
@@ -123,8 +181,8 @@ def test_max_fidelity_bounds():
 
 
 def test_spectral_error_reports_missing_levels():
-    a = EntanglementSpectrum(levels=np.array([0.0, 1.0, 2.0]))
-    b = EntanglementSpectrum(levels=np.array([0.1, 1.4]))
+    a = np.array([0.0, 1.0, 2.0])
+    b = np.array([0.1, 1.4])
     errs = spectral_error(a, b, indices=(0, 1, 2))
     assert errs[0] == pytest.approx(0.1)
     assert errs[1] == pytest.approx(0.4)
@@ -132,27 +190,27 @@ def test_spectral_error_reports_missing_levels():
 
 
 def test_gap_ratio_frozen_examples():
-    lone = EntanglementSpectrum(levels=np.array([0.0, 1.0, 3.0]))
-    stats = gap_statistics([lone.levels], bootstrap=10)
+    lone = np.array([0.0, 1.0, 3.0])
+    stats = gap_statistics([lone], bootstrap=10)
     assert stats.ratios.tolist() == [0.5]
-    ladder = EntanglementSpectrum(levels=np.arange(5.0))
-    stats = gap_statistics([ladder.levels], bootstrap=10)
+    ladder = np.arange(5.0)
+    stats = gap_statistics([ladder], bootstrap=10)
     assert np.allclose(stats.ratios, 1.0)
 
 
 def test_gap_statistics_collapse_degeneracies():
-    spec = EntanglementSpectrum(levels=np.array([0.0, 1e-13, 1.0, 2.0]))
-    stats = gap_statistics([spec.levels], bootstrap=10)
+    spec = np.array([0.0, 1e-13, 1.0, 2.0])
+    stats = gap_statistics([spec], bootstrap=10)
     assert stats.dropped_degenerate == 1
     assert stats.ratios.tolist() == [1.0]
 
 
 def test_gap_statistics_need_three_levels():
-    short = EntanglementSpectrum(levels=np.array([0.0, 1.0]))
+    short = np.array([0.0, 1.0])
     with pytest.raises(StatisticsUnavailableError):
-        gap_statistics([short.levels])
-    mixed = [short, EntanglementSpectrum(levels=np.array([0.0, 1.0, 3.0]))]
-    stats = gap_statistics([s.levels for s in mixed], bootstrap=10)
+        gap_statistics([short])
+    mixed = [short, np.array([0.0, 1.0, 3.0])]
+    stats = gap_statistics(mixed, bootstrap=10)
     assert stats.sectors_used == 1
 
 
@@ -223,11 +281,11 @@ def test_gap_statistics_matches_the_loop_oracle():
 
 
 def test_gap_statistics_reject_empty_bootstrap_and_histogram():
-    spec = EntanglementSpectrum(levels=np.array([0.0, 1.0, 3.0]))
+    spec = np.array([0.0, 1.0, 3.0])
     for kwargs in ({"bootstrap": 0}, {"bootstrap": -5}, {"bins": 0}):
         with pytest.raises(DomainError):
-            gap_statistics([spec.levels], **kwargs)
-    assert gap_statistics([spec.levels], bootstrap=1, bins=1).ratios.size == 1
+            gap_statistics([spec], **kwargs)
+    assert gap_statistics([spec], bootstrap=1, bins=1).ratios.size == 1
 
 
 def test_reference_distributions_quick():
@@ -284,10 +342,10 @@ def test_bootstrap_peak_memory_is_one_block():
 def test_bootstrap_and_sample_capacity_guards():
     # extreme values only: each must raise before anything is allocated
     assert MAX_BOOTSTRAP >= 1000 and MAX_REFERENCE_SAMPLES >= 100_001
-    spec = EntanglementSpectrum(levels=np.array([0.0, 1.0, 3.0]))
+    spec = np.array([0.0, 1.0, 3.0])
     for bootstrap in (MAX_BOOTSTRAP + 1, 10**15):
         with pytest.raises(CapacityError, match="bootstrap"):
-            gap_statistics([spec.levels], bootstrap=bootstrap)
+            gap_statistics([spec], bootstrap=bootstrap)
         for kind in ("poisson", "gue"):
             with pytest.raises(CapacityError, match="bootstrap"):
                 reference_distribution(kind, samples=2000, bootstrap=bootstrap)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fermiscope import harness
 from fermiscope.correlations import (
+    OCCUPATION_CLAMP,
     DiagonalFrame,
     FourPointTensor,
     TwoPointMatrix,
@@ -17,6 +18,7 @@ from fermiscope.correlations import (
     measure_two_point,
     rotate_four_point,
 )
+from fermiscope.entanglement import non_gaussianity
 from fermiscope.fock import DensityMatrix, DomainError, FockBasis
 from fermiscope.reconstruct import (
     AnsatzValidityWarning,
@@ -33,7 +35,7 @@ from fermiscope.reconstruct import (
 from fermiscope.validate import random_frame, random_valid_tensor
 
 from conftest import mini_config, quench_snapshot
-from oracles import delta_rho_loop, same_bits
+from oracles import delta_rho_loop, mode_rotation_unitary_loop, same_bits
 
 
 def simplex_projection_oracle(v: np.ndarray) -> np.ndarray:
@@ -57,7 +59,7 @@ def test_gaussian_weights_follow_product_rule(rng):
     frame = random_frame(rng, 3)
     gs = gaussian_state(frame)
     g = frame.occupations
-    for k, bits in enumerate(gs.basis.states):
+    for k, bits in enumerate(FockBasis(3).states):
         want = 1.0
         for p in range(3):
             want *= g[p] if (bits >> p) & 1 else 1.0 - g[p]
@@ -222,6 +224,39 @@ def test_mode_rotation_unitary_is_unitary_and_consistent(rng):
     assert np.abs(c2 - want).max() < 1e-10
 
 
+def _frame_stack(frames) -> DiagonalFrame:
+    return DiagonalFrame(np.stack([f.rotation for f in frames]),
+                         np.stack([f.occupations for f in frames]))
+
+
+def _c2_stack(rng, n_modes: int, count: int) -> TwoPointMatrix:
+    """C2 of ``count`` random frames: the first with a degenerate spectrum,
+    the second with a pure-occupied and a pure-empty mode."""
+    mats = []
+    for k in range(count):
+        q = random_frame(rng, n_modes).rotation
+        g = rng.uniform(0.05, 0.95, n_modes)
+        if k == 0:
+            g[1] = g[2] = 0.7
+        elif k == 1:
+            g[0], g[-1] = 1.0, 0.0
+        mats.append((q * g) @ q.conj().T)
+    return TwoPointMatrix(np.stack(mats))
+
+
+def test_stacked_mode_rotation_unitary_matches_each_frame_alone(rng):
+    for n_modes, count in ((4, 16), (6, 3)):
+        frames = diagonalize_two_point(_c2_stack(rng, n_modes, count))
+        assert np.abs(np.diff(frames.occupations[0])).min() < 1e-12
+        assert frames.occupations[1, 0] == 1.0 - OCCUPATION_CLAMP
+        assert frames.occupations[1, -1] == OCCUPATION_CLAMP
+        stacked = mode_rotation_unitary(frames)
+        assert stacked.shape == (count, 1 << n_modes, 1 << n_modes)
+        for k in range(count):
+            assert same_bits(stacked[k], mode_rotation_unitary(frames[k]))
+            assert same_bits(stacked[k], mode_rotation_unitary_loop(frames[k]))
+
+
 def test_mode_rotation_unitary_ignores_numpy_global_rng():
     # logm picks its Pade degree from onenormest, which draws from np.random
     frames = [
@@ -232,6 +267,7 @@ def test_mode_rotation_unitary_ignores_numpy_global_rng():
         # chain-8site geometry: 8 sites, 7 particles, 4-site subsystem
         diagonalize_two_point(quench_snapshot(8, 0.05, 5.0, 8, seed=3)[1]),
     ]
+    frames.append(diagonalize_two_point(_c2_stack(np.random.default_rng(6), 4, 5)))
     saved = np.random.get_state()
     try:
         for frame in frames:
@@ -246,9 +282,21 @@ def test_mode_rotation_unitary_ignores_numpy_global_rng():
 
 def test_mode_rotation_unitary_rejects_a_failed_logarithm(monkeypatch):
     # scipy's logm returns an all-NaN matrix when its square roots fail
-    monkeypatch.setattr(scipy.linalg, "logm", lambda a: np.full(a.shape, np.nan + 0j))
-    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="logarithm"):
-        mode_rotation_unitary(random_frame(np.random.default_rng(5), 4))
+    real, calls = scipy.linalg.logm, []
+
+    def logm(a):
+        calls.append(a)
+        return np.full(a.shape, np.nan + 0j) if len(calls) in fails else real(a)
+
+    monkeypatch.setattr(scipy.linalg, "logm", logm)
+    rng = np.random.default_rng(5)
+    # a lone frame, and the third frame of a stack of four
+    for frame, fails, count in ((random_frame(rng, 4), {1}, 1),
+                                (_frame_stack([random_frame(rng, 4) for _ in range(4)]), {3}, 4)):
+        calls.clear()
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="logarithm"):
+            mode_rotation_unitary(frame)
+        assert len(calls) == count
 
 
 def test_frames_and_gaussian_states_reject_nan():
@@ -296,7 +344,13 @@ def covariance_states(tmp_path_factory):
     config = mini_config(str(tmp_path_factory.mktemp("run")))
     harness.cmd_quench(config)
     rho4 = harness.load_snapshot(os.path.join(config.out_dir, "quench"), 0, 0, 1)[0]
-    return {4: rho4, 8: quench_snapshot(8, 0.05, 5.0, 8, seed=3)[0]}
+    return {4: rho4, 6: quench_snapshot(4, 0.2, 2.0, 6, seed=5)[0],
+            8: quench_snapshot(8, 0.05, 5.0, 8, seed=3)[0]}
+
+
+def _reconstruct(state: DensityMatrix):
+    c2 = measure_two_point(state)
+    return reconstruct_state(c2, measure_four_point_connected(state, c2))
 
 
 @pytest.mark.parametrize("mixing", [False, True], ids=["spin-preserving", "spin-mixing"])
@@ -311,14 +365,37 @@ def test_reconstruction_is_covariant_under_mode_rotations(covariance_states, n_m
     else:  # one site rotation for both spins
         w = np.kron(random_frame(rng, n_modes // 2).rotation, np.eye(2))
     u = mode_rotation_unitary(DiagonalFrame(w, np.linspace(0.9, 0.1, n_modes)))
-
-    def reconstruct(state):
-        c2 = measure_two_point(state)
-        return reconstruct_state(c2, measure_four_point_connected(state, c2))
-
-    before = reconstruct(rho)
-    after = reconstruct(DensityMatrix(rho.basis, u @ rho.elements @ u.conj().T))
+    before = _reconstruct(rho)
+    after = _reconstruct(DensityMatrix(rho.basis, u @ rho.elements @ u.conj().T))
     back = u.conj().T @ after.assembled.elements @ u
     assert np.abs(back - before.assembled.elements).max() <= 1e-13
     assert np.abs(after.projected_eigenvalues
                   - before.projected_eigenvalues).max() <= 1e-13
+
+
+def _one_minus_f(state: DensityMatrix) -> float:
+    """1 - F = sin^2 theta: the t = 0 noise classes of theta cannot decide a check."""
+    return float(np.sin(non_gaussianity(state)) ** 2)
+
+
+@pytest.mark.parametrize("n_modes", [4, 6, 8])
+def test_reconstruction_commutes_with_complex_conjugation(covariance_states, n_modes):
+    # reconstructing rho* gives the conjugate of the reconstruction of rho:
+    # a relation that holds on any BLAS, recording no bits
+    rho = covariance_states[n_modes]
+    before = _reconstruct(rho)
+    after = _reconstruct(DensityMatrix(rho.basis, rho.elements.conj()))
+    for got, want in ((after.assembled, before.assembled), (after.projected, before.projected)):
+        assert np.abs(got.elements - want.elements.conj()).max() <= 1e-13
+    assert np.abs(after.projected_eigenvalues - before.projected_eigenvalues).max() <= 1e-13
+    assert abs(_one_minus_f(after.projected) - _one_minus_f(before.projected)) <= 1e-14
+
+
+@pytest.mark.parametrize("n_modes", [4, 6, 8])
+def test_a_gaussian_state_is_a_fixed_point_of_the_reconstruction(n_modes, rng):
+    frame = random_frame(rng, n_modes)  # occupations in [0.05, 0.95]: no pure mode
+    u = mode_rotation_unitary(frame)
+    weights = gaussian_state(frame).weights
+    recon = _reconstruct(DensityMatrix(FockBasis(n_modes), (u * weights[None, :]) @ u.conj().T))
+    assert np.abs(recon.correction.elements).max() <= 1e-14
+    assert _one_minus_f(recon.projected) <= 1e-14
