@@ -22,12 +22,14 @@ measurements and the frame treat a single record as a stack of one.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
-from .fock import DensityMatrix, DomainError, FockBasis, StateVector, _chain_table, dagger
+from .fock import (DensityMatrix, DomainError, FockBasis, StateVector, _chain_table,
+                   _frozen, _mode_count, dagger)
 
 HERMITICITY_TOL = 1e-8
 OCCUPATION_CLAMP = 1e-10
@@ -117,6 +119,17 @@ def connected_four_point(raw: np.ndarray, c2: np.ndarray) -> np.ndarray:
             + np.einsum("...ik,...jl->...ijkl", c2, c2))
 
 
+@functools.lru_cache(maxsize=64)
+def _pair_layout(n: int):
+    """(lo, hi, gather, signs), built once: the pairs lo < hi, and per (i, j, k, l)
+    the flat index of pairs ({i, j}, {k, l}) and its sign, 0 on i = j or k = l."""
+    lo, hi = np.triu_indices(n, 1)
+    index, sign = np.zeros((n, n), dtype=np.intp), np.tri(n, k=-1).T - np.tri(n, k=-1)
+    index[lo, hi] = index[hi, lo] = range(lo.size)
+    return _frozen((lo, hi, (index[:, :, None, None] * lo.size + index).ravel(),
+                    (sign[:, :, None, None] * sign).ravel()))
+
+
 def subsystem_correlations(psi: StateVector, n_keep: int):
     """C2 and connected C4 of a pure state on its leading ``n_keep`` modes.
 
@@ -124,24 +137,22 @@ def subsystem_correlations(psi: StateVector, n_keep: int):
     moments, so they come straight from ``psi`` without a density matrix:
     ``psi`` is lowered once by each c_b, and all of them once more by each c_a.
     """
-    if not 0 < n_keep <= psi.basis.mode_count:
-        raise DomainError(f"cannot keep {n_keep} of {psi.basis.mode_count} modes")
-    n, sector = n_keep, psi.basis.sector
-    c2 = np.zeros((n, n), dtype=np.complex128)
-    raw = np.zeros((n, n, n, n), dtype=np.complex128)
+    n, sector = _mode_count(n_keep), psi.basis.sector
+    if not 0 < n <= psi.basis.mode_count:
+        raise DomainError(f"cannot keep {n} of {psi.basis.mode_count} modes")
+    c2, raw = np.zeros((n, n), dtype=np.complex128), np.zeros((n,) * 4, dtype=np.complex128)
     if sector != 0:
         target, lowered = _lowered_rows(psi.basis, psi.amplitudes, n)
-        for i in range(n):
-            for j in range(i, n):
-                val = np.vdot(lowered[i], lowered[j])
-                c2[i, j] = val
-                c2[j, i] = np.conj(val)
-        if sector is None or sector >= 2:
-            # d[a, b] = c_a c_b |psi>, with d[b, b] = +0
-            d = _lowered_rows(target, lowered, n)[1]
-            d[range(n), range(n)] = 0.0
-            # <c†_i c†_j c_k c_l> = <(c_j c_i) psi | (c_k c_l) psi>
-            raw = np.einsum("jix,klx->ijkl", d.conj(), d)
+        for i, j in combinations_with_replacement(range(n), 2):
+            c2[i, j] = val = np.vdot(lowered[i], lowered[j])
+            c2[j, i] = np.conj(val)
+        if n > 1 and (sector is None or sector >= 2):
+            # <c†_i c†_j c_k c_l> = <(c_j c_i) psi | (c_k c_l) psi>, contracted for i < j,
+            # k < l; d[b, a] = -d[a, b] bit for bit, so the rest are exact sign flips
+            d = _lowered_rows(target, lowered, n)[1]  # d[a, b] = c_a c_b |psi>
+            lo, hi, gather, signs = _pair_layout(n)
+            pairs = np.einsum("px,qx->pq", d[hi, lo].conj(), d[lo, hi])
+            raw = (pairs.take(gather) * signs + 0.0).reshape(n, n, n, n)  # + 0.0: no -0
     return TwoPointMatrix(c2), FourPointTensor(connected_four_point(raw, c2))
 
 

@@ -44,6 +44,12 @@ def popcount(bits: int) -> int:
     return bin(bits).count("1")
 
 
+def _mode_count(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise DomainError(f"a mode count must be a non-negative integer, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OccupationBitstring:
     """Occupation pattern of ``mode_count`` fermionic modes.
@@ -88,6 +94,7 @@ class FockBasis:
 
     def __init__(self, mode_count: int, sector: int | None = None,
                  sz_twice: int | None = None):
+        mode_count = _mode_count(mode_count)
         if mode_count > MAX_MODES:
             raise CapacityError(
                 f"{mode_count} modes exceeds the {MAX_MODES}-mode capacity guard"
@@ -355,7 +362,7 @@ def partial_trace(psi: StateVector, keep_modes: int) -> DensityMatrix:
     """
     basis = psi.basis
     m = basis.mode_count
-    if not 0 < keep_modes <= m:
+    if not 0 < _mode_count(keep_modes) <= m:
         raise DomainError(f"cannot keep {keep_modes} of {m} modes")
     sub = FockBasis(keep_modes)
     rho = np.zeros((sub.dim, sub.dim), dtype=np.complex128)

@@ -34,6 +34,7 @@ every reduction that its bases cover.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -527,20 +528,21 @@ def save_shot_records(path: str, plan: MeasurementPlan, records,
         "n_bases": plan.n_bases,
     }
     lines = [serialize.to_json_line(header)]
-    # mode count -> bit pattern -> its label, mode 0 leftmost, made once
-    labels: dict[int, dict[int, str]] = {}
+    # mode count -> bit pattern -> (rank, label), made once: labels (mode 0 leftmost)
+    # sort as their ranks, the bit-reversed patterns, so keys go out sorted as built
+    labels: dict[int, dict[int, tuple[int, str]]] = {}
     for rec in records:
         table = labels.setdefault(rec.mode_count, {})
         patterns = rec.patterns.tolist()
         for b in set(patterns) - table.keys():
-            table[b] = format(b, f"0{rec.mode_count}b")[::-1]
-        lines.append(serialize.to_json_line({
-            "basis_id": rec.basis_id,
-            "key": list(rec.key),
-            "mode_count": rec.mode_count,
-            "shots": rec.shots,
-            "counts": dict(zip([table[b] for b in patterns], rec.counts.tolist())),
-        }))
+            label = format(b, f"0{rec.mode_count}b")[::-1]
+            table[b] = (int(label, 2), label)
+        ranked, counts = [table[b] for b in patterns], rec.counts.tolist()
+        order = np.argsort([rank for rank, _ in ranked]).tolist()
+        lines.append(json.dumps({
+            "basis_id": rec.basis_id, "counts": {ranked[k][1]: counts[k] for k in order},
+            "key": list(rec.key), "mode_count": rec.mode_count, "shots": rec.shots,
+        }, separators=(",", ":")))
     serialize.atomic_write_text(path, "\n".join(lines) + "\n")
 
 

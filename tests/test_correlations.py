@@ -387,23 +387,77 @@ def test_subsystem_correlations_lower_the_state_once(monkeypatch, rng, key):
     assert len(calls) == 2 * n + n * n
 
 
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_pure_four_point_contracts_each_index_pair_once(monkeypatch, rng, n):
+    basis = FockBasis(8, 4)
+    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    psi = StateVector(basis, amps).normalized()
+    calls, einsum = [], np.einsum
+
+    def counted(subscripts, *operands, **kwargs):
+        calls.append((subscripts, [op.shape for op in operands]))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    subsystem_correlations(psi, n)
+    # one contraction of n(n-1)/2 rows c_j c_i psi (i < j) per operand; the
+    # rest are the Wick terms of connected_four_point
+    pairs, dim = n * (n - 1) // 2, FockBasis(8, 2).dim
+    assert [c for c in calls if "x" in c[0]] == [("px,qx->pq", [(pairs, dim)] * 2)]
+    assert len(calls) == 3
+    lo, hi, gather, signs = correlations._pair_layout(n)
+    assert correlations._pair_layout(n)[2] is gather  # cached per mode count
+    assert not (lo.flags.writeable or gather.flags.writeable or signs.flags.writeable)
+
+
+@pytest.mark.parametrize("bad", [True, False, -1, 2.0, np.float64(2.0), "2", None])
+def test_mode_counts_must_be_non_negative_integers(bad):
+    psi = StateVector(FockBasis(4, 2), np.ones(6)).normalized()
+    with pytest.raises(DomainError, match="non-negative integer"):
+        FockBasis(bad)
+    with pytest.raises(DomainError):
+        partial_trace(psi, bad)
+    with pytest.raises(DomainError):
+        subsystem_correlations(psi, bad)
+
+
+def test_numpy_integer_mode_counts_keep_working():
+    psi = StateVector(FockBasis(4, 2), np.arange(1.0, 7.0)).normalized()
+    basis = FockBasis(np.int64(4))
+    assert basis.dim == 16 and type(basis.mode_count) is int
+    assert same_bits(partial_trace(psi, np.int64(2)).elements, partial_trace(psi, 2).elements)
+    for got, want in zip(subsystem_correlations(psi, np.int32(2)), subsystem_correlations(psi, 2)):
+        assert same_bits(got.entries, want.entries)
+
+
 def _pure_cases():
     """(state, kept modes) over unfiltered, fixed-N and fixed-(N, 2*Sz)
-    bases, sectors 0 and 1 included, some with exactly zero amplitudes."""
+    bases, sectors 0 and 1 included, some with exactly zero amplitudes, the
+    same states with -0 in place of every zero part, and a Chebyshev-evolved
+    8-mode fixed-N state, exactly zero outside its 2*Sz block."""
     rng = np.random.default_rng(41)
     keys = [(4, None, None), (6, None, None), (6, 0, None), (6, 1, None),
             (6, 3, None), (8, 4, None), (6, 3, 1), (8, 4, 0), (6, 2, -2),
             (6, 1, 1), (6, 0, 0)]
-    cases = []
+    states = []
     for key in keys:
         basis = FockBasis(*key)
         amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
         amps[rng.random(basis.dim) < 0.4] = 0.0
         amps[0] = 1.0
-        psi = StateVector(basis, amps).normalized()
-        for keep in sorted({1, basis.mode_count // 2, basis.mode_count}):
-            cases.append((psi, keep))
-    return cases
+        states.append(StateVector(basis, amps).normalized())
+    for psi in list(states):
+        amps = psi.amplitudes.copy()
+        amps.real[amps.real == 0] = -0.0
+        amps.imag[amps.imag == 0] = -0.0
+        states.append(StateVector(psi.basis, amps))
+    params = HubbardParams(sites=4, interaction=0.3)
+    start = initial_state(params, select_initial_state(params, 3, seed=2))
+    evolved = evolve(start, build_hamiltonian(params, particles=3), 2.0, method="chebyshev")
+    assert (evolved.amplitudes == 0).any() and evolved.basis.sz_twice is None
+    states.append(evolved)
+    return [(psi, keep) for psi in states
+            for keep in sorted({1, psi.basis.mode_count // 2, psi.basis.mode_count})]
 
 
 def test_pure_lowering_matches_the_two_pass_oracle_bit_for_bit():

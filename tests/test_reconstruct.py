@@ -18,8 +18,8 @@ from fermiscope.correlations import (
     measure_two_point,
     rotate_four_point,
 )
-from fermiscope.entanglement import non_gaussianity
-from fermiscope.fock import DensityMatrix, DomainError, FockBasis
+from fermiscope.entanglement import non_gaussianity, sector_spectra
+from fermiscope.fock import DensityMatrix, DomainError, FockBasis, ladder_matrix
 from fermiscope.reconstruct import (
     AnsatzValidityWarning,
     GaussianState,
@@ -389,6 +389,43 @@ def test_reconstruction_commutes_with_complex_conjugation(covariance_states, n_m
         assert np.abs(got.elements - want.elements.conj()).max() <= 1e-13
     assert np.abs(after.projected_eigenvalues - before.projected_eigenvalues).max() <= 1e-13
     assert abs(_one_minus_f(after.projected) - _one_minus_f(before.projected)) <= 1e-14
+
+
+def _particle_hole(n_modes: int) -> np.ndarray:
+    """P = prod_i (c_i + c_i^dagger) on the unfiltered basis, from the ladder matrices."""
+    basis = FockBasis(n_modes)
+    p = np.eye(basis.dim, dtype=complex)
+    for i in range(n_modes):
+        p = p @ (ladder_matrix(basis, i, "annihilate") + ladder_matrix(basis, i, "create"))
+    return p
+
+
+def _sector_eigenvalues(rho: DensityMatrix) -> dict:
+    """(n, m, s) -> kept eigenvalues of that block, ascending levels read back as exp(-level)."""
+    spectra = sector_spectra(rho)
+    blocks = np.split(np.exp(-spectra.levels), np.cumsum(spectra.sizes[0])[:-1])
+    return {(label.n, label.m, label.s): vals for label, vals in zip(spectra.labels, blocks)}
+
+
+@pytest.mark.parametrize("n_modes", [4, 6, 8])
+def test_reconstruction_commutes_with_particle_hole(covariance_states, n_modes):
+    # reconstructing P rho P^dagger gives P (reconstruction of rho) P^dagger, and
+    # sector (n, m, s) of one is sector (modes - n, -m, s) of the other: a
+    # relation that holds on any BLAS, recording no bits
+    rho, p = covariance_states[n_modes], _particle_hole(n_modes)
+    assert np.abs(p @ p.conj().T - np.eye(p.shape[0])).max() == 0.0
+    image = DensityMatrix(rho.basis, p @ rho.elements @ p.conj().T)
+    before, after = _reconstruct(rho), _reconstruct(image)
+    for got, want in ((after.assembled, before.assembled), (after.projected, before.projected)):
+        assert np.abs(got.elements - p @ want.elements @ p.conj().T).max() <= 1e-13
+    assert np.abs(after.projected_eigenvalues - before.projected_eigenvalues).max() <= 1e-13
+    for state, mapped in ((rho, image), (before.projected, after.projected)):
+        want, got = _sector_eigenvalues(state), _sector_eigenvalues(mapped)
+        assert len(got) == len(want)
+        for (n, m, s), vals in want.items():
+            assert got[(n_modes - n, -m, s)].shape == vals.shape
+            assert np.abs(got[(n_modes - n, -m, s)] - vals).max(initial=0.0) <= 1e-13
+        assert abs(_one_minus_f(mapped) - _one_minus_f(state)) <= 1e-14
 
 
 @pytest.mark.parametrize("n_modes", [4, 6, 8])
